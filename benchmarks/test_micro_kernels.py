@@ -14,6 +14,7 @@ import pytest
 
 from repro.core._math import scatter_add_rows
 from repro.core.cbow import CBOWNegativeSampling
+from repro.core.fused import FusedCBOWNegativeSampling
 from repro.core.negative import NegativeSampler
 from repro.datasets.synthetic import community_benchmark
 from repro.ml.kmeans import KMeans
@@ -43,6 +44,16 @@ def cbow_batch():
 
 def test_cbow_batch_step(benchmark, cbow_batch):
     model, centers, contexts, rng = cbow_batch
+    benchmark(model.batch_step, centers, contexts, 0.01, rng)
+
+
+def test_fused_cbow_batch_step(benchmark, cbow_batch):
+    # The same batch through the sparse-matrix float32 kernel that
+    # kernel="auto" runs; compare against test_cbow_batch_step.
+    _, centers, contexts, rng = cbow_batch
+    model = FusedCBOWNegativeSampling(
+        V, D, np.full(V, 1.0 / V), negatives=K, rng=np.random.default_rng(0)
+    )
     benchmark(model.batch_step, centers, contexts, 0.01, rng)
 
 

@@ -1,33 +1,38 @@
 """Fused batched CBOW negative-sampling kernel (float32).
 
-The reference :class:`repro.core.cbow.CBOWNegativeSampling` kernel is the
-reproducibility anchor: float64, einsum-based, collision-avoiding
-negative draws. This module is its throughput-oriented twin, used by the
-multi-worker (Hogwild) trainer where bitwise identity across worker
-counts is already out of contract. The fusions, each measured on the
-bench corpus (see docs/PERFORMANCE.md):
+The CBOW + negative-sampling kernel every worker count runs (the
+reference :class:`repro.core.cbow.CBOWNegativeSampling` kernel stays
+selectable with ``kernel="reference"``). A minibatch is two sparse
+(B × V) matrices built straight from CSR arrays, so scipy never converts
+from COO:
 
-- **float32 weights** — halves the bytes every gather/scatter moves; the
-  training race (Hogwild) is far noisier than the precision loss.
-- **h-trick context mean** — pad slots gather row 0 and one subtraction
-  of ``pad_count * w_in[0]`` fixes the sum, instead of materializing the
-  ``(B, C, d)`` masked product.
+- **A**, the context-mean matrix: row ``b`` holds ``1/count_b`` at each
+  real context slot of example ``b``. ``h = A @ w_in`` is the context
+  mean and ``w_in += A.T @ grad_h`` its exact adjoint; pad slots simply
+  have no entry.
+- **G**, the gradient matrix: row ``b`` holds the ``1+K`` scaled
+  gradients at the center and its negatives, over a fixed stride-(1+K)
+  ``indptr``. ``w_out += G.T @ h`` is the output update.
+
+scipy's CSR products sum duplicate indices, so a vertex repeated in one
+context row, a target shared by several rows, or a negative equal to its
+center all accumulate exactly. The remaining fusions:
+
+- **float32 weights** — halves the bytes every gather/scatter moves.
 - **alias-table negatives** — one :class:`~repro.walks.alias.AliasTable`
-  draw per batch, O(1) per sample with no ``searchsorted`` and no
-  collision-avoidance redraw loop (word2vec's C implementation also
-  keeps accidental positives; they are harmless noise).
-- **matmul scoring** — ``(B, 1+K, d) @ (B, d, 1)`` batched matmul in
-  place of ``einsum``, plus in-place clip/sigmoid/gradient arithmetic on
-  one ``(B, 1+K)`` buffer.
-- **preallocated target/label buffers** — reused across batches of the
-  same size, so the steady-state loop allocates only the gathers.
+  draw per batch, O(1) per sample with no collision-avoidance redraw
+  (word2vec's C implementation also keeps accidental positives).
+- **matmul scoring** — ``(B, 1+K, d) @ (B, d, 1)`` batched matmul, a
+  one-pass loss ``Σ log1p(exp(sign · s))``, and in-place clip/sigmoid/
+  gradient arithmetic on one ``(B, 1+K)`` buffer.
+- **cached per-batch-size buffers** — targets, labels, signs and G's
+  ``indptr`` are reused across batches of the same size.
 
-The public surface matches the reference kernel exactly —
-``batch_step(centers, contexts, lr, rng)``, ``w_in``/``w_out``
-attributes, a ``vectors`` property — so the serial epoch loop and the
-Hogwild worker task drive either kernel unchanged.
-:attr:`vectors` returns float64 to keep the downstream contract
-(similarity queries, checkpoints compare) dtype-stable.
+The updates are dense in-place ``+=`` over the whole matrices, so
+Hogwild workers running this kernel on shared memory race only per
+element. The public surface matches the reference kernel —
+``batch_step(centers, contexts, lr, rng)``, ``w_in``/``w_out``, and a
+``vectors`` property that returns float64.
 """
 
 from __future__ import annotations
@@ -39,33 +44,6 @@ from repro.core._math import MAX_EXP
 from repro.walks.alias import AliasTable, build_alias
 
 __all__ = ["FusedCBOWNegativeSampling"]
-
-
-# Float32 twins of the caches in repro.core._math.scatter_add_rows; the
-# selector matrix must match the row-block dtype or scipy promotes the
-# product back to float64.
-_ones_cache = np.empty(0, dtype=np.float32)
-_arange_cache = np.empty(0, dtype=np.int64)
-
-
-def _scatter_add_rows_f32(
-    target: np.ndarray, idx: np.ndarray, rows: np.ndarray
-) -> None:
-    """``target[idx] += rows`` with duplicates accumulated, float32 end to end."""
-    global _ones_cache, _arange_cache
-    n = idx.shape[0]
-    if n == 0:
-        return
-    if int(np.bincount(idx).max()) <= 1:
-        target[idx] += rows
-        return
-    if _ones_cache.shape[0] < n:
-        _ones_cache = np.ones(n, dtype=np.float32)
-        _arange_cache = np.arange(n, dtype=np.int64)
-    selector = sparse.csr_matrix(
-        (_ones_cache[:n], (idx, _arange_cache[:n])), shape=(target.shape[0], n)
-    )
-    target += selector @ rows
 
 
 class FusedCBOWNegativeSampling:
@@ -103,8 +81,21 @@ class FusedCBOWNegativeSampling:
             ((rng.random((vocab_size, dim)) - 0.5) / dim).astype(np.float32)
         )
         self.w_out = np.zeros((vocab_size, dim), dtype=np.float32)
-        self._targets = np.empty((0, 1 + negatives), dtype=np.int64)
-        self._labels = np.empty((0, 1 + negatives), dtype=np.float32)
+        # Handing scipy indices already in its own index dtype spares
+        # every matrix build a content scan and a cast.
+        self._index_dtype = sparse.get_index_dtype(maxval=vocab_size)
+        self._resize(0)
+
+    def _resize(self, batch: int) -> None:
+        """(Re)build the buffers that depend only on the batch size."""
+        width = 1 + self.negatives
+        self._targets = np.empty((batch, width), dtype=np.int64)
+        self._labels = np.zeros((batch, width), dtype=np.float32)
+        self._labels[:, 0] = 1.0
+        self._sign = 1.0 - 2.0 * self._labels  # -1 at the center, +1 at negatives
+        self._g_indptr = np.arange(
+            0, batch * width + 1, width, dtype=self._index_dtype
+        )
 
     @property
     def vectors(self) -> np.ndarray:
@@ -119,41 +110,40 @@ class FusedCBOWNegativeSampling:
         rng: np.random.Generator,
     ) -> float:
         """One SGD step over a minibatch; returns the mean example loss."""
-        w_in, w_out = self.w_in, self.w_out
         batch = centers.shape[0]
+        shape = (batch, self.vocab_size)
         mask = contexts >= 0
         counts = mask.sum(axis=1)
         if np.any(counts == 0):
             raise ValueError("every example must have at least one context token")
-        safe = np.where(mask, contexts, 0)
-        # h-trick: pad slots gathered row 0, so subtracting pad_count
-        # copies of w_in[0] yields the true context sum.
-        pad = (contexts.shape[1] - counts).astype(np.float32)
+        indptr = np.zeros(batch + 1, dtype=self._index_dtype)
+        np.cumsum(counts, out=indptr[1:])
         inv = np.float32(1.0) / counts.astype(np.float32)
-        h = w_in[safe].sum(axis=1)
-        h -= pad[:, None] * w_in[0]
-        h *= inv[:, None]
+        A = sparse.csr_matrix(
+            (
+                np.repeat(inv, counts),
+                contexts[mask].astype(self._index_dtype),
+                indptr,
+            ),
+            shape=shape,
+        )
+        h = A @ self.w_in  # (B, d) context means
 
         negs = self._noise.sample(
             0, self.vocab_size, rng, shape=(batch, self.negatives)
         )
         if self._targets.shape[0] != batch:
-            self._targets = np.empty((batch, 1 + self.negatives), dtype=np.int64)
-            self._labels = np.zeros((batch, 1 + self.negatives), dtype=np.float32)
-            self._labels[:, 0] = 1.0
+            self._resize(batch)
         targets = self._targets
         targets[:, 0] = centers
         targets[:, 1:] = negs
 
-        out_vecs = w_out[targets]  # (B, 1+K, d)
+        out_vecs = np.take(self.w_out, targets, axis=0)  # (B, 1+K, d)
         scores = (out_vecs @ h[:, :, None])[:, :, 0]  # (B, 1+K)
         np.clip(scores, -MAX_EXP, MAX_EXP, out=scores)
-        # loss = -log σ(s⁺) - Σ log σ(-s⁻), read off before `scores` is
-        # transformed in place into predictions and then gradients.
-        loss = float(
-            np.log1p(np.exp(-scores[:, 0])).sum()
-            + np.log1p(np.exp(scores[:, 1:])).sum()
-        )
+        # loss = -log σ(s⁺) - Σ log σ(-s⁻) = Σ log1p(exp(sign · s)), read
+        # off before `scores` turns into predictions and then gradients.
+        loss = float(np.log1p(np.exp(self._sign * scores)).sum())
         np.negative(scores, out=scores)
         np.exp(scores, out=scores)
         scores += np.float32(1.0)
@@ -163,12 +153,11 @@ class FusedCBOWNegativeSampling:
         g = scores
 
         grad_h = (g[:, None, :] @ out_vecs)[:, 0, :]  # before w_out update
-        _scatter_add_rows_f32(
-            w_out,
-            targets.ravel(),
-            (g[:, :, None] * h[:, None, :]).reshape(-1, self.dim),
+        # G's CSR arrays read as CSC are G.T: one matrix build, not two.
+        G_T = sparse.csc_matrix(
+            (g.ravel(), targets.ravel().astype(self._index_dtype), self._g_indptr),
+            shape=shape[::-1],
         )
-        per_ctx = grad_h * inv[:, None]
-        example_of, _slot = np.nonzero(mask)
-        _scatter_add_rows_f32(w_in, contexts[mask], per_ctx[example_of])
+        self.w_out += G_T @ h
+        self.w_in += A.T @ grad_h
         return loss / batch

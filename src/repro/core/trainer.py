@@ -71,11 +71,12 @@ class TrainConfig:
     stream_rows: int = 1024
     workers: int = 1
     seed: int | None = None
-    # Which batch kernel to run: "reference" is the float64 einsum kernel
-    # (the bitwise-reproducibility anchor), "fused" the batched float32
-    # kernel (CBOW + negative sampling only; see repro.core.fused), and
-    # "auto" picks fused for multi-worker CBOW/negative runs and the
-    # reference kernel everywhere else — so workers=1 output never moves.
+    # Which batch kernel to run: "fused" is the sparse-matrix float32
+    # kernel (CBOW + negative sampling only; see repro.core.fused),
+    # "reference" the float64 einsum kernels, and "auto" picks fused for
+    # CBOW/negative at any worker count and the reference kernels for
+    # skip-gram and hierarchical softmax. Every kernel is bitwise
+    # deterministic at workers=1.
     kernel: str = "auto"
     shuffle: bool = field(default=True, compare=False)
     # Liveness policy for the Hogwild worker pool, not model identity:
@@ -151,20 +152,15 @@ class EmbeddingResult:
 def resolve_kernel(config: TrainConfig) -> str:
     """The batch kernel a config actually runs (``auto`` resolved).
 
-    ``auto`` chooses the fused float32 kernel exactly when the run is
-    multi-worker CBOW with negative sampling — the regime where bitwise
-    identity is already out of contract (Hogwild races) and throughput
-    is the point. Every other configuration — and in particular every
-    ``workers=1`` run — resolves to the float64 reference kernel, which
-    is what keeps the golden pipeline checksum stable.
+    ``auto`` chooses the fused float32 kernel for CBOW with negative
+    sampling, whatever the worker count: it trains faster than the
+    float64 reference kernel at equal embedding quality (see
+    docs/PERFORMANCE.md). Skip-gram and hierarchical softmax have only
+    the reference kernels.
     """
     if config.kernel != "auto":
         return config.kernel
-    if (
-        config.workers > 1
-        and config.objective == "cbow"
-        and config.output_layer == "negative"
-    ):
+    if config.objective == "cbow" and config.output_layer == "negative":
         return "fused"
     return "reference"
 
@@ -178,7 +174,7 @@ def _build_objective(
     if config.output_layer == "hierarchical":
         coding = build_huffman(vocab.counts)
         objective = CBOWHierarchicalSoftmax(vocab.size, config.dim, coding, rng=rng)
-    elif config.objective == "cbow" and resolve_kernel(config) == "fused":
+    elif resolve_kernel(config) == "fused":
         from repro.core.fused import FusedCBOWNegativeSampling
 
         objective = FusedCBOWNegativeSampling(
@@ -324,11 +320,15 @@ def _trainer_snapshots(
 def _train_fingerprint(
     corpus: WalkCorpus, config: TrainConfig, init_vectors: np.ndarray | None
 ) -> dict:
-    """Identity of a training job: config + corpus shape + warm start."""
+    """Identity of a training job: config + kernel + corpus shape + warm start."""
     config_dict = asdict(config)
     config_dict.pop("supervisor", None)  # liveness policy, not identity
     return {
         "config": config_dict,
+        # The resolved kernel, not just the field: what "auto" runs can
+        # change between versions, and a snapshot must never resume on a
+        # kernel of another dtype.
+        "kernel": resolve_kernel(config),
         "corpus": {
             "num_walks": corpus.num_walks,
             "max_length": corpus.max_length,

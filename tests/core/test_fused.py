@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core._math import MAX_EXP
 from repro.core.cbow import CBOWNegativeSampling
 from repro.core.fused import FusedCBOWNegativeSampling
 from repro.core.negative import NegativeSampler
@@ -129,10 +130,89 @@ class TestBatchStep:
         assert abs(ref_loss - fused_loss) < 0.35 * max(ref_loss, fused_loss)
 
 
+class _FixedNoise:
+    """Stands in for the alias table: hands out preset negatives."""
+
+    def __init__(self, negs):
+        self.negs = negs
+
+    def sample(self, start, count, rng, *, shape):
+        assert shape == self.negs.shape
+        return self.negs
+
+
+def _oracle_step(w_in, w_out, centers, contexts, negs, lr):
+    """One CBOW negative-sampling step as a plain float64 loop.
+
+    Every read sees the pre-step weights and every update accumulates,
+    which is what the batched kernel promises.
+    """
+    w_in, w_out = w_in.astype(np.float64), w_out.astype(np.float64)
+    d_in, d_out = np.zeros_like(w_in), np.zeros_like(w_out)
+    loss = 0.0
+    for b, center in enumerate(centers):
+        ctx = [c for c in contexts[b] if c >= 0]
+        h = sum(w_in[c] for c in ctx) / len(ctx)
+        grad_h = np.zeros_like(h)
+        for k, target in enumerate([center, *negs[b]]):
+            label = 1.0 if k == 0 else 0.0
+            score = float(np.clip(w_out[target] @ h, -MAX_EXP, MAX_EXP))
+            pred = 1.0 / (1.0 + np.exp(-score))
+            loss -= np.log(pred if label else 1.0 - pred)
+            g = (label - pred) * lr
+            grad_h += g * w_out[target]
+            d_out[target] += g * h
+        for c in ctx:
+            d_in[c] += grad_h / len(ctx)
+    return w_in + d_in, w_out + d_out, loss / len(centers)
+
+
+class TestOracleParity:
+    def test_one_step_matches_float64_loop(self):
+        vocab, dim, lr = 9, 5, 0.3
+        m = FusedCBOWNegativeSampling(
+            vocab,
+            dim,
+            _uniform_dist(vocab),
+            negatives=3,
+            rng=np.random.default_rng(0),
+        )
+        m.w_out = np.random.default_rng(1).normal(size=(vocab, dim)).astype(
+            np.float32
+        )
+        centers = np.asarray([4, 4, 2, 7], dtype=np.int64)  # 4 in two rows
+        contexts = np.asarray(
+            [
+                [1, -1, 3, -1],  # pad slots
+                [3, 3, 3, 5],  # one vertex three times in a row
+                [0, 8, -1, 6],
+                [7, -1, -1, -1],  # context equal to its center
+            ],
+            dtype=np.int64,
+        )
+        negs = np.asarray(
+            [[4, 2, 2], [0, 1, 4], [2, 8, 4], [5, 7, 4]],  # negative == center
+            dtype=np.int64,
+        )
+        m._noise = _FixedNoise(negs)
+        want_in, want_out, want_loss = _oracle_step(
+            m.w_in, m.w_out, centers, contexts, negs, lr
+        )
+        loss = m.batch_step(centers, contexts, lr, np.random.default_rng(2))
+        assert loss == pytest.approx(want_loss, rel=1e-5)
+        np.testing.assert_allclose(m.w_in, want_in, rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(m.w_out, want_out, rtol=1e-5, atol=1e-6)
+
+
 class TestKernelSelection:
-    def test_auto_resolves_by_workers(self):
-        assert resolve_kernel(TrainConfig(workers=1)) == "reference"
-        assert resolve_kernel(TrainConfig(workers=4)) == "fused"
+    def test_auto_resolves_by_objective_and_output_layer_only(self):
+        for workers in (1, 2, 4):
+            assert resolve_kernel(TrainConfig(workers=workers)) == "fused"
+        assert resolve_kernel(TrainConfig(objective="skipgram")) == "reference"
+        assert (
+            resolve_kernel(TrainConfig(output_layer="hierarchical"))
+            == "reference"
+        )
 
     def test_auto_never_fused_outside_cbow_negative(self):
         assert (
@@ -181,12 +261,18 @@ class TestTrainerIntegration:
         )
         assert np.all(np.isfinite(res.vectors))
 
-    def test_default_workers1_output_unchanged_by_kernel_field(self, rng):
-        """`kernel="auto"` at workers=1 must be bitwise what "reference"
-        gives — the golden-checksum anchor."""
+    def test_auto_at_workers1_is_bitwise_fused(self, rng):
         corpus = _corpus(rng)
         auto = train_embeddings(corpus, TrainConfig(dim=6, epochs=2, seed=4))
-        ref = train_embeddings(
-            corpus, TrainConfig(dim=6, epochs=2, seed=4, kernel="reference")
+        fused = train_embeddings(
+            corpus, TrainConfig(dim=6, epochs=2, seed=4, kernel="fused")
         )
-        np.testing.assert_array_equal(auto.vectors, ref.vectors)
+        np.testing.assert_array_equal(auto.vectors, fused.vectors)
+
+    def test_serial_runs_are_bitwise_equal(self, rng):
+        corpus = _corpus(rng)
+        config = TrainConfig(dim=6, epochs=2, seed=4)
+        first = train_embeddings(corpus, config)
+        second = train_embeddings(corpus, config)
+        np.testing.assert_array_equal(first.vectors, second.vectors)
+        assert first.loss_history == second.loss_history

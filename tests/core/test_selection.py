@@ -81,9 +81,11 @@ class TestSelectDimension:
             corpus, dims=(8, 64), k=3, config=FAST, seed=0
         )
         best_penalized, _ = select_dimension(
-            corpus, dims=(8, 64), k=3, config=FAST, seed=0, time_penalty=10.0
+            corpus, dims=(8, 64), k=3, config=FAST, seed=0, time_penalty=1000.0
         )
-        # A huge time penalty must select the cheaper dimension.
+        # A huge time penalty must select the cheaper dimension: at 1000
+        # per second, a millisecond of training outweighs the whole
+        # silhouette range.
         cheapest = min(scores_free, key=lambda s: s.train_seconds).dim
         assert best_penalized == cheapest
 

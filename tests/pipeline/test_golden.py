@@ -27,7 +27,7 @@ import numpy as np
 from repro import V2V, V2VConfig
 from repro.graph.generators import planted_partition
 
-GOLDEN_SHA256 = "8b35c774f41ad36f41ef5183890fd7c129c809d7fec69e50f123b7a253d69f62"
+GOLDEN_SHA256 = "527520505ee6ccae824959a3b3c5aa835035a4e1d132e088d5666654d0888cc8"
 
 
 def _golden_digest() -> str:

@@ -191,6 +191,27 @@ class TestTrainerResume:
                 context=ExecutionContext(checkpoint_dir=tmp_path, resume=True),
             )
 
+    def test_kernel_mismatch_refuses_resume(self, corpus, tmp_path, monkeypatch):
+        # A snapshot written when "auto" still resolved to the float64
+        # reference kernel must not be cast and resumed on the f32 one.
+        import repro.core.trainer as trainer
+
+        with monkeypatch.context() as patch:
+            patch.setattr(trainer, "resolve_kernel", lambda config: "reference")
+            train_embeddings(
+                corpus,
+                TrainConfig(**TRAIN_CFG),
+                context=ExecutionContext(checkpoint_dir=tmp_path),
+            )
+        snapshot = CheckpointManager(tmp_path).load("trainer")
+        assert snapshot.arrays["w_in"].dtype == np.float64
+        with pytest.raises(ValueError, match="different configuration"):
+            train_embeddings(
+                corpus,
+                TrainConfig(**TRAIN_CFG),
+                context=ExecutionContext(checkpoint_dir=tmp_path, resume=True),
+            )
+
     def test_early_stop_state_survives_resume(self, corpus, tmp_path):
         # With early stopping on, convergence counters (best loss, stall)
         # must be part of the snapshot or a resumed run stops late.
