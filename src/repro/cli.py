@@ -95,8 +95,8 @@ def add_runtime_flags(
             type=float,
             default=None,
             metavar="SECONDS",
-            help="supervise parallel workers: kill and respawn any worker "
-            "whose heartbeat goes silent for SECONDS (default: no supervision)",
+            help="kill and respawn any parallel worker whose heartbeat "
+            "goes silent for SECONDS (default: 30)",
         )
         parser.add_argument(
             "--max-respawns",

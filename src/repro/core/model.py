@@ -80,8 +80,9 @@ class V2VConfig:
     # equality so configs differing only in observability stay equal.
     observability: ObsConfig | None = field(default=None, compare=False)
     # Worker supervision (liveness, not identity — same exclusion).
-    # ``worker_deadline`` set → parallel stages run supervised: hung or
-    # dead workers are killed/respawned within that many seconds.
+    # ``worker_deadline`` set → hung or dead parallel workers are
+    # killed/respawned within that many seconds; unset → the pool's
+    # ``SupervisorConfig()`` defaults.
     worker_deadline: float | None = field(default=None, compare=False)
     max_respawns: int = field(default=3, compare=False)
 
@@ -125,7 +126,7 @@ class V2VConfig:
         )
 
     def supervisor_config(self) -> SupervisorConfig | None:
-        """The supervision policy, or ``None`` when disabled (default)."""
+        """The supervision policy, or ``None`` for the pool's defaults."""
         if self.worker_deadline is None:
             return None
         return SupervisorConfig(

@@ -1,7 +1,7 @@
 """Structured logging on top of the stdlib ``logging`` tree.
 
 Every pipeline event is a *named* record with typed fields, not a
-formatted string: ``log.info("pool.serial_fallback", pending=3)``. Two
+formatted string: ``log.info("supervisor.serial_fallback", pending=3)``. Two
 sinks render the same records:
 
 - a human handler (stderr by default) — ``HH:MM:SS LEVEL logger event

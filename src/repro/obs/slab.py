@@ -17,6 +17,7 @@ tests already cover.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,15 +57,17 @@ class MetricsSlab:
 
     def __init__(
         self,
-        spec: MetricsSlabSpec,
+        spec: MetricsSlabSpec | None,
         array: np.ndarray,
         *,
+        slots: tuple[str, ...] | None = None,
         shared: SharedArray | None = None,
     ) -> None:
         self.spec = spec
         self._array = array
         self._shared = shared  # only set for attached (worker-side) slabs
-        self._slot_index = {name: i for i, name in enumerate(spec.slots)}
+        slots = spec.slots if spec is not None else slots
+        self._slot_index = {name: i for i, name in enumerate(slots)}
 
     # Construction -------------------------------------------------------
     @classmethod
@@ -77,6 +80,18 @@ class MetricsSlab:
             )
         shared.array[:] = 0.0
         return cls(MetricsSlabSpec(shared.spec, tuple(slots)), shared.array)
+
+    @classmethod
+    def anonymous(cls, rows: int, slots: tuple[str, ...]) -> "MetricsSlab":
+        """A zeroed slab in anonymous shared memory.
+
+        Only children forked after it share it; it has no /dev/shm name
+        (``spec`` is None), so nothing can leak, and it unmaps when the
+        last reference goes.
+        """
+        buffer = mmap.mmap(-1, rows * len(slots) * 8)
+        array = np.frombuffer(buffer, dtype=np.float64).reshape(rows, len(slots))
+        return cls(None, array, slots=tuple(slots))
 
     @classmethod
     def attach(cls, spec: MetricsSlabSpec) -> "MetricsSlab":
@@ -122,7 +137,7 @@ class MetricsSlab:
         }
 
     def rows(self) -> list[dict[str, float]]:
-        return [self.row(w) for w in range(self.spec.workers)]
+        return [self.row(w) for w in range(len(self._array))]
 
     def totals(self) -> dict[str, float]:
         """Column sums across workers (the aggregate progress view)."""

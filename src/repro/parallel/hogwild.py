@@ -27,10 +27,11 @@ scheduling (update interleaving), so multi-worker runs are *not* bitwise
 reproducible — only statistically so. See docs/PERFORMANCE.md.
 
 Fault tolerance: epochs run through
-:func:`repro.parallel.pool.parallel_map`, so a worker killed mid-epoch is
-retried in a fresh pool (its shard is partially re-applied — benign for
-Hogwild, same class of race as normal operation) and ultimately degrades
-to in-process execution. Shared segments are owned by a
+:func:`repro.parallel.pool.parallel_map` on the supervised worker pool,
+so a worker killed or hung mid-epoch is respawned and its shard
+reassigned (the shard is partially re-applied — benign for Hogwild, same
+class of race as normal operation); the pool's degrade ladder ends at
+in-process execution. Shared segments are owned by a
 :func:`repro.parallel.shm.shared_arrays` scope and are unlinked on every
 exit path, including exceptions and injected worker death.
 """
@@ -135,10 +136,12 @@ def hogwild_epoch_task(task: _EpochTask) -> tuple[float, int]:
 
     Returns ``(loss_sum, batches_run)``. Module-level and picklable so it
     crosses a process pool; also runnable in-process (the ``workers=1``
-    fallback inside :func:`parallel_map` and the chaos tests rely on
-    that). Attachments and the rebuilt objective are cached per process
-    (see :data:`_WORKER_STATE`), so on a persistent pool only the first
-    epoch of a run pays the setup cost.
+    path and the pool's last degrade rung inside :func:`parallel_map`,
+    and the chaos tests, rely on that). Beats the worker's heartbeat once
+    per batch for the pool's watchdog. Attachments and the rebuilt
+    objective are cached per process (see :data:`_WORKER_STATE`), so on
+    the persistent pool only the first epoch of a run pays the setup
+    cost.
     """
     from repro.resilience.supervisor import current_heartbeat
 

@@ -1,37 +1,28 @@
 """Chunked parallel map over picklable work items, hardened for failure.
 
-Uses ``concurrent.futures.ProcessPoolExecutor`` when ``workers > 1`` and
-falls back to a serial loop otherwise (or when the platform cannot fork),
-so callers get one code path. Work functions must be module-level
-(picklable); per the mpi4py/scientific-python guides, data is passed as
-contiguous numpy arrays to keep serialization cheap.
+Runs a serial loop when ``workers == 1`` (or there is a single item) and
+the process-wide supervised worker pool
+(:mod:`repro.parallel.persistent`) otherwise, so callers get one code
+path. Work functions must be module-level (picklable); per the
+mpi4py/scientific-python guides, data is passed as contiguous numpy
+arrays to keep serialization cheap.
 
 Failure semantics (see docs/resilience.md):
 
 - An exception raised *by the work function* propagates to the caller
   unchanged — identical to the serial path.
-- Pool-level failures — a worker killed mid-map (``BrokenExecutor`` /
-  ``BrokenProcessPool``), or a sandbox that refuses to spawn processes
-  (``OSError``/``PermissionError``) — never lose completed items. The
-  failed items are retried in a fresh pool per the
-  :class:`~repro.resilience.retry.RetryPolicy`, and if the pool keeps
-  breaking, execution degrades to a serial loop with a warning instead
-  of crashing.
+- Worker failures — a worker killed mid-map, a hung worker, a sandbox
+  that refuses to spawn processes — never lose completed items: the
+  pool respawns and reassigns, then degrades to fewer workers and
+  finally to a serial loop instead of crashing.
 """
 
 from __future__ import annotations
 
 import os
-import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
-from repro.obs.logging import get_logger
-from repro.obs.recorder import current_recorder
 from repro.resilience.lifecycle import current_cancel_scope
-from repro.resilience.retry import RetryPolicy
-
-_log = get_logger("parallel.pool")
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -41,21 +32,7 @@ __all__ = [
     "parallel_map",
     "default_workers",
     "resolve_workers",
-    "POOL_RETRY_POLICY",
 ]
-
-# Pool-level failures only: a worker function raising OSError is
-# indistinguishable here, but retrying it is harmless (it fails again
-# and propagates from the final serial pass).
-POOL_RETRY_POLICY = RetryPolicy(
-    max_attempts=3,
-    base_delay=0.02,
-    max_delay=0.5,
-    jitter=0.0,
-    retry_on=(BrokenExecutor, OSError, PermissionError),
-)
-
-_UNSET = object()
 
 
 def default_workers() -> int:
@@ -108,139 +85,37 @@ def parallel_map(
     items: Sequence[T],
     *,
     workers: int = 1,
-    retry: RetryPolicy | None = None,
     supervisor=None,
 ) -> list[R]:
     """Map ``fn`` over ``items``, in-process if ``workers == 1``.
 
-    Results preserve input order. Exceptions raised by ``fn`` propagate
-    from the first failing item (matching the serial semantics); pool
-    breakage is retried per ``retry`` (default
-    :data:`POOL_RETRY_POLICY`) and finally degraded to serial execution,
-    so completed items are never recomputed and the map never fails
-    because of infrastructure alone.
+    Results preserve input order, and an exception raised by ``fn``
+    propagates from the smallest failing index, as on the serial path.
 
-    Passing a :class:`repro.resilience.supervisor.SupervisorConfig` as
-    ``supervisor`` switches to the supervised execution mode
-    (:func:`repro.resilience.supervisor.supervised_map`): per-worker
-    heartbeats, hung-worker detection, kill/respawn with work
-    reassignment, and a degrade ladder — liveness guarantees the plain
-    pool cannot give (a hung ``ProcessPoolExecutor`` worker stalls the
-    map forever without ever breaking the pool).
-
-    Unsupervised multi-worker maps run on the process-wide
-    :class:`repro.parallel.persistent.PersistentPool` when available:
-    workers are forked once and reused across calls (Hogwild epochs,
-    walk chunk batches), eliminating the per-call fork/teardown cost
-    that dominated fine-grained maps. Worker deaths there are respawned
-    per the same retry budget; if the pool breaks anyway, execution
-    falls back to this module's executor/serial ladder *without*
-    recomputing items the pool already finished. Disable with
-    ``REPRO_PERSISTENT_POOL=0``.
+    Multi-worker maps run on the process-wide
+    :class:`repro.parallel.persistent.PersistentPool`: workers are forked
+    once and reused across calls, and every map is supervised under
+    ``supervisor`` (a :class:`repro.resilience.supervisor.SupervisorConfig`,
+    default ``SupervisorConfig()``). A dead, hung or straggling worker is
+    killed and respawned and its item reassigned; when respawns exceed
+    the budget the map halves its workers, down to running the remaining
+    items in-process. Completed items are never recomputed, so the map
+    never fails because of infrastructure alone.
     """
-    if supervisor is not None and workers > 1 and len(items) > 1:
-        from repro.resilience.supervisor import supervised_map
+    pool = None
+    if workers > 1 and len(items) > 1:
+        from repro.parallel.persistent import get_pool
 
-        return supervised_map(fn, items, workers=workers, config=supervisor)
-    if workers <= 1 or len(items) <= 1:
+        pool = get_pool()
+    if pool is None:
         scope = current_cancel_scope()
-        results_serial: list = []
+        results: list = []
         for item in items:
             scope.check()  # cooperative cancel between in-process items
-            results_serial.append(fn(item))
-        return results_serial
-    policy = retry or POOL_RETRY_POLICY
-    results: list = [_UNSET] * len(items)
-    pending = list(range(len(items)))
-    delays = policy.delay_schedule()
+            results.append(fn(item))
+        return results
+    from repro.resilience.supervisor import SupervisorConfig
 
-    rec = current_recorder()
-
-    from repro.parallel.persistent import PersistentPoolBroken, get_pool
-
-    pool = get_pool(workers)
-    if pool is not None:
-        try:
-            return pool.map(fn, items, max_attempts=policy.max_attempts)
-        except PersistentPoolBroken as broken:
-            # Keep what finished; the executor ladder below computes the
-            # rest. The broken pool is discarded so the next map forks a
-            # fresh one instead of inheriting dead pipes.
-            pool.shutdown()
-            for i, value in broken.partial.items():
-                results[i] = value
-            pending = [i for i in range(len(items)) if results[i] is _UNSET]
-            rec.inc("pool.persistent_broken")
-            rec.event(
-                "pool.persistent_broken",
-                level="warning",
-                pending=len(pending),
-                total=len(items),
-            )
-    for attempt in range(policy.max_attempts):
-        pending = _pool_pass(fn, items, results, pending, workers, policy)
-        if not pending:
-            return results
-        if attempt < policy.max_attempts - 1:
-            # Don't sit out a backoff (or burn another attempt) once
-            # shutdown is requested; completed items are checkpointed or
-            # recomputed deterministically by the caller on resume.
-            current_cancel_scope().check()
-            backoff_s = delays[attempt]
-            rec.inc("pool.retries")
-            rec.event(
-                "pool.retry",
-                level="warning",
-                attempt=attempt + 1,
-                pending=len(pending),
-                total=len(items),
-                backoff_s=backoff_s,
-            )
-            time.sleep(backoff_s)
-
-    rec.inc("pool.serial_fallbacks")
-    _log.warning(
-        "pool.serial_fallback",
-        pending=len(pending),
-        total=len(items),
-        attempts=policy.max_attempts,
+    return pool.map(
+        fn, items, workers=workers, config=supervisor or SupervisorConfig()
     )
-    scope = current_cancel_scope()
-    for i in pending:
-        scope.check()
-        results[i] = fn(items[i])
-    return results
-
-
-def _pool_pass(
-    fn: Callable[[T], R],
-    items: Sequence[T],
-    results: list,
-    pending: list[int],
-    workers: int,
-    policy: RetryPolicy,
-) -> list[int]:
-    """Run one pool attempt over ``pending`` indices.
-
-    Fills ``results`` in place and returns the indices that must be
-    retried (pool-level failures). Work-function exceptions propagate.
-    """
-    still_pending: list[int] = []
-    try:
-        with ProcessPoolExecutor(max_workers=min(workers, len(pending))) as pool:
-            futures = {}
-            for i in pending:
-                try:
-                    futures[i] = pool.submit(fn, items[i])
-                except policy.retry_on:
-                    # Pool already broken (or refused): queue for retry.
-                    still_pending.append(i)
-            for i, future in futures.items():
-                try:
-                    results[i] = future.result()
-                except policy.retry_on:
-                    still_pending.append(i)
-    except policy.retry_on:
-        # Creation/teardown failure: everything unfinished is retried.
-        still_pending = [i for i in pending if results[i] is _UNSET]
-    return still_pending

@@ -91,7 +91,8 @@ class ExecutionContext:
         model identity. Ignored by in-memory stages.
     supervisor:
         Liveness policy for parallel workers (heartbeats, watchdog,
-        respawn ladder); ``None`` disables supervision.
+        respawn ladder); ``None`` means ``SupervisorConfig()``'s
+        defaults.
     fault_injector:
         Chaos hook: a callable mapping a stage's worker task function to
         a replacement (typically wrapping it in a

@@ -1,20 +1,18 @@
-"""Fault-tolerant execution: retry policies, atomic checkpoints, chaos.
+"""Fault-tolerant execution: supervision, atomic checkpoints, chaos.
 
 The north-star deployment runs walk generation and training as long
 multi-process jobs; this package supplies the primitives every layer
 above uses to survive partial failure:
 
-- :mod:`repro.resilience.retry` — :class:`RetryPolicy` (bounded attempts,
-  exponential backoff with deterministic seeded jitter) plus
-  :func:`call_with_retry` and :func:`run_with_timeout`.
 - :mod:`repro.resilience.checkpoint` — atomic ``write-tmp → fsync →
   rename`` snapshots of numpy state with embedded SHA-256/CRC32
   integrity records, a typed :class:`CheckpointCorrupt` error, and a
   :class:`CheckpointManager` that quarantines corrupt files on resume.
-- :mod:`repro.resilience.supervisor` — self-healing parallel maps:
-  per-worker shared-memory heartbeats, a watchdog that kills and
-  respawns dead *and hung* workers, straggler timeouts, and a degrade
-  ladder that ends at serial execution (:func:`supervised_map`).
+- :mod:`repro.resilience.supervisor` — the liveness policy
+  (:class:`SupervisorConfig`) and the per-worker heartbeat
+  (:func:`current_heartbeat`) behind the supervised worker pool in
+  :mod:`repro.parallel.persistent`, whose watchdog kills and respawns
+  dead *and hung* workers and degrades down to serial execution.
 - :mod:`repro.resilience.chaos` — a deterministic fault-injection
   harness (:class:`FaultInjector`: fail / exit / hang / corrupt_file /
   signal / deadline) used by the test suite to prove each recovery path
@@ -29,8 +27,8 @@ above uses to survive partial failure:
   :class:`ResourceBudget` (``--memory-budget`` / ``--disk-budget``),
   preflight footprint estimation with typed :class:`BudgetExceeded`,
   the :class:`PressureWatchdog` daemon, and the pressure degradation
-  ladder (shrink waves → drop pool → halve workers → emergency
-  checkpoint).
+  ladder (shrink waves → keep no idle pool workers → halve workers →
+  emergency checkpoint).
 - :mod:`repro.resilience.registry` — the crash-safe run journal
   (``runs.jsonl``) behind ``repro runs list`` / ``repro runs resume``,
   plus the startup sweeper that reclaims /dev/shm segments and torn
@@ -79,23 +77,9 @@ from repro.resilience.checkpoint import (
     save_checkpoint,
     verify_integrity,
 )
-from repro.resilience.retry import (
-    RetryError,
-    RetryPolicy,
-    call_with_retry,
-    run_with_timeout,
-)
-from repro.resilience.supervisor import (
-    SupervisorConfig,
-    current_heartbeat,
-    supervised_map,
-)
+from repro.resilience.supervisor import SupervisorConfig, current_heartbeat
 
 __all__ = [
-    "RetryPolicy",
-    "RetryError",
-    "call_with_retry",
-    "run_with_timeout",
     "Checkpoint",
     "CheckpointCorrupt",
     "CheckpointManager",
@@ -107,7 +91,6 @@ __all__ = [
     "integrity_record",
     "verify_integrity",
     "SupervisorConfig",
-    "supervised_map",
     "current_heartbeat",
     "FaultInjector",
     "InjectedFault",

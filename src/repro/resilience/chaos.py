@@ -8,7 +8,7 @@ are exact and random failures derive from ``(seed, call_number)`` — so
 a chaos test either always trips the recovery path or never does.
 
 Instances are picklable (plain attributes, module-level class), so an
-injector can ride into a ``ProcessPoolExecutor`` worker. Two details
+injector can ride into a pool worker with each item. Two details
 matter for multi-process chaos:
 
 - Call counters are **process-local**: the pickled copy a worker

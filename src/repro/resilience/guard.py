@@ -20,7 +20,7 @@ and appending ``pressure`` records to the run manifest. On a threshold
 breach it drives the **degradation ladder**:
 
     level 1  shrink walk frontier waves to one chunk at a time
-    level 2  disable the persistent worker pool (frees idle forks + shm)
+    level 2  tear the worker pool down after every map (no idle forks)
     level 3  halve effective Hogwild map concurrency
     level 4  cancel the run: ``RunInterrupted(reason="resource_pressure")``
 
@@ -33,10 +33,10 @@ structure (shards, per-worker seeds) always follows ``config.workers``.
 
 **Ladder state** (:class:`GuardState`). A process-wide singleton the hot
 paths poll cheaply: the walk engine clamps its wave via
-:func:`clamp_wave`, ``get_pool`` consults :func:`pool_allowed`, the
-Hogwild trainer maps with :func:`effective_workers`. All no-ops at
-level 0, which is the only state tests and normal runs ever see unless
-a budget is armed.
+:func:`clamp_wave`, the worker pool consults :func:`pool_allowed` at the
+end of every map, the Hogwild trainer maps with
+:func:`effective_workers`. All no-ops at level 0, which is the only
+state tests and normal runs ever see unless a budget is armed.
 """
 
 from __future__ import annotations
@@ -419,7 +419,10 @@ def clamp_wave(wave: int) -> int:
 
 
 def pool_allowed() -> bool:
-    """Persistent-pool hook: False once the ladder reached level 2."""
+    """Worker-pool hook: False once the ladder reached level 2.
+
+    The pool then tears its workers down at the end of every map.
+    """
     return _STATE.level < LEVEL_POOL
 
 

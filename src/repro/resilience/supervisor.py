@@ -1,89 +1,38 @@
-"""Self-healing worker supervision: heartbeats, watchdog, respawn ladder.
+"""Worker liveness: the watchdog's policy and the heartbeat task code beats.
 
-The pool in :mod:`repro.parallel.pool` survives a *broken* pool — but a
-worker that hangs (deadlocked I/O, livelocked loop, paused cgroup) never
-breaks the pool; it stalls the epoch forever. This module closes that
-gap with a supervised execution mode for every parallel stage:
+Every multi-worker :func:`repro.parallel.pool.parallel_map` runs on the
+supervised pool in :mod:`repro.parallel.persistent`. This module holds
+the pieces callers and task code see:
 
-- **Heartbeats** — each worker owns one row of a
-  :class:`repro.obs.slab.MetricsSlab` over a shared-memory segment and
-  writes ``time.monotonic()`` into it lock-free (single writer per row,
-  the same benign-race regime as Hogwild). The worker loop beats around
-  every item, and instrumented work functions beat *inside* long items
-  (the Hogwild batch loop and the walk stepping loop call
-  :func:`current_heartbeat` — a no-op outside supervision).
-- **Watchdog** — the parent polls worker processes and heartbeat ages.
-  A worker that died (``is_alive()`` false, broken pipe) or went silent
-  for longer than ``worker_deadline`` seconds is SIGKILLed, its
-  in-flight item is reassigned, and a replacement process takes over its
-  slab row. ``straggler_timeout`` optionally caps a single item's wall
-  time regardless of heartbeats.
-- **Degrade ladder** — respawns are budgeted (``max_respawns`` per
-  rung). When the budget is exhausted the worker count is halved and the
-  remaining items re-run under a fresh budget; at one worker the
-  remaining items run serially in-process, so a supervised map *always*
-  completes (or propagates the work function's own exception, exactly
-  like the serial path).
-
-Everything is reported through the :mod:`repro.obs` recorder as
-``supervisor.*`` events and metrics (``supervisor.respawns``,
-``supervisor.degrades``, ``supervisor.serial_fallbacks``,
-``supervisor.items_reassigned``), so a run manifest shows exactly how
-much healing a job needed.
-
-Dispatch uses one duplex pipe per worker — never a queue shared between
-workers — because a SIGKILLed reader of a shared ``multiprocessing``
-queue can die holding its feed lock and deadlock every sibling. With
-per-worker pipes the parent always knows which item a worker holds, and
-a kill can never corrupt another worker's channel.
-
-Clock note: heartbeats are ``time.monotonic()`` values compared across
-processes, which is valid on the platforms with POSIX shared memory
-(Linux ``CLOCK_MONOTONIC`` is system-wide); platforms without shared
-memory fall back to serial execution and never start the watchdog.
+- :class:`SupervisorConfig` — the watchdog's policy: heartbeat deadline,
+  straggler cap, respawn budget per rung of the degrade ladder, and the
+  poll period.
+- :class:`Heartbeat` — a pool worker's liveness beacon. Each worker owns
+  one row of a :class:`repro.obs.slab.MetricsSlab` and writes
+  ``time.monotonic()`` into it lock-free (single writer per row, the same
+  benign-race regime as Hogwild).
+- :func:`current_heartbeat` — what instrumented loops call inside long
+  items (the Hogwild batch loop, the walk stepping loop, shard tasks):
+  the worker's beacon in a pool worker, :data:`NULL_HEARTBEAT` anywhere
+  else.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
-import os
 import time
-from collections import deque
 from dataclasses import dataclass
-from multiprocessing.connection import wait as _connection_wait
-from typing import Any, Callable, Sequence, TypeVar
-
-import numpy as np
-
-from repro.obs.recorder import current_recorder
-from repro.resilience.lifecycle import current_cancel_scope
-
-# repro.obs.slab and repro.parallel.shm are imported lazily inside the
-# functions that need them: slab itself imports repro.parallel, whose
-# pool imports repro.resilience — importing slab at module level here
-# would close that loop while slab is still half-initialized.
 
 __all__ = [
     "SupervisorConfig",
-    "supervised_map",
     "Heartbeat",
     "NULL_HEARTBEAT",
     "current_heartbeat",
 ]
 
-T = TypeVar("T")
-R = TypeVar("R")
-
-_UNSET = object()
-
-# Exceptions that mean "could not spawn a worker process" — the sandbox
-# analogue of a worker death, charged against the same respawn budget.
-_SPAWN_ERRORS = (OSError, PermissionError, ValueError)
-
 
 @dataclass(frozen=True)
 class SupervisorConfig:
-    """Liveness policy for a supervised parallel stage.
+    """Liveness policy for a parallel map.
 
     Parameters
     ----------
@@ -120,9 +69,6 @@ class SupervisorConfig:
             raise ValueError("poll_interval must be positive")
 
 
-# ----------------------------------------------------------------------
-# Worker-side heartbeat
-# ----------------------------------------------------------------------
 class Heartbeat:
     """Liveness beacon: one slab row, one writer, lock-free stores."""
 
@@ -136,7 +82,7 @@ class Heartbeat:
 
 
 class _NullHeartbeat:
-    """The no-op beacon outside supervised workers."""
+    """The no-op beacon outside pool workers."""
 
     def beat(self) -> None:
         return None
@@ -148,10 +94,10 @@ _current_heartbeat: Heartbeat | _NullHeartbeat = NULL_HEARTBEAT
 
 
 def current_heartbeat() -> Heartbeat | _NullHeartbeat:
-    """The supervised worker's beacon, or the no-op anywhere else.
+    """The pool worker's beacon, or the no-op anywhere else.
 
     Instrumented hot loops call ``current_heartbeat().beat()`` — two
-    float stores under supervision, a no-op method call otherwise.
+    float stores in a pool worker, a no-op method call otherwise.
     """
     return _current_heartbeat
 
@@ -159,404 +105,3 @@ def current_heartbeat() -> Heartbeat | _NullHeartbeat:
 def _install_heartbeat(hb: Heartbeat | _NullHeartbeat) -> None:
     global _current_heartbeat
     _current_heartbeat = hb
-
-
-def _supervised_worker(worker: int, fn, conn, slab_spec) -> None:
-    """Worker main loop: recv item, beat, run, send result, repeat.
-
-    Runs in a child process. ``None`` is the shutdown sentinel; a broken
-    pipe (parent gone) ends the loop too. Work-function exceptions are
-    shipped back to the parent rather than killing the worker.
-    """
-    from repro.obs.slab import MetricsSlab
-
-    slab = MetricsSlab.attach(slab_spec)
-    hb = Heartbeat(slab, worker)
-    _install_heartbeat(hb)
-    try:
-        hb.beat()
-        while True:
-            try:
-                msg = conn.recv()
-            except (EOFError, OSError):
-                break
-            if msg is None:
-                break
-            idx, item = msg
-            hb.beat()
-            try:
-                result = fn(item)
-            except BaseException as exc:  # noqa: BLE001 - shipped to parent
-                hb.beat()
-                try:
-                    conn.send((idx, False, exc))
-                except Exception:  # unpicklable exception: degrade to repr
-                    conn.send(
-                        (idx, False, RuntimeError(f"worker {worker}: {exc!r}"))
-                    )
-            else:
-                hb.beat()
-                conn.send((idx, True, result))
-                slab.add(worker, "items_done", 1)
-    finally:
-        _install_heartbeat(NULL_HEARTBEAT)
-        slab.close()
-        conn.close()
-
-
-# ----------------------------------------------------------------------
-# Parent-side supervision
-# ----------------------------------------------------------------------
-class _Handle:
-    """Parent-side view of one worker: process, pipe, in-flight item."""
-
-    __slots__ = ("proc", "conn", "assigned", "assigned_at", "broken")
-
-    def __init__(self, proc, conn) -> None:
-        self.proc = proc
-        self.conn = conn
-        self.assigned: int | None = None
-        self.assigned_at = 0.0
-        self.broken = False
-
-
-def supervised_map(
-    fn: Callable[[T], R],
-    items: Sequence[T],
-    *,
-    workers: int = 1,
-    config: SupervisorConfig | None = None,
-    label: str | None = None,
-) -> list[R]:
-    """Map ``fn`` over ``items`` with liveness guarantees.
-
-    Same contract as :func:`repro.parallel.pool.parallel_map` — ordered
-    results, work-function exceptions propagate — plus detection of
-    dead *and hung* workers, respawn with work reassignment, and a
-    degrade ladder that ends at serial in-process execution, so the map
-    never stalls indefinitely on worker failure.
-
-    Items may be executed more than once (a killed worker's in-flight
-    item is reassigned), so work functions must be idempotent or
-    tolerant of re-execution — true of every built-in stage task (walk
-    chunks rewrite the same rows deterministically; a re-applied Hogwild
-    shard is the same benign race class as normal Hogwild updates).
-    """
-    from repro.parallel.shm import SHM_AVAILABLE
-
-    config = config or SupervisorConfig()
-    n = len(items)
-    label = label or getattr(fn, "__name__", "task")
-    scope = current_cancel_scope()
-    if workers <= 1 or n <= 1 or not SHM_AVAILABLE:
-        results_serial: list = []
-        for item in items:
-            scope.check()  # cooperative cancel between in-process items
-            results_serial.append(fn(item))
-        return results_serial
-
-    rec = current_recorder()
-    results: list = [_UNSET] * n
-    rung = min(workers, n)
-    rec.event(
-        "supervisor.start", level="debug", label=label, workers=rung, items=n
-    )
-    while True:
-        pending = [i for i in range(n) if results[i] is _UNSET]
-        if not pending:
-            break
-        if rung <= 1:
-            rec.inc("supervisor.serial_fallbacks")
-            rec.event(
-                "supervisor.serial_fallback",
-                level="warning",
-                label=label,
-                pending=len(pending),
-            )
-            for i in pending:
-                scope.check()
-                results[i] = fn(items[i])
-            break
-        exhausted = _run_rung(fn, items, results, pending, rung, config, label)
-        if exhausted:
-            new_rung = max(rung // 2, 1)
-            rec.inc("supervisor.degrades")
-            rec.event(
-                "supervisor.degrade",
-                level="warning",
-                label=label,
-                from_workers=rung,
-                to_workers=new_rung,
-            )
-            rung = new_rung
-    return results
-
-
-def _spawn(ctx, worker: int, fn, slab: MetricsSlab, label: str) -> _Handle | None:
-    """Start one worker on slab row ``worker``; None if the spawn failed."""
-    rec = current_recorder()
-    try:
-        parent_conn, child_conn = ctx.Pipe(duplex=True)
-    except _SPAWN_ERRORS:
-        return None
-    # Fresh row: the spawn time is the first heartbeat, so a worker that
-    # never gets going still trips the deadline.
-    slab.put(worker, "heartbeat", time.monotonic())
-    proc = ctx.Process(
-        target=_supervised_worker,
-        args=(worker, fn, child_conn, slab.spec),
-        daemon=True,
-        name=f"supervised-{label}-{worker}",
-    )
-    try:
-        proc.start()
-    except _SPAWN_ERRORS:
-        rec.event(
-            "supervisor.spawn_failed", level="warning", worker=worker, label=label
-        )
-        parent_conn.close()
-        child_conn.close()
-        return None
-    child_conn.close()
-    return _Handle(proc, parent_conn)
-
-
-def _kill(handle: _Handle) -> None:
-    """SIGKILL a worker and reap it; safe on already-dead processes."""
-    try:
-        handle.proc.kill()
-    except (OSError, ValueError):
-        pass
-    handle.proc.join(timeout=1.0)
-    try:
-        handle.conn.close()
-    except OSError:
-        pass
-
-
-def _drain(handle: _Handle, results: list) -> tuple[int, BaseException | None]:
-    """Pull every buffered message off one worker's pipe.
-
-    Returns ``(items_completed, failure)``; a broken pipe marks the
-    handle for the liveness sweep instead of raising.
-    """
-    rec = current_recorder()
-    completed = 0
-    try:
-        while handle.conn.poll():
-            idx, ok, payload = handle.conn.recv()
-            if handle.assigned == idx:
-                rec.observe(
-                    "supervisor.item_seconds",
-                    time.monotonic() - handle.assigned_at,
-                )
-                handle.assigned = None
-            if not ok:
-                return completed, payload
-            if results[idx] is _UNSET:  # duplicate after a reassignment race
-                results[idx] = payload
-                completed += 1
-    except (EOFError, OSError):
-        handle.broken = True
-    return completed, None
-
-
-def _run_rung(
-    fn,
-    items: Sequence,
-    results: list,
-    pending: list[int],
-    workers: int,
-    config: SupervisorConfig,
-    label: str,
-) -> bool:
-    """One supervised pool over ``pending`` at a fixed worker count.
-
-    Fills ``results`` in place. Returns True when the respawn budget was
-    exhausted (the caller degrades to fewer workers); work-function
-    exceptions propagate after teardown.
-    """
-    rec = current_recorder()
-    ctx = mp.get_context()
-    scope = current_cancel_scope()
-    todo: deque[int] = deque(pending)
-    outstanding = len(pending)
-    respawns = 0
-    failure: BaseException | None = None
-    from repro.obs.slab import SUPERVISOR_SLOTS, MetricsSlab
-    from repro.parallel.shm import SharedArray
-
-    owner = SharedArray.create((workers, len(SUPERVISOR_SLOTS)), np.float64)
-    slab = MetricsSlab.over(owner, SUPERVISOR_SLOTS)
-    handles: list[_Handle | None] = [None] * workers
-    rec.set("supervisor.workers", workers)
-    try:
-        for w in range(workers):
-            handles[w] = _spawn(ctx, w, fn, slab, label)
-            if handles[w] is None:
-                respawns += 1
-        while outstanding > 0 and failure is None:
-            if scope.cancelled():
-                # Cancellation beats liveness: stop dispatching, never
-                # respawn again, and walk the children down gracefully
-                # (SIGTERM, short grace, then SIGKILL) before raising.
-                _cancel_workers(handles, rec, label)
-                scope.check()
-            if respawns > config.max_respawns:
-                return True
-            # Dispatch: only idle workers, which are blocked in recv —
-            # the send can never stall the watchdog.
-            for w, handle in enumerate(handles):
-                if handle is None or handle.broken or handle.assigned is not None:
-                    continue
-                if not todo:
-                    break
-                idx = todo.popleft()
-                try:
-                    handle.conn.send((idx, items[idx]))
-                except (OSError, ValueError):
-                    todo.appendleft(idx)
-                    handle.broken = True
-                else:
-                    handle.assigned = idx
-                    handle.assigned_at = time.monotonic()
-            # Collect results (or sleep one poll tick if nobody is up).
-            live = [h for h in handles if h is not None and not h.broken]
-            if live:
-                ready = set(
-                    _connection_wait(
-                        [h.conn for h in live], timeout=config.poll_interval
-                    )
-                )
-                for handle in live:
-                    if handle.conn not in ready:
-                        continue
-                    completed, failure = _drain(handle, results)
-                    outstanding -= completed
-                    if failure is not None:
-                        break
-                if failure is not None:
-                    break
-            else:
-                time.sleep(config.poll_interval)
-            if outstanding <= 0:
-                break
-            # Liveness sweep: reap the dead, kill the hung/stragglers,
-            # respawn onto the same slab row while budget remains.
-            now = time.monotonic()
-            for w, handle in enumerate(handles):
-                if respawns > config.max_respawns:
-                    break
-                if handle is None:
-                    if todo:  # empty slot with work waiting: try to refill
-                        handles[w] = _spawn(ctx, w, fn, slab, label)
-                        if handles[w] is None:
-                            respawns += 1
-                    continue
-                reason = None
-                if handle.broken or not handle.proc.is_alive():
-                    reason = "died"
-                elif handle.assigned is not None:
-                    if now - slab.get(w, "heartbeat") > config.worker_deadline:
-                        reason = "hung"
-                    elif (
-                        config.straggler_timeout is not None
-                        and now - handle.assigned_at > config.straggler_timeout
-                    ):
-                        reason = "straggler"
-                if reason is None:
-                    continue
-                _kill(handle)
-                handles[w] = None
-                if handle.assigned is not None:
-                    todo.appendleft(handle.assigned)
-                    rec.inc("supervisor.items_reassigned")
-                elif reason == "died" and not todo:
-                    # An idle worker died with no work left to give it:
-                    # harmless, don't spend budget on a replacement.
-                    rec.event(
-                        "supervisor.idle_worker_lost",
-                        level="debug",
-                        worker=w,
-                        label=label,
-                    )
-                    continue
-                respawns += 1
-                rec.inc("supervisor.respawns")
-                rec.event(
-                    "supervisor.respawn",
-                    level="warning",
-                    label=label,
-                    worker=w,
-                    reason=reason,
-                    item=handle.assigned,
-                    respawns=respawns,
-                    budget=config.max_respawns,
-                )
-                if respawns > config.max_respawns:
-                    break
-                handles[w] = _spawn(ctx, w, fn, slab, label)
-        if failure is not None:
-            raise failure
-        return respawns > config.max_respawns and outstanding > 0
-    finally:
-        _teardown(handles)
-        owner.destroy()
-
-
-def _cancel_workers(
-    handles: list[_Handle | None], rec, label: str, grace: float = 1.0
-) -> None:
-    """Graceful shutdown on cancellation: SIGTERM → grace → SIGKILL.
-
-    SIGTERM first gives children that inherited the CLI's signal guard a
-    chance to stop cooperatively; anything still alive after ``grace``
-    seconds is SIGKILLed. Handles are cleared so the rung's ``finally``
-    teardown has nothing left to wait on.
-    """
-    live = sum(1 for h in handles if h is not None)
-    rec.inc("supervisor.cancelled")
-    rec.event("supervisor.cancelled", level="warning", label=label, workers=live)
-    for handle in handles:
-        if handle is None:
-            continue
-        try:
-            handle.proc.terminate()
-        except (OSError, ValueError):
-            pass
-    deadline = time.monotonic() + grace
-    for w, handle in enumerate(handles):
-        if handle is None:
-            continue
-        handle.proc.join(timeout=max(deadline - time.monotonic(), 0.1))
-        if handle.proc.is_alive():
-            _kill(handle)
-        else:
-            try:
-                handle.conn.close()
-            except OSError:
-                pass
-        handles[w] = None
-
-
-def _teardown(handles: list[_Handle | None]) -> None:
-    """Stop every worker: sentinel, short grace, then SIGKILL."""
-    for handle in handles:
-        if handle is None:
-            continue
-        try:
-            handle.conn.send(None)
-        except (OSError, ValueError):
-            pass
-    deadline = time.monotonic() + 2.0
-    for handle in handles:
-        if handle is None:
-            continue
-        handle.proc.join(timeout=max(deadline - time.monotonic(), 0.1))
-        if handle.proc.is_alive():
-            _kill(handle)
-        else:
-            try:
-                handle.conn.close()
-            except OSError:
-                pass

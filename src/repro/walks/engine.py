@@ -128,11 +128,11 @@ def generate_walks(
       fingerprint mismatch raises
       :class:`repro.pipeline.FingerprintMismatch` (a ``ValueError``)
       rather than silently mixing corpora.
-    * ``context.supervisor`` runs parallel chunks under worker
-      supervision: heartbeat-based hung-worker detection, kill/respawn
-      with chunk reassignment, and a degrade ladder to serial. Chunk
-      recomputation is idempotent (same seed → same rows), so a
-      respawned chunk is bitwise-harmless.
+    * ``context.supervisor`` sets the liveness policy parallel chunks
+      run under (heartbeat-based hung-worker detection, kill/respawn
+      with chunk reassignment, and a degrade ladder to serial; default
+      ``SupervisorConfig()``). Chunk recomputation is idempotent (same
+      seed → same rows), so a respawned chunk is bitwise-harmless.
 
     The individual ``workers=``/``checkpoint_dir=``/``resume=``/
     ``supervisor=`` keyword arguments remain accepted for compatibility
@@ -408,7 +408,7 @@ def _chunk_task_shm(task: _ShmChunkTask) -> tuple[int, int, float]:
 
     Returns only the row bounds it filled plus its own wall-clock
     seconds (the parent records per-chunk latency) — nothing heavyweight
-    crosses the pool's result pipe. Re-running a chunk (pool retry after
+    crosses the pool's result pipe. Re-running a chunk (reassigned after
     a worker death) rewrites the same rows with the same seed, so the
     operation is idempotent. Graph-array attachments are cached per
     process (:func:`repro.parallel.shm.attach_cached`): persistent-pool

@@ -77,16 +77,15 @@ class TestSelectDimension:
         corpus = generate_walks(
             graph, RandomWalkConfig(walks_per_vertex=5, walk_length=20, seed=0)
         )
-        _best_free, scores_free = select_dimension(
-            corpus, dims=(8, 64), k=3, config=FAST, seed=0
-        )
-        best_penalized, _ = select_dimension(
+        best_penalized, scores_penalized = select_dimension(
             corpus, dims=(8, 64), k=3, config=FAST, seed=0, time_penalty=1000.0
         )
         # A huge time penalty must select the cheaper dimension: at 1000
         # per second, a millisecond of training outweighs the whole
-        # silhouette range.
-        cheapest = min(scores_free, key=lambda s: s.train_seconds).dim
+        # silhouette range. "Cheaper" is judged on the timings of the
+        # same run: wall times of two runs differ by more than the gap
+        # between the two dimensions.
+        cheapest = min(scores_penalized, key=lambda s: s.train_seconds).dim
         assert best_penalized == cheapest
 
     def test_validation(self, graph):

@@ -81,10 +81,8 @@ class TestKilledWorker:
         names = [e["event"] for e in events]
         assert names[0] == "run.begin" and names[-1] == "run.end"
         # The parent-side pool saw the breakage and said so: the
-        # persistent pool respawns the dead worker in place
-        # (pool.worker_respawn); with the pool disabled the legacy
-        # executor ladder retries the broken pass (pool.retry).
-        assert "pool.worker_respawn" in names or "pool.retry" in names
+        # watchdog respawned the dead worker and reassigned its item.
+        assert "supervisor.respawn" in names
         epoch_ends = [
             e for e in events
             if e["event"] == "span.end" and e["span"] == "train.epoch"

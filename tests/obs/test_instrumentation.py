@@ -12,7 +12,6 @@ from repro.obs.logging import parse_jsonl
 from repro.obs.manifest import load_manifest
 from repro.obs.recorder import ObsConfig, session
 from repro.obs.report import render_report, span_summary
-from repro.resilience.retry import RetryPolicy, call_with_retry
 from repro.core.model import V2V, V2VConfig
 
 WALKS_PER_VERTEX = 4
@@ -104,28 +103,6 @@ class TestPipelineTelemetry:
         assert any(
             e["event"] == "checkpoint.saved" for e in parse_jsonl(events_path)
         )
-
-    def test_retry_telemetry(self, tmp_path):
-        events_path = tmp_path / "events.jsonl"
-        calls = {"n": 0}
-
-        def flaky():
-            calls["n"] += 1
-            if calls["n"] < 3:
-                raise OSError("transient")
-            return "ok"
-
-        cfg = ObsConfig(log_level="error", log_json=str(events_path))
-        policy = RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0)
-        with session(cfg, stream=io.StringIO()) as rec:
-            assert call_with_retry(flaky, policy=policy, sleep=lambda s: None) == "ok"
-            counters = rec.registry.snapshot()["counters"]
-        assert counters["retry.attempts"] == 2
-        retries = [
-            e for e in parse_jsonl(events_path) if e["event"] == "retry.attempt"
-        ]
-        assert [e["attempt"] for e in retries] == [1, 2]
-        assert all("transient" in e["error"] for e in retries)
 
 
 class TestCliTelemetry:

@@ -1,8 +1,9 @@
 """Worker supervision: heartbeats, watchdog, respawn/degrade ladder.
 
 The chaos-marked tests kill and hang real worker processes; they assert
-the three liveness guarantees of ``supervised_map``: the map always
-completes, results match the serial path, and nothing leaks in /dev/shm.
+the three liveness guarantees of a supervised ``parallel_map``: the map
+always completes, results match the serial path, and nothing leaks in
+/dev/shm.
 """
 
 import time
@@ -11,13 +12,14 @@ import pytest
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import Recorder, use
+from repro.parallel.persistent import shutdown_pools
+from repro.parallel.pool import parallel_map
 from repro.parallel.shm import SHM_AVAILABLE
 from repro.resilience.chaos import FaultInjector
 from repro.resilience.supervisor import (
     NULL_HEARTBEAT,
     SupervisorConfig,
     current_heartbeat,
-    supervised_map,
 )
 
 from tests.parallel.test_shm import shm_entries
@@ -43,6 +45,7 @@ def failing(x):
 def no_leaks():
     before = shm_entries()
     yield
+    shutdown_pools()
     leaked = shm_entries() - before
     assert not leaked, f"leaked shared-memory segments: {leaked}"
 
@@ -78,27 +81,30 @@ class TestConfig:
 class TestHappyPath:
     def test_matches_serial(self, no_leaks):
         items = list(range(23))
-        out = supervised_map(
-            square, items, workers=4, config=SupervisorConfig(**FAST)
+        out = parallel_map(
+            square, items, workers=4, supervisor=SupervisorConfig(**FAST)
         )
         assert out == [square(x) for x in items]
 
     def test_serial_shortcuts(self):
         # workers=1 and single-item inputs never spawn processes.
-        assert supervised_map(square, [5], workers=8) == [25]
-        assert supervised_map(square, list(range(4)), workers=1) == [0, 1, 4, 9]
-        assert supervised_map(square, [], workers=4) == []
+        assert parallel_map(square, [5], workers=8) == [25]
+        assert parallel_map(square, list(range(4)), workers=1) == [0, 1, 4, 9]
+        assert parallel_map(square, [], workers=4) == []
 
     def test_more_workers_than_items(self, no_leaks):
-        out = supervised_map(
-            square, [1, 2], workers=8, config=SupervisorConfig(**FAST)
+        out = parallel_map(
+            square, [1, 2], workers=8, supervisor=SupervisorConfig(**FAST)
         )
         assert out == [1, 4]
 
     def test_work_exception_propagates(self, no_leaks):
         with pytest.raises(ValueError, match="poison"):
-            supervised_map(
-                failing, list(range(6)), workers=3, config=SupervisorConfig(**FAST)
+            parallel_map(
+                failing,
+                list(range(6)),
+                workers=3,
+                supervisor=SupervisorConfig(**FAST),
             )
 
 
@@ -117,8 +123,8 @@ class TestKilledWorker:
             only_in_subprocess=True,
             once_marker=tmp_path / "fired",
         )
-        out = supervised_map(
-            inj, list(range(10)), workers=3, config=SupervisorConfig(**FAST)
+        out = parallel_map(
+            inj, list(range(10)), workers=3, supervisor=SupervisorConfig(**FAST)
         )
         assert (tmp_path / "fired").exists(), "fault never fired"
         assert out == [x * x for x in range(10)]
@@ -141,7 +147,7 @@ class TestHungWorker:
             worker_deadline=1.0, max_respawns=5, poll_interval=0.05
         )
         start = time.monotonic()
-        out = supervised_map(inj, list(range(10)), workers=3, config=config)
+        out = parallel_map(inj, list(range(10)), workers=3, supervisor=config)
         elapsed = time.monotonic() - start
         assert (tmp_path / "fired").exists(), "fault never fired"
         assert out == [x * x for x in range(10)]
@@ -163,7 +169,7 @@ class TestDegradeLadder:
         config = SupervisorConfig(
             worker_deadline=10.0, max_respawns=2, poll_interval=0.02
         )
-        out = supervised_map(inj, list(range(6)), workers=4, config=config)
+        out = parallel_map(inj, list(range(6)), workers=4, supervisor=config)
         assert out == [x * x for x in range(6)]
         counters = recording.snapshot()["counters"]
         assert counters["supervisor.degrades"] >= 1
@@ -188,6 +194,6 @@ class TestStraggler:
             max_respawns=5,
             poll_interval=0.05,
         )
-        out = supervised_map(inj, list(range(8)), workers=2, config=config)
+        out = parallel_map(inj, list(range(8)), workers=2, supervisor=config)
         assert out == [x * x for x in range(8)]
         assert recording.snapshot()["counters"]["supervisor.respawns"] >= 1
