@@ -497,8 +497,8 @@ def _resolve_graph_input(args):
     """The pipeline input: an in-memory graph, or a memory-mapped store.
 
     With ``--graph-store DIR`` the command walks over the store's mmap'd
-    CSR shards (one shard's row range resident at a time) instead of the
-    heap graph. A missing DIR is built once from the positional edge
+    CSR arrays (read-only pages, faulted in as walks visit them) instead
+    of the heap graph. A missing DIR is built once from the positional edge
     list (``--shards``, default 4) and reused by later runs.
     """
     store_path = getattr(args, "graph_store", None)

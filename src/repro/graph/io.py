@@ -17,7 +17,9 @@ directory), mirroring ``CheckpointCorrupt`` for checkpoints.
 
 from __future__ import annotations
 
+import io
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -94,12 +96,111 @@ def read_edge_list(
 
     Column count is fixed by the first well-formed data line; later
     lines with a different width are malformed.
+
+    A well-formed file is parsed in one vectorized pass; anything that
+    pass cannot vouch for is re-read line by line, so every ``errors``
+    policy sees exactly the per-line records and messages.
     """
     if errors not in ERROR_POLICIES:
         raise ValueError(f"errors must be one of {ERROR_POLICIES}")
     path = Path(path)
-    header_n: int | None = None
-    header_directed: bool | None = None
+    parsed = _parse_vectorized(path, n)
+    if parsed is None:
+        parsed = _parse_lines(path, n, errors, collector)
+    arr, header_n, header_directed = parsed
+    width = arr.shape[1]
+    src = arr[:, 0].astype(np.int64)
+    dst = arr[:, 1].astype(np.int64)
+    weights = arr[:, 2] if width >= 3 else None
+    times = arr[:, 3] if width >= 4 else None
+    resolved_n = n if n is not None else header_n
+    if resolved_n is None:
+        resolved_n = int(max(src.max(), dst.max()) + 1) if len(src) else 0
+    resolved_directed = directed if directed is not None else bool(header_directed)
+    return Graph(
+        resolved_n,
+        EdgeList(src, dst, weights, times),
+        directed=resolved_directed,
+    )
+
+
+#: (rows as float64 columns, header ``n=``, header ``directed=``)
+_Parsed = tuple[np.ndarray, int | None, bool | None]
+
+
+def _parse_header(body: str, header: dict) -> None:
+    """Fold one ``#`` line's ``n=`` / ``directed=`` tokens into
+    ``header``, in order; a malformed token raises ``ValueError`` after
+    the tokens before it have landed."""
+    for token in body.split():
+        if token.startswith("n="):
+            header["n"] = int(token[2:])
+        elif token.startswith("directed="):
+            header["directed"] = bool(int(token[9:]))
+
+
+def _parse_vectorized(path: Path, n: int | None) -> _Parsed | None:
+    """One ``np.loadtxt`` pass over a well-formed file, or None.
+
+    None whenever the result could differ from :func:`_parse_lines`:
+    undecodable bytes, a character the two tokenizers may split
+    differently, a ``#`` after data on a line, a malformed or ambiguous
+    header (two different ``n=`` values bound different lines in the
+    per-line loop), ragged or non-numeric rows, no data, or a vertex id
+    that is not a finite, non-negative integer below ``n``.
+    """
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError:
+        return None
+    if not text.isascii() or "\x0b" in text or "\x0c" in text:
+        return None
+    header: dict = {"n": None, "directed": None}
+    declared: set[int] = set()
+    at = text.find("#")
+    while at >= 0:
+        line_start = text.rfind("\n", 0, at) + 1
+        line_end = text.find("\n", at)
+        line_end = len(text) if line_end < 0 else line_end
+        if text[line_start:at].strip():
+            return None
+        try:
+            _parse_header(text[at + 1 : line_end], header)
+        except ValueError:
+            return None
+        if header["n"] is not None:
+            declared.add(header["n"])
+        at = text.find("#", line_end)
+    if len(declared) > 1:
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+        try:
+            arr = np.loadtxt(io.StringIO(text), comments="#", ndmin=2)
+        except ValueError:
+            return None
+    if arr.shape[0] == 0 or arr.shape[1] < 2:
+        return None
+    ids = arr[:, :2]
+    limit = n if n is not None else header["n"]
+    if not (
+        np.isfinite(ids).all()
+        and (ids >= 0).all()
+        and (ids == np.floor(ids)).all()
+        and (limit is None or (ids < limit).all())
+    ):
+        return None
+    return arr, header["n"], header["directed"]
+
+
+def _parse_lines(
+    path: Path,
+    n: int | None,
+    errors: str,
+    collector: list[tuple[int, str, str]] | None,
+) -> _Parsed:
+    """The per-line parse that applies the ``errors`` policy."""
+    header: dict = {"n": None, "directed": None}
     rows: list[list[float]] = []
     bad: list[tuple[int, str, str]] = collector if collector is not None else []
     width: int | None = None
@@ -110,11 +211,7 @@ def read_edge_list(
                 continue
             if line.startswith("#"):
                 try:
-                    for token in line[1:].split():
-                        if token.startswith("n="):
-                            header_n = int(token[2:])
-                        elif token.startswith("directed="):
-                            header_directed = bool(int(token[9:]))
+                    _parse_header(line[1:], header)
                 except ValueError:
                     if errors == "strict":
                         raise ValueError(
@@ -123,7 +220,7 @@ def read_edge_list(
                     bad.append((lineno, line, "malformed header"))
                 continue
             fields, problem = _parse_edge_line(line, width)
-            limit = n if n is not None else header_n
+            limit = n if n is not None else header["n"]
             if problem is None and limit is not None:
                 if fields[0] >= limit or fields[1] >= limit:
                     problem = f"vertex id exceeds declared n={limit}"
@@ -141,29 +238,15 @@ def read_edge_list(
                 width = len(fields)
             rows.append(fields)
     if errors == "collect" and bad and collector is None:
-        import warnings
-
         warnings.warn(
             f"read_edge_list: dropped {len(bad)} malformed line(s) from {path} "
             f"(first: line {bad[0][0]}: {bad[0][2]})",
             UserWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     width = width if width is not None else 2
     arr = np.asarray(rows, dtype=np.float64) if rows else np.empty((0, width))
-    src = arr[:, 0].astype(np.int64)
-    dst = arr[:, 1].astype(np.int64)
-    weights = arr[:, 2] if width >= 3 else None
-    times = arr[:, 3] if width >= 4 else None
-    resolved_n = n if n is not None else header_n
-    if resolved_n is None:
-        resolved_n = int(max(src.max(), dst.max()) + 1) if len(src) else 0
-    resolved_directed = directed if directed is not None else bool(header_directed)
-    return Graph(
-        resolved_n,
-        EdgeList(src, dst, weights, times),
-        directed=resolved_directed,
-    )
+    return arr, header["n"], header["directed"]
 
 
 def save_graph(g: Graph, path: str | Path) -> None:

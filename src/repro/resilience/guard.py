@@ -210,9 +210,11 @@ def estimate_footprint(
     disk_extra = 0
     if getattr(value, "mmap_backed", False):
         # Out-of-core store: CSR pages live on disk and fault in on
-        # demand; the walk engine touches one shard's row range at a
-        # time, so the resident working set is roughly one shard, not
-        # the graph. The structure itself counts against disk.
+        # demand. A walk may touch every shard, but these are clean,
+        # read-only file pages the kernel reclaims under pressure, so
+        # they need not count as committed memory; one shard's worth
+        # stands in for the pages hot at any moment. The structure
+        # itself counts against disk.
         num_shards = max(int(getattr(value, "num_shards", 1) or 1), 1)
         breakdown["graph_mmap_working_set"] = graph_bytes // num_shards
         disk_extra = graph_bytes

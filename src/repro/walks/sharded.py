@@ -1,13 +1,25 @@
 """Shard-parallel walk generation over a memory-mapped graph store.
 
 The in-memory engine (:mod:`repro.walks.engine`) advances every walk in
-lock step over heap CSR arrays. This engine instead processes walks
-*shard-major* over a :class:`repro.graph.store.GraphStore`: each shard's
-frontier-batched stepper touches only its own mmap'd CSR row range, so
-peak residency is one shard's working set, not the graph. Walks that
-hop across a shard boundary are **parked** and handed to the owning
-shard at the next **exchange round** (a BSP-style barrier); the loop
-ends when every walk has finished or died.
+lock step over heap CSR arrays. This engine walks a
+:class:`repro.graph.store.GraphStore` straight off its read-only mmap'd
+CSR arrays instead. One frontier-batched stepper advances the walks
+inside one *row range* ``[lo, hi)`` of the store's (shard-contiguous)
+vertex ids:
+
+- **In one process** the stepper gets one range, the whole vertex set.
+  Every walk advances in lock step in a single round and no walk is
+  ever parked.
+- **With several workers** each shard's row range is a task. A walk
+  that hops across a shard boundary is **parked** and handed to the
+  owning shard at the next **exchange round** (a BSP-style barrier);
+  the loop ends when every walk has finished or died. Exchange rounds
+  are how walks move between processes; inside one process they would
+  buy nothing, since every round touches every shard's pages anyway.
+
+Only the pages of the rows a walk visits are ever read, and those are
+clean, read-only mmap pages the kernel can drop at will. What the run
+holds on the heap is the corpus plus O(walks) stepper state.
 
 **Determinism.** The corpus must be bitwise-identical for any shard
 count, worker count, and scheduling order — shard layout is a runtime
@@ -17,10 +29,10 @@ shard), so every draw here is *counter-based*: step ``s`` of walk ``w``
 consumes ``u = mix64(key, w, s)`` — a SplitMix64-style hash of the walk
 id and step index under a key derived from ``config.seed``. The draw
 depends only on (seed, walk, step); park/resume and exchange order
-cannot perturb it. The merged corpus therefore equals the single-shard
+cannot perturb it. The merged corpus therefore equals the single-range
 corpus byte for byte (the acceptance test of this subsystem), and a
-killed-and-respawned shard task rewrites exactly the rows it would have
-written (the chaos test).
+killed-and-respawned shard task rewrites exactly the slots it would
+have written (the chaos test).
 
 Draws differ from the in-memory engine's ``Generator``-stream draws, so
 the sharded corpus is its own reproducibility anchor
@@ -34,16 +46,18 @@ eligibility is a segment binary search). ``node2vec`` is not supported
 out-of-core: its rejection sampler consumes an unbounded number of
 draws per step, which breaks the fixed (walk, step) counter addressing.
 
-Walk tokens are mapped back to **original** vertex ids through the
-store's persisted permutation before the corpus is returned, so
-downstream stages (training, detection, labels) see the same id space
-as the in-memory path.
+Each step writes its tokens in **original** vertex ids, mapped through
+the store's persisted permutation as they are written, so downstream
+stages (training, detection, labels) see the same id space as the
+in-memory path.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,6 +75,9 @@ __all__ = ["generate_walks_sharded", "hash_uniform"]
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _LANE_SALT = 0xD1B54A32D192ED03
+_STEP_MULT = np.uint64(0xBF58476D1CE4E5B9)
+#: Walks the stepper advances together (see :func:`_advance`).
+_CHUNK = 1 << 15
 
 
 def _mix64_int(x: int) -> int:
@@ -72,10 +89,13 @@ def _mix64_int(x: int) -> int:
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    """Vectorized SplitMix64 finalizer (uint64 in, uint64 out)."""
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    """Vectorized SplitMix64 finalizer, in place on a uint64 array it owns."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def derive_key(seed: int | None) -> int:
@@ -83,6 +103,19 @@ def derive_key(seed: int | None) -> int:
     entropy = np.random.SeedSequence(seed).entropy
     folded = (entropy ^ (entropy >> 64) ^ (entropy >> 128)) & _MASK64
     return _mix64_int(folded ^ _GOLDEN)
+
+
+def _walk_prefix(key: int, walk_ids: np.ndarray, lane: int = 0) -> np.ndarray:
+    """The walk-id half of the counter hash, computed once per walk."""
+    w = np.asarray(walk_ids, dtype=np.uint64)
+    k = np.uint64((key ^ _mix64_int(lane * _LANE_SALT + _GOLDEN)) & _MASK64)
+    return _mix64(w * np.uint64(_GOLDEN) ^ k)
+
+
+def _step_uniform(prefix: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """53-bit uniforms in [0, 1) for (walk prefix, step) pairs."""
+    z = _mix64(prefix + np.asarray(steps, dtype=np.uint64) * _STEP_MULT)
+    return (z >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))
 
 
 def hash_uniform(
@@ -94,243 +127,237 @@ def hash_uniform(
     state — the property the whole sharded engine's determinism rests
     on. 53-bit mantissa draws, matching ``Generator.random`` precision.
     """
-    w = np.asarray(walk_ids, dtype=np.uint64)
-    s = np.asarray(steps, dtype=np.uint64)
-    k = np.uint64((key ^ _mix64_int(lane * _LANE_SALT + _GOLDEN)) & _MASK64)
-    z = _mix64(w * np.uint64(_GOLDEN) ^ k)
-    z = _mix64(z + s * np.uint64(0xBF58476D1CE4E5B9))
-    return (z >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))
+    return _step_uniform(_walk_prefix(key, walk_ids, lane), steps)
 
 
 # ---------------------------------------------------------------------------
-# In-shard batch advance
+# Stepper
 
 
-@dataclass
-class _Batch:
-    """Walks currently resident in one shard, mid-flight."""
+class _Walks(NamedTuple):
+    """Walks in flight, one entry per walk."""
 
-    wid: np.ndarray  # walk id == output row
+    pos: np.ndarray  # flat output slot of the next token: walk id * length + step
     cur: np.ndarray  # current vertex (store id space)
-    step: np.ndarray  # next column to write (1 <= step < walk_length)
-    tprev: np.ndarray  # temporal state: time of last traversed arc
+    step: np.ndarray  # next column to write, uint64 (it feeds the hash)
+    prefix: np.ndarray  # _walk_prefix of the walk id
+    tprev: np.ndarray | None  # temporal mode only: time of the last arc
 
-    @property
-    def size(self) -> int:
-        return int(self.wid.shape[0])
-
-    def take(self, mask: np.ndarray, cur: np.ndarray) -> "_Batch":
-        return _Batch(self.wid[mask], cur[mask], self.step[mask], self.tprev[mask])
+    def take(self, index) -> "_Walks":
+        return _Walks(*(None if a is None else a[index] for a in self))
 
 
-def _empty_batch() -> _Batch:
-    e = np.empty(0, dtype=np.int64)
-    return _Batch(e, e.copy(), e.copy(), np.empty(0, dtype=np.float64))
-
-
-def _concat_batches(batches: list[_Batch]) -> _Batch:
-    real = [b for b in batches if b.size]
-    if not real:
-        return _empty_batch()
-    if len(real) == 1:
-        return real[0]
-    return _Batch(
-        np.concatenate([b.wid for b in real]),
-        np.concatenate([b.cur for b in real]),
-        np.concatenate([b.step for b in real]),
-        np.concatenate([b.tprev for b in real]),
+def _concat(parts: list[_Walks]) -> _Walks | None:
+    parts = [p for p in parts if p is not None and p.pos.size]
+    if len(parts) <= 1:
+        return parts[0] if parts else None
+    return _Walks(
+        *(None if col[0] is None else np.concatenate(col) for col in zip(*parts))
     )
 
 
-def _advance_batch(
+def _draw(arrays: dict, mode: WalkMode, time_window, walks: _Walks):
+    """One step's next vertices (``PAD`` where no arc is eligible) and,
+    in temporal mode, the times of the arcs taken."""
+    indices = arrays["indices"]
+    row_start = arrays["indptr"][walks.cur]
+    row_stop = arrays["row_stop"][walks.cur]
+    u = _step_uniform(walks.prefix, walks.step)
+    tnew = None
+    if mode is WalkMode.TEMPORAL:
+        times = arrays["times"]
+        elig_lo = _segment_searchsorted(
+            times, row_start, row_stop, walks.tprev, side="right"
+        )
+        if time_window is not None:
+            cap = np.where(
+                np.isinf(walks.tprev), np.inf, walks.tprev + time_window
+            )
+            elig_hi = _segment_searchsorted(
+                times, row_start, row_stop, cap, side="right"
+            )
+        else:
+            elig_hi = row_stop
+        count = elig_hi - elig_lo
+        ok = count > 0
+        pick = elig_lo + (u * np.maximum(count, 1)).astype(np.int64)
+        np.minimum(pick, np.maximum(elig_hi - 1, 0), out=pick)
+        tnew = np.where(ok, np.take(times, pick, mode="clip"), walks.tprev)
+    else:
+        deg = row_stop - row_start
+        ok = deg > 0
+        safe_deg = np.maximum(deg, 1)
+        offs = (u * safe_deg).astype(np.int64)
+        np.minimum(offs, safe_deg - 1, out=offs)
+        pick = row_start + offs
+        if mode in (WalkMode.WEIGHTED, WalkMode.VERTEX_WEIGHTED):
+            cum = (
+                arrays["cum_weights"]
+                if mode is WalkMode.WEIGHTED
+                else arrays["cum_vertex_weights"]
+            )
+            total = cum[np.maximum(row_stop - 1, 0)] * ok
+            positive = total > 0
+            if np.any(positive):
+                wpick = _segment_searchsorted(
+                    cum, row_start, row_stop, u * total, side="left"
+                )
+                np.minimum(wpick, np.maximum(row_stop - 1, 0), out=wpick)
+                # All-zero rows keep the uniform fallback pick, the
+                # same degeneration convention as build_arc_alias.
+                pick = np.where(positive, wpick, pick)
+    nxt = np.take(indices, pick, mode="clip")
+    if not ok.all():
+        nxt[~ok] = PAD
+    return nxt, tnew
+
+
+def _advance(
     arrays: dict,
     lo: int,
     hi: int,
     walk_length: int,
-    key: int,
     mode: WalkMode,
     time_window: float | None,
-    batch: _Batch,
+    walks: _Walks,
     out: np.ndarray,
-) -> _Batch:
-    """Advance ``batch`` until every walk finishes, dies, or leaves [lo, hi).
+) -> _Walks | None:
+    """Advance ``walks`` until each finishes, dies, or leaves [lo, hi).
 
-    Writes completed positions into ``out`` rows (by walk id) and
-    returns the parked walks (those whose next vertex lives in another
-    shard). All indexing goes through the store's mmap'd arrays, so the
-    pages touched are exactly the rows visited.
+    Writes every token in original ids into the flat output ``out`` and
+    returns the parked walks (those whose next vertex lives outside the
+    range), or None. Over the whole vertex range nothing ever parks.
+
+    Walks advance in lock step, :data:`_CHUNK` at a time: the step
+    temporaries then stay small enough to be recycled by the allocator
+    instead of being page-faulted in afresh on every step.
     """
     from repro.resilience.lifecycle import current_cancel_scope
     from repro.resilience.supervisor import current_heartbeat
 
     heartbeat = current_heartbeat()
     scope = current_cancel_scope()
-    indptr = arrays["indptr"]
-    indices = arrays["indices"]
-    parked: list[_Batch] = []
-    while batch.size:
-        heartbeat.beat()
-        scope.check()
-        row_start = indptr[batch.cur]
-        row_stop = indptr[batch.cur + 1]
-        u = hash_uniform(key, batch.wid, batch.step)
-        if mode is WalkMode.TEMPORAL:
-            times = arrays["times"]
-            elig_lo = _segment_searchsorted(
-                times, row_start, row_stop, batch.tprev, side="right"
-            )
-            if time_window is not None:
-                cap = np.where(
-                    np.isinf(batch.tprev), np.inf, batch.tprev + time_window
-                )
-                elig_hi = _segment_searchsorted(
-                    times, row_start, row_stop, cap, side="right"
-                )
-            else:
-                elig_hi = row_stop
-            count = elig_hi - elig_lo
-            ok = count > 0
-            pick = elig_lo + (u * np.maximum(count, 1)).astype(np.int64)
-            np.minimum(pick, np.maximum(elig_hi - 1, 0), out=pick)
-            nxt = np.where(ok, indices[np.minimum(pick, indices.shape[0] - 1)], PAD)
-            tnew = np.where(
-                ok, times[np.minimum(pick, times.shape[0] - 1)], batch.tprev
-            )
-        else:
-            deg = row_stop - row_start
-            ok = deg > 0
-            safe_deg = np.maximum(deg, 1)
-            offs = (u * safe_deg).astype(np.int64)
-            np.minimum(offs, safe_deg - 1, out=offs)
-            pick = row_start + offs
-            if mode in (WalkMode.WEIGHTED, WalkMode.VERTEX_WEIGHTED):
-                cum = (
-                    arrays["cum_weights"]
-                    if mode is WalkMode.WEIGHTED
-                    else arrays["cum_vertex_weights"]
-                )
-                total = cum[np.maximum(row_stop - 1, 0)] * ok
-                positive = total > 0
-                if np.any(positive):
-                    target = u * total
-                    wpick = _segment_searchsorted(
-                        cum, row_start, row_stop, target, side="left"
-                    )
-                    np.minimum(wpick, np.maximum(row_stop - 1, 0), out=wpick)
-                    # All-zero rows keep the uniform fallback pick, the
-                    # same degeneration convention as build_arc_alias.
-                    pick = np.where(positive, wpick, pick)
-            nxt = np.where(ok, indices[np.minimum(pick, indices.shape[0] - 1)], PAD)
-            tnew = batch.tprev
-        # Dead walks (no eligible arc) write nothing further; their rows
-        # stay PAD from this column on.
-        alive = np.asarray(ok)
-        wid_a = batch.wid[alive]
-        nxt_a = np.asarray(nxt)[alive]
-        step_a = batch.step[alive]
-        out[wid_a, step_a] = nxt_a
-        step_a = step_a + 1
-        tprev_a = np.asarray(tnew)[alive]
-        unfinished = step_a < walk_length
-        wid_a, nxt_a, step_a, tprev_a = (
-            wid_a[unfinished],
-            nxt_a[unfinished],
-            step_a[unfinished],
-            tprev_a[unfinished],
-        )
-        resident = (nxt_a >= lo) & (nxt_a < hi)
-        if not np.all(resident):
-            parked.append(
-                _Batch(
-                    wid_a[~resident],
-                    nxt_a[~resident],
-                    step_a[~resident],
-                    tprev_a[~resident],
-                )
-            )
-        batch = _Batch(
-            wid_a[resident], nxt_a[resident], step_a[resident], tprev_a[resident]
-        )
-    return _concat_batches(parked)
+    perm_ext = arrays["perm_ext"]
+    whole = lo == 0 and hi == perm_ext.shape[0] - 1
+    parked: list[_Walks] = []
+    for first in range(0, walks.pos.size, _CHUNK):
+        batch = walks.take(slice(first, first + _CHUNK))
+        while batch.pos.size:
+            heartbeat.beat()
+            scope.check()
+            nxt, tnew = _draw(arrays, mode, time_window, batch)
+            # perm_ext[PAD] == PAD: a dead walk rewrites the PAD its slot holds.
+            out[batch.pos] = perm_ext[nxt]
+            step = batch.step + np.uint64(1)
+            going = nxt != PAD
+            going &= step < walk_length
+            moved = _Walks(batch.pos + 1, nxt, step, batch.prefix, tnew)
+            if not whole:
+                inside = (nxt >= lo) & (nxt < hi)
+                leaving = np.flatnonzero(going & ~inside)
+                if leaving.size:
+                    parked.append(moved.take(leaving))
+                going &= inside
+            batch = moved if going.all() else moved.take(np.flatnonzero(going))
+    return _concat(parked)
+
+
+def _route(walks: _Walks | None, bounds: np.ndarray) -> list[tuple[int, _Walks]]:
+    """Bucket walks by the range owning their current vertex: one
+    stable argsort, then contiguous slices."""
+    if walks is None:
+        return []
+    if bounds.shape[0] == 2:
+        return [(0, walks)]
+    owner = np.searchsorted(bounds, walks.cur, side="right") - 1
+    order = np.argsort(owner, kind="stable")
+    walks = walks.take(order)
+    cuts = np.searchsorted(owner[order], np.arange(bounds.shape[0]))
+    return [
+        (r, walks.take(slice(cuts[r], cuts[r + 1])))
+        for r in range(bounds.shape[0] - 1)
+        if cuts[r + 1] > cuts[r]
+    ]
 
 
 # ---------------------------------------------------------------------------
-# Worker-side shard task (parallel rounds)
+# Store arrays and the worker-side shard task
+
+
+_OPEN_STORE: tuple = (None, None)
+
+
+def _store_arrays(path: str, ident, names: tuple) -> dict:
+    """A store's walk arrays as plain ndarray views over read-only mmaps.
+
+    Cached per process for the last store opened, keyed by path *and*
+    the manifest's integrity digest: pool workers outlive a map, and a
+    store removed and rebuilt at the same path must not be walked
+    through the old graph's mappings.
+    """
+    global _OPEN_STORE
+    key = (path, ident, names)
+    if _OPEN_STORE[0] != key:
+        arrays = {
+            name: np.load(
+                Path(path) / f"{name}.npy", mmap_mode="r", allow_pickle=False
+            ).view(np.ndarray)
+            for name in names
+        }
+        arrays["row_stop"] = arrays["indptr"][1:]
+        arrays["perm_ext"] = np.append(arrays["perm"], PAD)
+        _OPEN_STORE = (key, arrays)
+    return _OPEN_STORE[1]
 
 
 @dataclass(frozen=True)
 class _ShardTask:
     """One shard's work for one exchange round, picklable in O(batch).
 
-    Carries the store *path* — workers mmap the shard's row range
+    Carries the store *path* and identity — workers mmap the store
     themselves (cached per process) — so no CSR bytes ever cross the
     pool pipe, unlike the in-memory engine's shm export.
     """
 
     store_path: str
+    store_ident: str | None
     array_names: tuple
     lo: int
     hi: int
     walk_length: int
-    key: int
     mode: WalkMode
     time_window: float | None
-    wid: np.ndarray
-    cur: np.ndarray
-    step: np.ndarray
-    tprev: np.ndarray
+    walks: _Walks
     out: "object"  # SharedArraySpec of the (num_walks, walk_length) matrix
 
 
-_WORKER_ARRAYS: dict = {}
-
-
-def _store_arrays(path: str, names: tuple) -> dict:
-    """Open (and cache) a store's arrays as read-only mmaps, per process."""
-    cached = _WORKER_ARRAYS.get(path)
-    if cached is None or any(name not in cached for name in names):
-        from pathlib import Path
-
-        cached = {
-            name: np.load(
-                Path(path) / f"{name}.npy", mmap_mode="r", allow_pickle=False
-            )
-            for name in names
-        }
-        _WORKER_ARRAYS[path] = cached
-    return cached
-
-
-def _shard_task(task: _ShardTask) -> tuple[_Batch, int, float]:
+def _shard_task(task: _ShardTask) -> tuple[_Walks | None, int, float]:
     """Advance one shard's resident walks; returns (parked, advanced, secs).
 
-    Idempotent by construction: draws are counter-based and the walks a
-    task writes are exactly the rows of the walk ids it carries, so a
+    Idempotent by construction: draws are counter-based and a task
+    writes exactly the output slots of the walks it carries, so a
     killed-and-respawned task (supervisor ladder) rewrites identical
     bytes.
     """
     from repro.parallel.shm import SharedArray
 
     started = time.perf_counter()
-    arrays = _store_arrays(task.store_path, task.array_names)
-    batch = _Batch(task.wid, task.cur, task.step, task.tprev)
-    advanced = batch.size
+    arrays = _store_arrays(task.store_path, task.store_ident, task.array_names)
     out = SharedArray.attach(task.out)
     try:
-        parked = _advance_batch(
+        parked = _advance(
             arrays,
             task.lo,
             task.hi,
             task.walk_length,
-            task.key,
             task.mode,
             task.time_window,
-            batch,
-            out.array,
+            task.walks,
+            out.array.reshape(-1),
         )
     finally:
         out.close()
-    return parked, advanced, time.perf_counter() - started
+    return parked, int(task.walks.pos.size), time.perf_counter() - started
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +370,7 @@ def generate_walks_sharded(
     *,
     context=None,
 ) -> WalkCorpus:
-    """Generate the walk corpus from a :class:`GraphStore`, shard by shard.
+    """Generate the walk corpus from a :class:`GraphStore`.
 
     The result is bitwise-identical for any shard count and worker
     count at a fixed ``config.seed`` (see module docstring), with walk
@@ -366,17 +393,14 @@ def generate_walks_sharded(
     _validate_store_mode(store, mode)
 
     n = int(store.n)
-    perm = np.asarray(store.permutation())
     starts_orig = _resolve_starts(config, n)
-    num_walks = starts_orig.shape[0] * config.walks_per_vertex
     walk_length = int(config.walk_length)
     rec = current_recorder()
     workers = ctx.resolve_workers()
     num_shards = int(store.num_shards)
     concurrency = min(workers, num_shards)
-    shards_cap = getattr(ctx, "shards", None)
-    if shards_cap:
-        concurrency = max(1, min(concurrency, int(shards_cap)))
+    if ctx.shards:
+        concurrency = max(1, min(concurrency, int(ctx.shards)))
 
     with ctx.lifecycle(), rec.span(
         "walks.generate",
@@ -388,15 +412,7 @@ def generate_walks_sharded(
         shards=num_shards,
     ) as span:
         with rec.time("walks.generate_seconds") as timer:
-            walks = _run_exchange_loop(
-                store,
-                config,
-                ctx,
-                perm,
-                starts_orig,
-                num_walks,
-                concurrency,
-            )
+            walks = _run_exchange_loop(store, config, ctx, starts_orig, concurrency)
         corpus = WalkCorpus(walks, num_vertices=n)
         if rec.enabled:
             walks_per_sec = corpus.num_walks / max(timer.seconds, 1e-9)
@@ -440,7 +456,7 @@ def _validate_store_mode(store, mode: WalkMode) -> None:
 
 
 def _mode_arrays(mode: WalkMode) -> tuple:
-    names = ["indptr", "indices"]
+    names = ["indptr", "indices", "perm"]
     if mode is WalkMode.WEIGHTED:
         names.append("cum_weights")
     elif mode is WalkMode.VERTEX_WEIGHTED:
@@ -454,65 +470,62 @@ def _run_exchange_loop(
     store,
     config: RandomWalkConfig,
     ctx,
-    perm: np.ndarray,
     starts_orig: np.ndarray,
-    num_walks: int,
     concurrency: int,
 ) -> np.ndarray:
     """The deterministic frontier-exchange loop; returns original-id walks."""
     mode = WalkMode(config.mode)
     walk_length = int(config.walk_length)
     n = int(store.n)
-    key = derive_key(config.seed)
-    bounds = np.asarray(store.shard_bounds)
-    num_shards = int(store.num_shards)
+    num_walks = starts_orig.shape[0] * config.walks_per_vertex
     rec = current_recorder()
-
-    # Map starts into the store's (shard-contiguous) id space; walk row
-    # i starts at original vertex starts_orig[i % len(starts_orig)],
-    # matching the in-memory engine's row layout.
-    inverse = np.empty(n, dtype=np.int64)
-    inverse[perm] = np.arange(n, dtype=np.int64)
-    starts_new = np.tile(inverse[starts_orig], config.walks_per_vertex)
-
-    walks = np.full((num_walks, walk_length), PAD, dtype=np.int64)
-    if num_walks == 0 or n == 0:
-        return walks
-    walks[:, 0] = starts_new
-    if walk_length == 1:
-        return _to_original_ids(walks, perm)
-
+    store_path = str(store.path)
+    store_ident = store.manifest.get("integrity", {}).get("digest")
     array_names = _mode_arrays(mode)
-    parent_arrays = {name: getattr_store_array(store, name) for name in array_names}
+    arrays = _store_arrays(store_path, store_ident, array_names)
 
-    pending = _Batch(
-        np.arange(num_walks, dtype=np.int64),
-        starts_new.copy(),
-        np.ones(num_walks, dtype=np.int64),
-        np.full(num_walks, -np.inf),
-    )
-    queues: list[_Batch] = _route(pending, bounds, num_shards)
-
-    use_pool = concurrency > 1
-    shared = None
-    out = walks
+    # Without an arc to take every walk ends at its start vertex.
+    steps_to_take = num_walks > 0 and walk_length > 1 and store.num_arcs > 0
+    use_pool = concurrency > 1 and steps_to_take
     if use_pool:
         from repro.parallel.shm import SHM_AVAILABLE, SharedArray
 
-        if SHM_AVAILABLE:
-            shared = SharedArray.create((num_walks, walk_length), np.int64)
-            shared.array[:] = walks
-            out = shared.array
-        else:  # pragma: no cover - exotic platforms only
-            use_pool = False
-
+        use_pool = SHM_AVAILABLE
+    shared = None
     rounds = 0
     exchanged = 0
     try:
-        while True:
-            occupied = [s for s in range(num_shards) if queues[s].size]
-            if not occupied:
-                break
+        if use_pool:
+            shared = SharedArray.create((num_walks, walk_length), np.int64)
+            walks = shared.array
+            walks.fill(PAD)
+        else:
+            walks = np.full((num_walks, walk_length), PAD, dtype=np.int64)
+        # Walk row i starts at original vertex starts_orig[i % len(starts_orig)],
+        # matching the in-memory engine's row layout.
+        walks[:, 0] = np.tile(starts_orig, config.walks_per_vertex)
+        if not steps_to_take:
+            return walks
+
+        inverse = np.empty(n, dtype=np.int64)
+        inverse[arrays["perm"]] = np.arange(n, dtype=np.int64)
+        walk_ids = np.arange(num_walks, dtype=np.int64)
+        start = _Walks(
+            pos=walk_ids * walk_length + 1,
+            cur=np.tile(inverse[starts_orig], config.walks_per_vertex),
+            step=np.ones(num_walks, dtype=np.uint64),
+            prefix=_walk_prefix(derive_key(config.seed), walk_ids),
+            tprev=np.full(num_walks, -np.inf) if mode is WalkMode.TEMPORAL else None,
+        )
+        del inverse, walk_ids
+        # One range over every vertex unless walks must move between
+        # processes; then each shard's rows are one task per round.
+        ranges = np.asarray(store.shard_bounds) if use_pool else np.array([0, n])
+        queue = _route(start, ranges)
+        del start
+        out = walks.reshape(-1)
+
+        while queue:
             ctx.check_cancelled()
             round_started = time.perf_counter()
             if use_pool:
@@ -520,21 +533,18 @@ def _run_exchange_loop(
 
                 tasks = [
                     _ShardTask(
-                        store_path=str(store.path),
+                        store_path=store_path,
+                        store_ident=store_ident,
                         array_names=array_names,
-                        lo=int(bounds[s]),
-                        hi=int(bounds[s + 1]),
+                        lo=int(ranges[r]),
+                        hi=int(ranges[r + 1]),
                         walk_length=walk_length,
-                        key=key,
                         mode=mode,
                         time_window=config.time_window,
-                        wid=queues[s].wid,
-                        cur=queues[s].cur,
-                        step=queues[s].step,
-                        tprev=queues[s].tprev,
+                        walks=batch,
                         out=shared.spec,
                     )
-                    for s in occupied
+                    for r, batch in queue
                 ]
                 results = parallel_map(
                     ctx.wrap_task(_shard_task),
@@ -542,7 +552,7 @@ def _run_exchange_loop(
                     workers=concurrency,
                     supervisor=ctx.supervisor,
                 )
-                parked_all = [r[0] for r in results]
+                parked = _concat([r[0] for r in results])
                 if rec.enabled:
                     for (_parked, advanced, seconds) in results:
                         rec.observe("shard.task_seconds", seconds)
@@ -553,25 +563,26 @@ def _run_exchange_loop(
                             seconds=round(seconds, 6),
                         )
             else:
-                parked_all = []
-                for s in occupied:
-                    parked_all.append(
-                        _advance_batch(
-                            parent_arrays,
-                            int(bounds[s]),
-                            int(bounds[s + 1]),
+                parked = _concat(
+                    [
+                        _advance(
+                            arrays,
+                            int(ranges[r]),
+                            int(ranges[r + 1]),
                             walk_length,
-                            key,
                             mode,
                             config.time_window,
-                            queues[s],
+                            batch,
                             out,
                         )
-                    )
-            parked = _concat_batches(parked_all)
-            queues = _route(parked, bounds, num_shards)
+                        for r, batch in queue
+                    ]
+                )
+            active = len(queue)
+            queue = _route(parked, ranges)
+            num_parked = 0 if parked is None else int(parked.pos.size)
             rounds += 1
-            exchanged += parked.size
+            exchanged += num_parked
             if rec.enabled:
                 rec.inc("shard.rounds")
                 rec.observe(
@@ -581,8 +592,8 @@ def _run_exchange_loop(
                     "shard.round",
                     level="debug",
                     round=rounds,
-                    shards_active=len(occupied),
-                    parked=int(parked.size),
+                    shards_active=active,
+                    parked=num_parked,
                 )
         if shared is not None:
             walks = shared.copy()
@@ -597,36 +608,4 @@ def _run_exchange_loop(
             exchanged=exchanged,
             walks=num_walks,
         )
-    return _to_original_ids(walks, perm)
-
-
-def getattr_store_array(store, name: str) -> np.ndarray:
-    """A store array by its file name (parent-process serial path)."""
-    lookup = {
-        "indptr": store.indptr,
-        "indices": store.indices,
-        "times": store.edge_times,
-    }
-    if name in lookup and lookup[name] is not None:
-        return lookup[name]
-    return store._arrays[name]
-
-
-def _route(batch: _Batch, bounds: np.ndarray, num_shards: int) -> list[_Batch]:
-    """Bucket walks by the shard owning their current vertex."""
-    queues = [_empty_batch() for _ in range(num_shards)]
-    if not batch.size:
-        return queues
-    shard_ids = np.searchsorted(bounds, batch.cur, side="right") - 1
-    for s in np.unique(shard_ids):
-        mask = shard_ids == s
-        queues[int(s)] = _Batch(
-            batch.wid[mask], batch.cur[mask], batch.step[mask], batch.tprev[mask]
-        )
-    return queues
-
-
-def _to_original_ids(walks: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """Map store-space tokens back to original vertex ids (PAD preserved)."""
-    safe = np.maximum(walks, 0)
-    return np.where(walks == PAD, PAD, perm[safe])
+    return walks

@@ -8,12 +8,18 @@ here pivots on that.
 
 from __future__ import annotations
 
+import shutil
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.datasets.synthetic import community_benchmark
 from repro.graph.core import EdgeList, Graph
+from repro.graph.generators import planted_partition
 from repro.graph.store import GraphStore
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.recorder import Recorder, use
 from repro.pipeline.context import ExecutionContext
 from repro.walks.engine import PAD, RandomWalkConfig, WalkMode, generate_walks
 from repro.walks.sharded import generate_walks_sharded, hash_uniform
@@ -76,11 +82,14 @@ class TestShardCountInvariance:
 
     @pytest.mark.parametrize("config", MODES, ids=lambda c: c.mode.value)
     def test_bitwise_equal_across_worker_counts(self, stores, config):
-        ref = generate_walks_sharded(stores[4], config).walks
-        par = generate_walks_sharded(
-            stores[4], config, context=ExecutionContext(workers=3)
-        ).walks
-        assert np.array_equal(ref, par)
+        # One process walks one row range; pooled workers run exchange
+        # rounds between shards. Both must write the same bytes.
+        for shards in (2, 4):
+            ref = generate_walks_sharded(stores[shards], config).walks
+            par = generate_walks_sharded(
+                stores[shards], config, context=ExecutionContext(workers=3)
+            ).walks
+            assert np.array_equal(ref, par), f"{shards} shards differ"
 
     def test_partition_method_does_not_change_corpus(self, rich, tmp_path):
         config = MODES[0]
@@ -100,6 +109,64 @@ class TestShardCountInvariance:
             stores[4], config, context=ExecutionContext(workers=3, shards=1)
         ).walks
         assert np.array_equal(ref, capped)
+
+
+class TestExchange:
+    @staticmethod
+    def _counters(store, workers):
+        registry = MetricsRegistry()
+        with use(Recorder(registry)):
+            generate_walks_sharded(
+                store, MODES[0], context=ExecutionContext(workers=workers)
+            )
+        return registry.snapshot()["counters"]
+
+    def test_one_process_walks_one_range_without_exchange(self, stores):
+        counters = self._counters(stores[4], workers=1)
+        assert counters["shard.rounds"] == 1
+        assert counters["shard.exchanged"] == 0
+
+    def test_pooled_workers_run_exchange_rounds(self, stores):
+        counters = self._counters(stores[4], workers=2)
+        assert counters["shard.rounds"] > 1
+        assert counters["shard.exchanged"] > 0
+
+    def test_store_rebuilt_at_the_same_path_is_not_walked_stale(self, tmp_path):
+        # Pool workers outlive a map; their cached mmaps of the first
+        # store must not serve the second one built at the same path.
+        path = tmp_path / "store"
+        config = MODES[0]
+
+        def build(seed):
+            g = community_benchmark(0.7, n=120, groups=4, inter_edges=60, seed=seed)
+            return GraphStore.build(g, path, shards=4, seed=3)
+
+        generate_walks_sharded(
+            build(11), config, context=ExecutionContext(workers=2)
+        )
+        shutil.rmtree(path)
+        rebuilt = build(12)
+        serial = generate_walks_sharded(rebuilt, config).walks
+        pooled = generate_walks_sharded(
+            rebuilt, config, context=ExecutionContext(workers=2)
+        ).walks
+        assert np.array_equal(serial, pooled)
+
+
+class TestMemory:
+    def test_peak_heap_stays_within_twice_the_corpus(self, tmp_path):
+        g = planted_partition(n=2000, groups=20, alpha=0.1, inter_edges=400, seed=0)
+        store = GraphStore.build(g, tmp_path / "store", shards=4, seed=0)
+        config = RandomWalkConfig(walks_per_vertex=10, walk_length=40, seed=0)
+        tracemalloc.start()
+        try:
+            walks = generate_walks_sharded(store, config).walks
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * walks.nbytes, (
+            f"peak {peak / walks.nbytes:.2f}x the corpus's bytes"
+        )
 
 
 class TestCorpusValidity:
