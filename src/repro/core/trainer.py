@@ -17,11 +17,14 @@ docs/resilience.md).
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import time
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -208,8 +211,8 @@ def _build_objective(
 
 
 # ----------------------------------------------------------------------
-# Epoch-level state (shared by the in-memory and streaming loops) and
-# its checkpoint plumbing.
+# Epoch-level state (shared by every epoch body) and its checkpoint
+# plumbing.
 # ----------------------------------------------------------------------
 @dataclass
 class _TrainState:
@@ -270,14 +273,7 @@ class _TrainerSnapshots:
             ckpt.arrays["w_out"], dtype=objective.w_out.dtype
         )
         rng.bit_generator.state = ckpt.meta["rng_state"]
-        return _TrainState(
-            epoch=int(ckpt.meta["epoch"]),
-            loss_history=[float(x) for x in ckpt.meta["loss_history"]],
-            best_loss=float(ckpt.meta["best_loss"]),
-            stall=int(ckpt.meta["stall"]),
-            batch_index=int(ckpt.meta["batch_index"]),
-            converged=bool(ckpt.meta["converged"]),
-        )
+        return _TrainState(**{f.name: ckpt.meta[f.name] for f in fields(_TrainState)})
 
     def save(
         self, objective, rng: np.random.Generator, state: _TrainState, *, final: bool
@@ -287,34 +283,8 @@ class _TrainerSnapshots:
         self.store.save(
             TRAINER_CHECKPOINT,
             {"w_in": objective.w_in, "w_out": objective.w_out},
-            {
-                "rng_state": rng.bit_generator.state,
-                "epoch": state.epoch,
-                "loss_history": state.loss_history,
-                "best_loss": state.best_loss,
-                "stall": state.stall,
-                "batch_index": state.batch_index,
-                "converged": state.converged,
-            },
+            {"rng_state": rng.bit_generator.state, **asdict(state)},
         )
-
-
-def _trainer_snapshots(
-    corpus: WalkCorpus,
-    config: TrainConfig,
-    ctx,
-    init_vectors: np.ndarray | None,
-    every: int,
-) -> _TrainerSnapshots | None:
-    """The run's snapshot slot, or None when checkpointing is off."""
-    store = ctx.fingerprinted(
-        _train_fingerprint(corpus, config, init_vectors),
-        what="trainer checkpoint",
-        described="configuration or corpus",
-    )
-    if store is None:
-        return None
-    return _TrainerSnapshots(store, every)
 
 
 def _train_fingerprint(
@@ -380,11 +350,13 @@ def train_embeddings(
     for compatibility with a ``DeprecationWarning`` and cannot be
     combined with ``context``.
 
-    ``config.workers > 1`` dispatches to the shared-memory Hogwild
-    trainer (:func:`repro.parallel.hogwild.train_hogwild`): the weight
-    matrices move into ``multiprocessing.shared_memory`` and the example
-    set is sharded across lock-free SGD worker processes. ``workers=1``
-    always takes this serial path and is bitwise-reproducible.
+    One setup and one epoch loop serve every run; only the epoch body
+    differs. ``workers=1`` steps in-process through a batch source (the
+    permuted example set, or with ``config.streaming`` one walk chunk at
+    a time) and is bitwise reproducible. ``workers > 1`` is Hogwild over
+    shared memory (:func:`repro.parallel.hogwild.hogwild_epochs`); where
+    shared memory is missing it falls back to ``workers=1`` with a
+    ``RuntimeWarning``.
     """
     from repro.pipeline.context import UNSET, context_from_legacy
 
@@ -393,52 +365,24 @@ def train_embeddings(
         checkpoint_dir=UNSET if checkpoint_dir is _UNSET else checkpoint_dir,
         resume=UNSET if resume is _UNSET else resume,
     )
-    return _train_embeddings(
-        corpus,
-        config,
-        ctx,
-        init_vectors=init_vectors,
-        checkpoint_every=checkpoint_every,
-        epoch_callback=epoch_callback,
-    )
-
-
-def _train_embeddings(
-    corpus: WalkCorpus,
-    config: TrainConfig | None,
-    ctx,
-    *,
-    init_vectors: np.ndarray | None = None,
-    checkpoint_every: int = 1,
-    epoch_callback: Callable[[int, float], None] | None = None,
-) -> EmbeddingResult:
-    """Context-based trainer entry (``ctx`` is an ExecutionContext)."""
     config = config or TrainConfig()
     # TrainConfig.supervisor predates the context; honor it when the
     # context does not name its own supervision policy.
     ctx = ctx.with_supervisor(config.supervisor)
     if config.workers > 1:
-        from repro.parallel.hogwild import hogwild_supported, train_hogwild
+        from repro.parallel.hogwild import hogwild_supported
 
-        if hogwild_supported():
-            return train_hogwild(
-                corpus,
-                config,
-                context=ctx,
-                init_vectors=init_vectors,
-                checkpoint_every=checkpoint_every,
-                epoch_callback=epoch_callback,
+        if not hogwild_supported():
+            warnings.warn(
+                "shared memory is unavailable on this platform; training "
+                f"serially instead of with {config.workers} workers",
+                RuntimeWarning,
+                stacklevel=2,
             )
-        warnings.warn(
-            "shared memory is unavailable on this platform; training "
-            f"serially instead of with {config.workers} workers",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        current_recorder().event(
-            "train.serial_fallback", level="warning", workers=config.workers
-        )
-        config = replace(config, workers=1)
+            current_recorder().event(
+                "train.serial_fallback", level="warning", workers=config.workers
+            )
+            config = replace(config, workers=1)
     rec = current_recorder()
     with ctx.lifecycle(), rec.span(
         "train.run",
@@ -447,60 +391,82 @@ def _train_embeddings(
         dim=config.dim,
         epochs=config.epochs,
         streaming=config.streaming,
+        workers=config.workers,
     ) as span:
+        # One setup for every epoch body, in one RNG call order: rng,
+        # vocab, snapshot slot, examples (and the subsample draw),
+        # objective, restore. The order is what keeps fixed-seed runs
+        # bitwise stable.
         rng = np.random.default_rng(config.seed)
         vocab = VertexVocab.from_corpus(corpus)
         if vocab.total_tokens == 0:
             raise ValueError("corpus is empty; nothing to train on")
 
-        checkpointer = _trainer_snapshots(
-            corpus, config, ctx, init_vectors, checkpoint_every
+        store = ctx.fingerprinted(
+            _train_fingerprint(corpus, config, init_vectors),
+            what="trainer checkpoint",
+            described="configuration or corpus",
+        )
+        checkpointer = (
+            None if store is None else _TrainerSnapshots(store, checkpoint_every)
         )
 
         if config.streaming:
-            return _train_streaming(
-                corpus,
-                config,
-                vocab,
-                rng,
-                init_vectors,
-                checkpointer=checkpointer,
-                resume=ctx.resume,
-                epoch_callback=epoch_callback,
-            )
-
-        centers, contexts = corpus.context_arrays(config.window)
-        if centers.size == 0:
+            # Examples are extracted per walk chunk inside each epoch
+            # (see _stream_runs); only their count is needed up front.
+            num_examples = corpus.num_examples(config.window)
+        else:
+            centers, contexts = corpus.context_arrays(config.window)
+            if config.subsample > 0:
+                keep_p = vocab.keep_probabilities(config.subsample)
+                keep = rng.random(centers.shape[0]) < keep_p[centers]
+                if np.any(keep):  # never subsample away the whole corpus
+                    centers, contexts = centers[keep], contexts[keep]
+            num_examples = centers.shape[0]
+        if num_examples == 0:
             raise ValueError("corpus has no (center, context) examples")
-
-        if config.subsample > 0:
-            keep_p = vocab.keep_probabilities(config.subsample)
-            keep = rng.random(centers.shape[0]) < keep_p[centers]
-            if np.any(keep):  # never subsample away the whole corpus
-                centers, contexts = centers[keep], contexts[keep]
 
         objective = _build_objective(config, vocab, rng, init_vectors)
         state = _TrainState()
-        if checkpointer is not None and ctx.resume:
-            state = checkpointer.restore(objective, rng) or state
+        save = None
+        if checkpointer is not None:
+            if ctx.resume:
+                state = checkpointer.restore(objective, rng) or state
+            save = partial(checkpointer.save, objective, rng, state)
 
-        elapsed = _run_dense_epochs(
-            objective,
-            centers,
-            contexts,
-            config,
-            rng,
-            state,
-            checkpointer=checkpointer,
-            epoch_callback=epoch_callback,
-        )
+        if config.workers > 1:
+            from repro.parallel.hogwild import hogwild_epochs
+
+            body = hogwild_epochs(
+                objective, centers, contexts, vocab, config, ctx, state
+            )
+        else:
+            runs = (
+                partial(_stream_runs, corpus, config, vocab, rng)
+                if config.streaming
+                else partial(_dense_runs, centers, contexts, config, rng)
+            )
+            body = _in_process_epochs(objective, runs, config, rng, state, num_examples)
+
+        with body as (run_epoch, total_batches):
+            elapsed = _run_epochs(
+                run_epoch,
+                config,
+                state,
+                total_batches=total_batches,
+                num_examples=num_examples,
+                save=save,
+                epoch_callback=epoch_callback,
+            )
+            # Copy out while a pooled body's shared segments still exist.
+            vectors = objective.vectors.copy()
 
         if rec.enabled:
             span.annotate(
                 epochs_run=len(state.loss_history), converged=state.converged
             )
         return EmbeddingResult(
-            vectors=objective.vectors.copy(),
+            vectors=vectors,
             loss_history=state.loss_history,
             epochs_run=len(state.loss_history),
             train_seconds=elapsed,
@@ -509,125 +475,83 @@ def _train_embeddings(
         )
 
 
-def _record_epoch_telemetry(
-    rec,
-    span,
-    state: _TrainState,
-    mean_loss: float,
-    lr: float,
-    examples: int,
-    seconds: float,
-) -> None:
-    """Per-epoch metrics + span attributes (dense and streaming loops)."""
-    words_per_sec = examples / max(seconds, 1e-9)
-    rec.observe("train.epoch_seconds", seconds)
-    rec.inc("train.epochs_run")
-    rec.inc("train.examples", examples)
-    rec.set("train.last_loss", mean_loss)
-    rec.set("train.lr", lr)
-    rec.set("train.words_per_sec", words_per_sec)
-    span.annotate(
-        loss=round(mean_loss, 6),
-        lr=round(lr, 6),
-        examples=examples,
-        words_per_sec=round(words_per_sec, 1),
-    )
-    if state.converged:
-        rec.event(
-            "train.early_stop",
-            epoch=state.epoch,
-            loss=round(mean_loss, 6),
-            stall=state.stall,
-        )
+def scheduled_lr(config: TrainConfig, index: int, total_batches: int) -> float:
+    """The learning rate of batch ``index`` of the run.
+
+    Linear decay from ``lr`` to ``lr_min`` over the scheduled (not
+    early-stopped) run of ``total_batches`` batches; an index past the
+    end stays at ``lr_min``.
+    """
+    frac = min(index, total_batches - 1) / max(total_batches - 1, 1)
+    return config.lr + (config.lr_min - config.lr) * frac
 
 
-def _run_dense_epochs(
+def step_batches(
     objective,
+    runs: Iterable[Iterable[tuple[np.ndarray, np.ndarray]]],
+    config: TrainConfig,
+    rng: np.random.Generator,
+    index: int,
+    total_batches: int,
+    *,
+    cancelled: Callable[[], object] | None = None,
+    on_batch: Callable[[float, int], None] | None = None,
+) -> tuple[float, int]:
+    """SGD over runs of ``(centers, contexts)`` batches: the one batch
+    step of every epoch body, in-process and in the Hogwild workers.
+
+    Returns ``(loss_sum, steps)``; each run's loss is summed on its own,
+    then added (a streaming epoch is one run per buffer drain).
+    ``cancelled()`` is polled before each batch: it raises, or returns
+    true to stop early with a partial count (a pool worker).
+    ``on_batch(loss, examples)`` runs after each batch.
+    """
+    loss_sum = 0.0
+    steps = 0
+    for run in runs:
+        run_loss = 0.0
+        for centers, contexts in run:
+            if cancelled is not None and cancelled():
+                return loss_sum + run_loss, steps
+            lr = scheduled_lr(config, index + steps, total_batches)
+            loss = objective.batch_step(centers, contexts, lr, rng)
+            run_loss += loss
+            steps += 1
+            if on_batch is not None:
+                on_batch(loss, centers.shape[0])
+        loss_sum += run_loss
+    return loss_sum, steps
+
+
+def batch_slices(
+    centers: np.ndarray, contexts: np.ndarray, order: np.ndarray, batch_size: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The examples ``order`` names, ``batch_size`` at a time."""
+    for lo in range(0, order.shape[0], batch_size):
+        sel = order[lo : lo + batch_size]
+        yield centers[sel], contexts[sel]
+
+
+def _dense_runs(
     centers: np.ndarray,
     contexts: np.ndarray,
     config: TrainConfig,
     rng: np.random.Generator,
-    state: _TrainState,
-    *,
-    checkpointer: _TrainerSnapshots | None = None,
-    epoch_callback: Callable[[int, float], None] | None = None,
-) -> float:
-    """The serial in-memory epoch loop; returns elapsed seconds.
-
-    Shared verbatim by the default trainer and the ``workers=1``
-    shared-memory path (:func:`repro.parallel.hogwild.train_hogwild`):
-    both drive exactly this sequence of RNG draws and float ops, which
-    is what makes the two bitwise-identical.
-    """
+) -> Iterator[Iterator[tuple[np.ndarray, np.ndarray]]]:
+    """In-memory batch source: the whole example set, one run per epoch."""
     num_examples = centers.shape[0]
-    batches_per_epoch = max(1, int(np.ceil(num_examples / config.batch_size)))
-    total_batches = batches_per_epoch * config.epochs
-    rec = current_recorder()
-    scope = current_cancel_scope()
-
-    start = time.perf_counter()
-    for _epoch in range(state.epoch, config.epochs):
-        if state.converged:
-            break
-        if scope.cancelled():
-            # Clean epoch boundary: weights/RNG match the last completed
-            # epoch exactly, so this final snapshot is resume-safe.
-            if checkpointer is not None:
-                checkpointer.save(objective, rng, state, final=True)
-            scope.check()
-        with rec.span("train.epoch", epoch=state.epoch) as span:
-            epoch_start = time.perf_counter()
-            order = rng.permutation(num_examples) if config.shuffle else np.arange(num_examples)
-            epoch_loss = 0.0
-            lr = config.lr
-            for lo in range(0, num_examples, config.batch_size):
-                # Mid-epoch cancel raises *without* saving: the weights
-                # already hold partial-epoch updates, so only the last
-                # epoch-boundary snapshot is a valid resume point.
-                scope.check()
-                sel = order[lo : lo + config.batch_size]
-                # Linear LR decay over the scheduled (not early-stopped) run.
-                frac = state.batch_index / max(total_batches - 1, 1)
-                lr = config.lr + (config.lr_min - config.lr) * frac
-                epoch_loss += objective.batch_step(centers[sel], contexts[sel], lr, rng)
-                state.batch_index += 1
-            mean_loss = epoch_loss / batches_per_epoch
-            state.record_epoch(mean_loss, config)
-            if rec.enabled:
-                _record_epoch_telemetry(
-                    rec,
-                    span,
-                    state,
-                    mean_loss,
-                    lr,
-                    num_examples,
-                    time.perf_counter() - epoch_start,
-                )
-        if checkpointer is not None:
-            checkpointer.save(
-                objective,
-                rng,
-                state,
-                final=state.converged or state.epoch == config.epochs,
-            )
-        if epoch_callback is not None:
-            epoch_callback(state.epoch - 1, mean_loss)
-    return time.perf_counter() - start
+    order = rng.permutation(num_examples) if config.shuffle else np.arange(num_examples)
+    yield batch_slices(centers, contexts, order, config.batch_size)
 
 
-def _train_streaming(
+def _stream_runs(
     corpus: WalkCorpus,
     config: TrainConfig,
     vocab: VertexVocab,
     rng: np.random.Generator,
-    init_vectors: np.ndarray | None,
-    *,
-    checkpointer: _TrainerSnapshots | None = None,
-    resume: bool = False,
-    epoch_callback: Callable[[int, float], None] | None = None,
-) -> EmbeddingResult:
-    """Memory-bounded training: context examples are extracted one walk
-    chunk at a time instead of materialized for the whole corpus.
+) -> Iterator[Iterator[tuple[np.ndarray, np.ndarray]]]:
+    """Memory-bounded batch source: context examples are extracted one
+    walk chunk at a time instead of materialized for the whole corpus.
 
     Peak memory is O(stream_rows × walk_length × window + buffer) — the
     path that makes the paper's t = ℓ = 1000 corpora (10⁹ tokens →
@@ -636,134 +560,146 @@ def _train_streaming(
     of several batches before being consumed — without the buffer, a
     small chunk feeds whole batches from a handful of walks, whose
     heavily repeated vertices over-step the SGD update.
-    """
-    num_examples = corpus.num_examples(config.window)
-    if num_examples == 0:
-        raise ValueError("corpus has no (center, context) examples")
-    objective = _build_objective(config, vocab, rng, init_vectors)
-    state = _TrainState()
-    if checkpointer is not None and resume:
-        state = checkpointer.restore(objective, rng) or state
 
+    Yields one run of batches per buffer drain. A generator, so its RNG
+    draws (row order, subsample, buffer permutation) interleave with the
+    consumer's ``batch_step`` draws in one fixed order.
+    """
     keep_p = (
         vocab.keep_probabilities(config.subsample)
         if config.subsample > 0
         else None
     )
+    if config.shuffle:
+        row_order = rng.permutation(corpus.num_walks)
+        corpus = WalkCorpus(corpus.walks[row_order], num_vertices=corpus.num_vertices)
+    buf_centers: list[np.ndarray] = []
+    buf_contexts: list[np.ndarray] = []
+    chunks = corpus.context_batches(config.window, rows_per_batch=config.stream_rows)
+    # A trailing None marks the end of the epoch: the final drain.
+    for chunk in itertools.chain(chunks, [None]):
+        final = chunk is None
+        if not final:
+            centers, contexts = chunk
+            if keep_p is not None:
+                keep = rng.random(centers.shape[0]) < keep_p[centers]
+                if np.any(keep):
+                    centers, contexts = centers[keep], contexts[keep]
+            buf_centers.append(centers)
+            buf_contexts.append(contexts)
+        buffered = sum(c.shape[0] for c in buf_centers)
+        if buffered == 0 or (not final and buffered < 8 * config.batch_size):
+            continue
+        centers = np.concatenate(buf_centers)
+        contexts = np.vstack(buf_contexts)
+        order = rng.permutation(buffered) if config.shuffle else np.arange(buffered)
+        # Keep a partial batch in the buffer unless this is the final
+        # drain of the epoch.
+        full = buffered - (0 if final else buffered % config.batch_size)
+        buf_centers = [centers[order[full:]]]
+        buf_contexts = [contexts[order[full:]]]
+        yield batch_slices(centers, contexts, order[:full], config.batch_size)
+
+
+@contextlib.contextmanager
+def _in_process_epochs(
+    objective,
+    runs: Callable[[], Iterator[Iterator[tuple[np.ndarray, np.ndarray]]]],
+    config: TrainConfig,
+    rng: np.random.Generator,
+    state: _TrainState,
+    num_examples: int,
+) -> Iterator[tuple[Callable[[int], tuple[float, int]], int]]:
+    """The ``workers=1`` epoch body: :func:`step_batches` over the runs
+    of batches ``runs()`` yields for one epoch. Yields ``(run_epoch,
+    total_batches)`` like the pooled body."""
     batches_per_epoch = max(1, int(np.ceil(num_examples / config.batch_size)))
     total_batches = batches_per_epoch * config.epochs
+    scope = current_cancel_scope()
+
+    def run_epoch(epoch: int) -> tuple[float, int]:
+        # Mid-epoch cancel raises *without* saving: the weights already
+        # hold partial-epoch updates, so only the last epoch-boundary
+        # snapshot is a valid resume point.
+        return step_batches(
+            objective,
+            runs(),
+            config,
+            rng,
+            state.batch_index,
+            total_batches,
+            cancelled=scope.check,
+        )
+
+    yield run_epoch, total_batches
+
+
+def _run_epochs(
+    run_epoch: Callable[[int], tuple[float, int]],
+    config: TrainConfig,
+    state: _TrainState,
+    *,
+    total_batches: int,
+    num_examples: int,
+    save: Callable[..., None] | None = None,
+    epoch_callback: Callable[[int, float], None] | None = None,
+) -> float:
+    """The epoch loop of every run; returns elapsed seconds.
+
+    ``run_epoch(epoch)`` trains one epoch and returns ``(loss_sum,
+    batches)``; it raises, before anything is recorded, when the epoch
+    was cut short. ``save(final=...)`` snapshots the run. This loop owns
+    everything at the epoch boundary: the cancel check and its snapshot,
+    the ``train.epoch`` span, early-stop bookkeeping, telemetry, the
+    checkpoint and the callback.
+    """
     rec = current_recorder()
     scope = current_cancel_scope()
 
     start = time.perf_counter()
-    for _epoch in range(state.epoch, config.epochs):
+    for epoch in range(state.epoch, config.epochs):
         if state.converged:
             break
         if scope.cancelled():
-            if checkpointer is not None:
-                checkpointer.save(objective, rng, state, final=True)
+            # Clean epoch boundary: weights/RNG match the last completed
+            # epoch exactly, so this final snapshot is resume-safe.
+            # check() also cancels the token on deadline expiry, which a
+            # pooled body relays to its workers.
+            if save is not None:
+                save(final=True)
             scope.check()
-        with rec.span("train.epoch", epoch=state.epoch, streaming=True) as span:
+        with rec.span("train.epoch", epoch=epoch) as span:
             epoch_start = time.perf_counter()
-            if config.shuffle:
-                row_order = rng.permutation(corpus.num_walks)
-                shuffled = WalkCorpus(
-                    corpus.walks[row_order], num_vertices=corpus.num_vertices
-                )
-            else:
-                shuffled = corpus
-            epoch_loss = 0.0
-            epoch_batches = 0
-            buffer_target = 8 * config.batch_size
-            buf_centers: list[np.ndarray] = []
-            buf_contexts: list[np.ndarray] = []
-            buffered = 0
-
-            def drain(final: bool) -> tuple[float, int]:
-                nonlocal buf_centers, buf_contexts, buffered
-                centers = np.concatenate(buf_centers)
-                contexts = np.vstack(buf_contexts)
-                if config.shuffle:
-                    perm = rng.permutation(centers.shape[0])
-                    centers, contexts = centers[perm], contexts[perm]
-                # Keep a partial batch in the buffer unless this is the
-                # final drain of the epoch.
-                full = centers.shape[0] - (
-                    0 if final else centers.shape[0] % config.batch_size
-                )
-                loss = 0.0
-                steps = 0
-                for lo in range(0, full, config.batch_size):
-                    scope.check()
-                    frac = min(state.batch_index, total_batches - 1) / max(
-                        total_batches - 1, 1
-                    )
-                    lr = config.lr + (config.lr_min - config.lr) * frac
-                    loss += objective.batch_step(
-                        centers[lo : lo + config.batch_size],
-                        contexts[lo : lo + config.batch_size],
-                        lr,
-                        rng,
-                    )
-                    state.batch_index += 1
-                    steps += 1
-                if full < centers.shape[0]:
-                    buf_centers = [centers[full:]]
-                    buf_contexts = [contexts[full:]]
-                    buffered = centers.shape[0] - full
-                else:
-                    buf_centers, buf_contexts, buffered = [], [], 0
-                return loss, steps
-
-            for centers, contexts in shuffled.context_batches(
-                config.window, rows_per_batch=config.stream_rows
-            ):
-                if keep_p is not None:
-                    keep = rng.random(centers.shape[0]) < keep_p[centers]
-                    if np.any(keep):
-                        centers, contexts = centers[keep], contexts[keep]
-                buf_centers.append(centers)
-                buf_contexts.append(contexts)
-                buffered += centers.shape[0]
-                if buffered >= buffer_target:
-                    loss, steps = drain(final=False)
-                    epoch_loss += loss
-                    epoch_batches += steps
-            if buffered:
-                loss, steps = drain(final=True)
-                epoch_loss += loss
-                epoch_batches += steps
-            mean_loss = epoch_loss / max(epoch_batches, 1)
+            loss_sum, batches = run_epoch(epoch)
+            state.batch_index += batches
+            mean_loss = loss_sum / max(batches, 1)
             state.record_epoch(mean_loss, config)
             if rec.enabled:
-                frac = min(max(state.batch_index - 1, 0), total_batches - 1) / max(
-                    total_batches - 1, 1
+                seconds = time.perf_counter() - epoch_start
+                lr = scheduled_lr(config, state.batch_index - 1, total_batches)
+                words_per_sec = num_examples / max(seconds, 1e-9)
+                rec.observe("train.epoch_seconds", seconds)
+                rec.inc("train.epochs_run")
+                rec.inc("train.examples", num_examples)
+                rec.set("train.last_loss", mean_loss)
+                rec.set("train.lr", lr)
+                rec.set("train.words_per_sec", words_per_sec)
+                span.annotate(
+                    loss=round(mean_loss, 6),
+                    lr=round(lr, 6),
+                    examples=num_examples,
+                    words_per_sec=round(words_per_sec, 1),
                 )
-                _record_epoch_telemetry(
-                    rec,
-                    span,
-                    state,
-                    mean_loss,
-                    config.lr + (config.lr_min - config.lr) * frac,
-                    num_examples,
-                    time.perf_counter() - epoch_start,
-                )
-            if checkpointer is not None:
-                checkpointer.save(
-                    objective,
-                    rng,
-                    state,
-                    final=state.converged or state.epoch == config.epochs,
-                )
-            if epoch_callback is not None:
-                epoch_callback(state.epoch - 1, mean_loss)
-    elapsed = time.perf_counter() - start
+                if state.converged:
+                    rec.event(
+                        "train.early_stop",
+                        epoch=state.epoch,
+                        loss=round(mean_loss, 6),
+                        stall=state.stall,
+                    )
+        if save is not None:
+            save(final=state.converged or state.epoch == config.epochs)
+        if epoch_callback is not None:
+            epoch_callback(state.epoch - 1, mean_loss)
+    return time.perf_counter() - start
 
-    return EmbeddingResult(
-        vectors=objective.vectors.copy(),
-        loss_history=state.loss_history,
-        epochs_run=len(state.loss_history),
-        train_seconds=elapsed,
-        converged=state.converged,
-        config=config,
-    )

@@ -164,3 +164,33 @@ class TestGraphIntegration:
             )
             epochs[alpha] = res.epochs_run
         assert epochs[0.9] <= epochs[0.1]
+
+
+class TestSerialFallback:
+    """Without shared memory, workers > 1 trains in-process instead."""
+
+    def test_missing_shared_memory_trains_serially(self, monkeypatch, tmp_path):
+        import io
+
+        import repro.parallel.hogwild as hogwild
+        from repro.obs.logging import parse_jsonl
+        from repro.obs.recorder import ObsConfig, session
+
+        corpus = tiny_corpus(np.random.default_rng(0))
+        cfg = dict(dim=5, epochs=2, batch_size=32, seed=4, early_stop=False)
+        serial = train_embeddings(corpus, TrainConfig(**cfg))
+
+        monkeypatch.setattr(hogwild, "SHM_AVAILABLE", False)
+        events_path = tmp_path / "events.jsonl"
+        obs = ObsConfig(log_level="error", log_json=str(events_path))
+        with session(obs, stream=io.StringIO()):
+            with pytest.warns(RuntimeWarning, match="shared memory"):
+                result = train_embeddings(corpus, TrainConfig(**cfg, workers=2))
+
+        fallback = [
+            e for e in parse_jsonl(events_path)
+            if e["event"] == "train.serial_fallback"
+        ]
+        assert len(fallback) == 1 and fallback[0]["workers"] == 2
+        assert result.config.workers == 1
+        np.testing.assert_array_equal(result.vectors, serial.vectors)

@@ -171,3 +171,81 @@ class TestCliTelemetry:
         bad = tmp_path / "bad.json"
         bad.write_text('{"kind": "other"}')
         assert main(["report", str(bad)]) == 2
+
+
+# Attributes every span event carries, whatever the span.
+_SPAN_BOOKKEEPING = {
+    "ts", "level", "logger", "event", "span", "span_id", "parent_id", "path",
+    "seconds", "status",
+}
+
+
+def _train_telemetry(corpus, config, tmp_path):
+    """(span name -> attribute keys, train.* metric names, manifest)."""
+    from repro.core.trainer import train_embeddings
+
+    events_path = tmp_path / "events.jsonl"
+    manifest_path = tmp_path / "run.json"
+    cfg = ObsConfig(
+        log_level="error",
+        log_json=str(events_path),
+        metrics_out=str(manifest_path),
+    )
+    with session(cfg, stream=io.StringIO()):
+        train_embeddings(corpus, config)
+    keys: dict[str, set[str]] = {}
+    for event in parse_jsonl(events_path):
+        if event["event"] in ("span.begin", "span.end"):
+            keys.setdefault(event["span"], set()).update(
+                set(event) - _SPAN_BOOKKEEPING
+            )
+    manifest = load_manifest(manifest_path)
+    metrics = {
+        name
+        for kind in manifest["metrics"].values()
+        for name in kind
+        if name.startswith("train.")
+    }
+    return keys, metrics, manifest
+
+
+class TestTrainingPathParity:
+    """Serial, streaming and pooled training share one epoch loop, so they
+    report the same spans, attributes and metrics."""
+
+    SPAN_KEYS = {
+        "train.run": {
+            "objective", "output_layer", "dim", "epochs", "streaming",
+            "workers", "epochs_run", "converged",
+        },
+        "train.epoch": {"epoch", "loss", "lr", "examples", "words_per_sec"},
+    }
+    METRICS = {
+        "train.epoch_seconds", "train.epochs_run", "train.examples",
+        "train.last_loss", "train.lr", "train.words_per_sec",
+    }
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"streaming": True, "stream_rows": 8}, {"workers": 2}],
+        ids=["serial", "streaming", "workers2"],
+    )
+    def test_same_spans_metrics_and_final_lr(self, graph, tmp_path, overrides):
+        from repro.core.trainer import TrainConfig
+        from repro.walks.engine import RandomWalkConfig, generate_walks
+
+        corpus = generate_walks(
+            graph, RandomWalkConfig(walks_per_vertex=2, walk_length=12, seed=1)
+        )
+        config = TrainConfig(
+            dim=8, epochs=EPOCHS, batch_size=64, lr=0.05, lr_min=0.002,
+            seed=0, early_stop=False, **overrides,
+        )
+        keys, metrics, manifest = _train_telemetry(corpus, config, tmp_path)
+        assert {name: keys.get(name) for name in self.SPAN_KEYS} == self.SPAN_KEYS
+        assert metrics == self.METRICS
+        # The run does not stop early, so it ends on the schedule's floor.
+        assert manifest["metrics"]["gauges"]["train.lr"] == pytest.approx(
+            config.lr_min, rel=1e-9
+        )
+        assert manifest["metrics"]["counters"]["train.epochs_run"] == EPOCHS
