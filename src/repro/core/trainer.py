@@ -35,7 +35,7 @@ from repro.core.skipgram import SkipGramNegativeSampling
 from repro.core.vocab import VertexVocab
 from repro.obs.recorder import current_recorder
 from repro.resilience.lifecycle import current_cancel_scope
-from repro.walks.corpus import WalkCorpus
+from repro.walks.corpus import WalkCorpus, gather_windows
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.resilience.supervisor import SupervisorConfig
@@ -47,6 +47,10 @@ OUTPUT_LAYERS = ("negative", "hierarchical")
 KERNELS = ("auto", "reference", "fused")
 
 TRAINER_CHECKPOINT = "trainer"
+
+#: Batches whose windows are gathered, and whose weight-independent work
+#: the objective plans, in one pass (see :func:`step_batches`).
+BLOCK_BATCHES = 4
 
 
 @dataclass(frozen=True)
@@ -411,18 +415,22 @@ def train_embeddings(
             None if store is None else _TrainerSnapshots(store, checkpoint_every)
         )
 
+        # Examples are positions into the window-padded walk matrix;
+        # every batch source gathers their windows one block at a time.
+        walks = corpus.padded_walks(config.window)
         if config.streaming:
-            # Examples are extracted per walk chunk inside each epoch
-            # (see _stream_runs); only their count is needed up front.
+            # Positions are listed per walk chunk inside each epoch (see
+            # _stream_runs); only their count is needed up front.
             num_examples = corpus.num_examples(config.window)
         else:
-            centers, contexts = corpus.context_arrays(config.window)
+            positions = corpus.example_positions(config.window)
             if config.subsample > 0:
                 keep_p = vocab.keep_probabilities(config.subsample)
-                keep = rng.random(centers.shape[0]) < keep_p[centers]
+                centers = walks.reshape(-1)[positions]
+                keep = rng.random(positions.shape[0]) < keep_p[centers]
                 if np.any(keep):  # never subsample away the whole corpus
-                    centers, contexts = centers[keep], contexts[keep]
-            num_examples = centers.shape[0]
+                    positions = positions[keep]
+            num_examples = positions.shape[0]
         if num_examples == 0:
             raise ValueError("corpus has no (center, context) examples")
 
@@ -438,15 +446,17 @@ def train_embeddings(
             from repro.parallel.hogwild import hogwild_epochs
 
             body = hogwild_epochs(
-                objective, centers, contexts, vocab, config, ctx, state
+                objective, walks, positions, vocab, config, ctx, state
             )
         else:
             runs = (
-                partial(_stream_runs, corpus, config, vocab, rng)
+                partial(_stream_runs, corpus, walks, config, vocab, rng)
                 if config.streaming
-                else partial(_dense_runs, centers, contexts, config, rng)
+                else partial(_dense_runs, positions, config, rng)
             )
-            body = _in_process_epochs(objective, runs, config, rng, state, num_examples)
+            body = _in_process_epochs(
+                objective, walks, runs, config, rng, state, num_examples
+            )
 
         with body as (run_epoch, total_batches):
             elapsed = _run_epochs(
@@ -488,7 +498,8 @@ def scheduled_lr(config: TrainConfig, index: int, total_batches: int) -> float:
 
 def step_batches(
     objective,
-    runs: Iterable[Iterable[tuple[np.ndarray, np.ndarray]]],
+    walks: np.ndarray,
+    runs: Iterable[np.ndarray],
     config: TrainConfig,
     rng: np.random.Generator,
     index: int,
@@ -497,122 +508,140 @@ def step_batches(
     cancelled: Callable[[], object] | None = None,
     on_batch: Callable[[float, int], None] | None = None,
 ) -> tuple[float, int]:
-    """SGD over runs of ``(centers, contexts)`` batches: the one batch
-    step of every epoch body, in-process and in the Hogwild workers.
+    """SGD over runs of example positions into ``walks`` (a window-padded
+    walk matrix): the one batch step of every epoch body, in-process and
+    in the Hogwild workers.
 
+    Each run is stepped ``batch_size`` positions at a time. Windows are
+    gathered :data:`BLOCK_BATCHES` batches at a time, and the objective
+    plans each block once (:func:`_plan_block`) before its batches step.
     Returns ``(loss_sum, steps)``; each run's loss is summed on its own,
     then added (a streaming epoch is one run per buffer drain).
     ``cancelled()`` is polled before each batch: it raises, or returns
     true to stop early with a partial count (a pool worker).
     ``on_batch(loss, examples)`` runs after each batch.
     """
+    batch_size = config.batch_size
+    span = BLOCK_BATCHES * batch_size
     loss_sum = 0.0
     steps = 0
     for run in runs:
         run_loss = 0.0
-        for centers, contexts in run:
-            if cancelled is not None and cancelled():
-                return loss_sum + run_loss, steps
-            lr = scheduled_lr(config, index + steps, total_batches)
-            loss = objective.batch_step(centers, contexts, lr, rng)
-            run_loss += loss
-            steps += 1
-            if on_batch is not None:
-                on_batch(loss, centers.shape[0])
+        for lo in range(0, run.shape[0], span):
+            centers, contexts = gather_windows(
+                walks, run[lo : lo + span], config.window
+            )
+            for examples, step in _plan_block(
+                objective, centers, contexts, batch_size, rng
+            ):
+                if cancelled is not None and cancelled():
+                    return loss_sum + run_loss, steps
+                loss = step(scheduled_lr(config, index + steps, total_batches))
+                run_loss += loss
+                steps += 1
+                if on_batch is not None:
+                    on_batch(loss, examples)
         loss_sum += run_loss
     return loss_sum, steps
 
 
-def batch_slices(
-    centers: np.ndarray, contexts: np.ndarray, order: np.ndarray, batch_size: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The examples ``order`` names, ``batch_size`` at a time."""
-    for lo in range(0, order.shape[0], batch_size):
-        sel = order[lo : lo + batch_size]
-        yield centers[sel], contexts[sel]
+def _plan_block(
+    objective,
+    centers: np.ndarray,
+    contexts: np.ndarray,
+    batch_size: int,
+    rng: np.random.Generator,
+) -> Iterable[tuple[int, Callable[[float], float]]]:
+    """``(examples, step)`` per batch of a block: the objective's own
+    ``plan_block`` (the fused kernel), else one ``batch_step`` each."""
+    plan_block = getattr(objective, "plan_block", None)
+    if plan_block is not None:
+        return plan_block(centers, contexts, batch_size, rng)
+    steps = []
+    for lo in range(0, centers.shape[0], batch_size):
+        c, x = centers[lo : lo + batch_size], contexts[lo : lo + batch_size]
+        steps.append((c.shape[0], partial(objective.batch_step, c, x, rng=rng)))
+    return steps
 
 
 def _dense_runs(
-    centers: np.ndarray,
-    contexts: np.ndarray,
-    config: TrainConfig,
-    rng: np.random.Generator,
-) -> Iterator[Iterator[tuple[np.ndarray, np.ndarray]]]:
-    """In-memory batch source: the whole example set, one run per epoch."""
-    num_examples = centers.shape[0]
-    order = rng.permutation(num_examples) if config.shuffle else np.arange(num_examples)
-    yield batch_slices(centers, contexts, order, config.batch_size)
+    positions: np.ndarray, config: TrainConfig, rng: np.random.Generator
+) -> Iterator[np.ndarray]:
+    """In-memory batch source: every example position, one run per epoch."""
+    yield rng.permutation(positions) if config.shuffle else positions
 
 
 def _stream_runs(
     corpus: WalkCorpus,
+    walks: np.ndarray,
     config: TrainConfig,
     vocab: VertexVocab,
     rng: np.random.Generator,
-) -> Iterator[Iterator[tuple[np.ndarray, np.ndarray]]]:
-    """Memory-bounded batch source: context examples are extracted one
-    walk chunk at a time instead of materialized for the whole corpus.
+) -> Iterator[np.ndarray]:
+    """Memory-bounded batch source: example positions are listed one walk
+    chunk at a time instead of for the whole corpus.
 
-    Peak memory is O(stream_rows × walk_length × window + buffer) — the
-    path that makes the paper's t = ℓ = 1000 corpora (10⁹ tokens →
-    ~10¹⁰ context slots) trainable. Shuffling is hierarchical: walk rows
-    are permuted globally, then examples pass through a shuffle buffer
-    of several batches before being consumed — without the buffer, a
-    small chunk feeds whole batches from a handful of walks, whose
-    heavily repeated vertices over-step the SGD update.
+    Beyond the padded walk copy, memory is O(stream_rows × walk_length
+    + buffer): the whole-corpus position array and its shuffled copy
+    are never held. Shuffling is hierarchical: walk rows are permuted globally, then
+    examples pass through a shuffle buffer of several batches before
+    being consumed — without the buffer, a small chunk feeds whole
+    batches from a handful of walks, whose heavily repeated vertices
+    over-step the SGD update.
 
-    Yields one run of batches per buffer drain. A generator, so its RNG
-    draws (row order, subsample, buffer permutation) interleave with the
-    consumer's ``batch_step`` draws in one fixed order.
+    Yields one run of positions per buffer drain. A generator, so its
+    RNG draws (row order, subsample, buffer permutation) interleave with
+    the consumer's batch draws in one fixed order.
     """
     keep_p = (
         vocab.keep_probabilities(config.subsample)
         if config.subsample > 0
         else None
     )
-    if config.shuffle:
-        row_order = rng.permutation(corpus.num_walks)
-        corpus = WalkCorpus(corpus.walks[row_order], num_vertices=corpus.num_vertices)
-    buf_centers: list[np.ndarray] = []
-    buf_contexts: list[np.ndarray] = []
-    chunks = corpus.context_batches(config.window, rows_per_batch=config.stream_rows)
+    num_walks = corpus.num_walks
+    rows = rng.permutation(num_walks) if config.shuffle else np.arange(num_walks)
+    row_starts = range(0, num_walks, config.stream_rows)
+    chunks = (
+        corpus.example_positions(config.window, rows[lo : lo + config.stream_rows])
+        for lo in row_starts
+    )
+    buffer: list[np.ndarray] = []
     # A trailing None marks the end of the epoch: the final drain.
     for chunk in itertools.chain(chunks, [None]):
         final = chunk is None
         if not final:
-            centers, contexts = chunk
             if keep_p is not None:
-                keep = rng.random(centers.shape[0]) < keep_p[centers]
+                centers = walks.reshape(-1)[chunk]
+                keep = rng.random(chunk.shape[0]) < keep_p[centers]
                 if np.any(keep):
-                    centers, contexts = centers[keep], contexts[keep]
-            buf_centers.append(centers)
-            buf_contexts.append(contexts)
-        buffered = sum(c.shape[0] for c in buf_centers)
+                    chunk = chunk[keep]
+            buffer.append(chunk)
+        buffered = sum(c.shape[0] for c in buffer)
         if buffered == 0 or (not final and buffered < 8 * config.batch_size):
             continue
-        centers = np.concatenate(buf_centers)
-        contexts = np.vstack(buf_contexts)
-        order = rng.permutation(buffered) if config.shuffle else np.arange(buffered)
+        pending = np.concatenate(buffer)
+        if config.shuffle:
+            pending = rng.permutation(pending)
         # Keep a partial batch in the buffer unless this is the final
         # drain of the epoch.
         full = buffered - (0 if final else buffered % config.batch_size)
-        buf_centers = [centers[order[full:]]]
-        buf_contexts = [contexts[order[full:]]]
-        yield batch_slices(centers, contexts, order[:full], config.batch_size)
+        buffer = [pending[full:]]
+        yield pending[:full]
 
 
 @contextlib.contextmanager
 def _in_process_epochs(
     objective,
-    runs: Callable[[], Iterator[Iterator[tuple[np.ndarray, np.ndarray]]]],
+    walks: np.ndarray,
+    runs: Callable[[], Iterator[np.ndarray]],
     config: TrainConfig,
     rng: np.random.Generator,
     state: _TrainState,
     num_examples: int,
 ) -> Iterator[tuple[Callable[[int], tuple[float, int]], int]]:
     """The ``workers=1`` epoch body: :func:`step_batches` over the runs
-    of batches ``runs()`` yields for one epoch. Yields ``(run_epoch,
-    total_batches)`` like the pooled body."""
+    of example positions ``runs()`` yields for one epoch. Yields
+    ``(run_epoch, total_batches)`` like the pooled body."""
     batches_per_epoch = max(1, int(np.ceil(num_examples / config.batch_size)))
     total_batches = batches_per_epoch * config.epochs
     scope = current_cancel_scope()
@@ -623,6 +652,7 @@ def _in_process_epochs(
         # snapshot is a valid resume point.
         return step_batches(
             objective,
+            walks,
             runs(),
             config,
             rng,

@@ -7,15 +7,16 @@ on sparse, mostly-disjoint touches per minibatch. This module is that
 training mode for the reproduction:
 
 - ``w_in``/``w_out`` live in :mod:`repro.parallel.shm` segments; workers
-  attach and run the *unchanged* vectorized ``batch_step`` kernels
+  attach and run the trainer's own batch step (the same kernels)
   directly against the shared views — updates race benignly, exactly as
   Hogwild prescribes.
-- The (centers, contexts) example set is materialized once in the parent,
-  moved into shared memory, and sharded contiguously across workers —
-  nothing heavyweight is ever pickled through the pool; a per-epoch task
-  payload is segment names, scalars and the config, plus the vertex
-  counts (O(V) int64) from which a worker rebuilds its objective once
-  per run.
+- The window-padded walk matrix and the example positions into it are
+  moved into shared memory once; the positions are sharded contiguously
+  across workers, each of which gathers its windows one block of
+  batches at a time. Nothing heavyweight is ever pickled through the
+  pool; a per-epoch task payload is segment names, scalars and the
+  config, plus the vertex counts (O(V) int64) from which a worker
+  rebuilds its objective once per run.
 - Per-worker RNG streams are addressed by ``(epoch, worker)`` via
   :func:`repro.parallel.seeding.worker_seed_sequence`, so checkpoint
   resume replays the exact seeds of the epochs it re-runs.
@@ -67,7 +68,8 @@ class _EpochTask:
     """One worker's share of one epoch (picklable, tiny).
 
     Shared state travels as :class:`SharedArraySpec` handles — the
-    ``segments`` are ``(w_in, w_out, centers, contexts)``; the only
+    ``segments`` are ``(w_in, w_out, walks, positions)``: the weights,
+    the window-padded walk matrix and the example positions; the only
     array-valued field is ``vocab_counts`` (O(V) int64), from which the
     worker rebuilds its objective (noise distribution / Huffman coding).
     """
@@ -101,7 +103,7 @@ _WORKER_STATE: dict[tuple, tuple] = {}
 
 
 def _task_state(task: _EpochTask) -> tuple:
-    """(objective, centers, contexts) for this task's run, cached."""
+    """(objective, walks, positions) for this task's run, cached."""
     from repro.core.trainer import _build_objective
     from repro.core.vocab import VertexVocab
     from repro.parallel.shm import attach_cached
@@ -110,7 +112,7 @@ def _task_state(task: _EpochTask) -> tuple:
     cached = _WORKER_STATE.get(key)
     if cached is not None:
         return cached
-    w_in, w_out, centers, contexts = (
+    w_in, w_out, walks, positions = (
         attach_cached(spec).array for spec in task.segments
     )
     # Rebuild the objective shell, then point it at the shared views.
@@ -119,7 +121,7 @@ def _task_state(task: _EpochTask) -> tuple:
     objective = _build_objective(task.config, vocab, np.random.default_rng(0))
     objective.w_in = w_in
     objective.w_out = w_out
-    state = (objective, centers, contexts)
+    state = (objective, walks, positions)
     _WORKER_STATE.clear()  # one run at a time; drop stale handles
     _WORKER_STATE[key] = state
     return state
@@ -138,19 +140,20 @@ def hogwild_epoch_task(task: _EpochTask) -> tuple[float, int]:
     :data:`_WORKER_STATE`), so on the persistent pool only the first
     epoch of a run pays the setup cost.
     """
-    from repro.core.trainer import batch_slices, step_batches
+    from repro.core.trainer import step_batches
     from repro.resilience.supervisor import current_heartbeat
 
     heartbeat = current_heartbeat()
-    objective, all_centers, all_contexts = _task_state(task)
+    objective, walks, positions = _task_state(task)
     slab = MetricsSlab.attach(task.slab)
     try:
         rng = np.random.default_rng(
             worker_seed_sequence(task.entropy, task.epoch, task.worker)
         )
-        order = np.arange(task.lo, task.hi)
+        run = positions[task.lo : task.hi]
         if task.config.shuffle:
-            rng.shuffle(order)
+            run = run.copy()
+            rng.shuffle(run)
         slab.put(task.worker, "epoch", task.epoch)
 
         def cancelled() -> bool:
@@ -171,7 +174,8 @@ def hogwild_epoch_task(task: _EpochTask) -> tuple[float, int]:
 
         return step_batches(
             objective,
-            [batch_slices(all_centers, all_contexts, order, task.config.batch_size)],
+            walks,
+            [run],
             task.config,
             rng,
             task.batch_offset,
@@ -200,16 +204,17 @@ def train_hogwild(corpus, config=None, *, task_fn=None, **kwargs):
 
 
 @contextlib.contextmanager
-def hogwild_epochs(objective, centers, contexts, vocab, config, ctx, state):
+def hogwild_epochs(objective, walks, positions, vocab, config, ctx, state):
     """The ``workers > 1`` epoch body: fan shards out, barrier per epoch.
 
-    Owns the shared segments (weights, examples, metrics slab), the
-    slab's cancel subscription and the live-status updates; yields
-    ``(run_epoch, total_batches)`` to the trainer's epoch loop. A partial
-    epoch (workers bailed out via the slab's cancel flag) is *discarded*:
-    the shared weights then hold an incomplete update pass, which is not
-    a valid resume point, so ``run_epoch`` raises before the epoch is
-    recorded or checkpointed — resume replays it from the last boundary.
+    Owns the shared segments (weights, the padded walk matrix, example
+    positions, metrics slab), the slab's cancel subscription and the
+    live-status updates; yields ``(run_epoch, total_batches)`` to the
+    trainer's epoch loop. A partial epoch (workers bailed out via the
+    slab's cancel flag) is *discarded*: the shared weights then hold an
+    incomplete update pass, which is not a valid resume point, so
+    ``run_epoch`` raises before the epoch is recorded or checkpointed —
+    resume replays it from the last boundary.
     """
     rec = current_recorder()
     lifecycle = current_cancel_scope()
@@ -217,8 +222,8 @@ def hogwild_epochs(objective, centers, contexts, vocab, config, ctx, state):
         shared = [
             scope.from_array(objective.w_in),
             scope.from_array(objective.w_out),
-            scope.from_array(np.ascontiguousarray(centers, dtype=np.int64)),
-            scope.from_array(np.ascontiguousarray(contexts, dtype=np.int64)),
+            scope.from_array(walks),
+            scope.from_array(positions),
         ]
         # The parent-side objective now *views* the segments, so
         # checkpoint snapshots read live state.
@@ -239,7 +244,7 @@ def hogwild_epochs(objective, centers, contexts, vocab, config, ctx, state):
                 lifecycle.token.on_cancel(lambda: slab.broadcast("cancel", 1.0))
             )
 
-        shards = chunk_bounds(centers.shape[0], config.workers)
+        shards = chunk_bounds(positions.shape[0], config.workers)
         shard_batches = [
             int(np.ceil((hi - lo) / config.batch_size)) for lo, hi in shards
         ]

@@ -6,7 +6,7 @@ RAM, /dev/shm, or disk mid-job. Three layers:
 
 **Preflight** (:func:`preflight`). Before ``Pipeline.execute`` runs a
 single stage, :func:`estimate_footprint` predicts the run's peak RSS
-(embedding matrices, walk corpus, Hogwild context slabs), /dev/shm
+(embedding matrices, walk corpus, example positions, Hogwild slabs), /dev/shm
 need, and checkpoint-dir disk need from the stage configs plus the
 input graph size. Against a :class:`ResourceBudget` the run then either
 fails fast with the typed :class:`BudgetExceeded` (``auto_degrade=False``)
@@ -221,6 +221,8 @@ def estimate_footprint(
     else:
         breakdown["graph"] = graph_bytes
     tokens = 0
+    num_walks = 0
+    walk_length = 0
     shm = 0
     disk = 0
     for stage in stages:
@@ -229,7 +231,8 @@ def estimate_footprint(
             continue
         if hasattr(cfg, "walks_per_vertex") and hasattr(cfg, "walk_length"):
             num_walks = n * int(cfg.walks_per_vertex)
-            tokens = num_walks * int(cfg.walk_length)
+            walk_length = int(cfg.walk_length)
+            tokens = num_walks * walk_length
             # int64 walk matrix, resident twice at the stage handoff
             # (engine result + chunk assembly buffers).
             breakdown["walk_corpus"] = tokens * 8 * 2
@@ -240,18 +243,39 @@ def estimate_footprint(
             dim = int(cfg.dim)
             window = int(cfg.window)
             cfg_workers = int(getattr(cfg, "workers", 1) or 1)
-            weights = 2 * n * dim * 8  # input + output matrices, float64
-            # CBOW context examples: one row of 2*window context ids +
-            # center per token (int64), materialized for shuffling.
-            examples = tokens * (1 + 2 * window) * 8
+            batch = int(getattr(cfg, "batch_size", 512))
+            negatives = int(getattr(cfg, "negatives", 5))
+            from repro.core.trainer import BLOCK_BATCHES
+
+            matrices = 2 * n * dim * 8  # input + output, float64
+            # Plus the float64 copy of the vectors a run returns.
+            weights = matrices + n * dim * 8
+            # Examples are int64 positions into a window-padded copy of
+            # the walk matrix: the positions and one epoch's shuffled
+            # copy, the padded copy, and one block of batches. At its
+            # peak a block's plan holds about four int64 copies of its
+            # gathered windows and a dozen of its negative-sampling
+            # targets (center + negatives); a batch step adds its
+            # gathered output rows, context means and gradients.
+            rows = batch * BLOCK_BATCHES
+            block = rows * 8 * (4 * (1 + 2 * window) + 12 * (1 + negatives))
+            step = batch * (3 + negatives) * dim * 8
+            examples = (
+                2 * tokens * 8
+                + num_walks * (walk_length + 2 * window) * 8
+                + block
+                + step
+            )
             breakdown["train_weights"] = weights
             breakdown["train_examples"] = examples
             if max(cfg_workers, workers) > 1:
-                # Hogwild maps weights + examples into /dev/shm slabs.
+                # Hogwild maps weights, padded walks and positions into
+                # /dev/shm slabs; charging all of ``examples`` again
+                # over-counts only the per-process working set.
                 shm += weights + examples
                 breakdown["hogwild_shm"] = weights + examples
             # Epoch snapshots: weights + RNG state, tmp + final copies.
-            disk += weights * 2
+            disk += matrices * 2
     rss = sum(breakdown.values())
     return RunFootprint(
         rss_bytes=rss,

@@ -1,9 +1,10 @@
 """Walk corpus: the "sentences" consumed by the CBOW/SkipGram trainers.
 
 A corpus is a dense int64 matrix (walks × walk_length) padded with ``-1``
-after a walk terminates. Context extraction produces the padded
-(center, contexts, mask) batches the vectorized trainers consume, without
-ever materializing Python lists of tokens.
+after a walk terminates. Training examples are positions into a
+window-padded copy of that matrix; :func:`gather_windows` turns a block
+of positions into the (center, padded contexts) rows the vectorized
+trainers consume, without ever materializing Python lists of tokens.
 """
 
 from __future__ import annotations
@@ -13,9 +14,25 @@ from typing import Iterator
 
 import numpy as np
 
-__all__ = ["WalkCorpus"]
+__all__ = ["WalkCorpus", "gather_windows"]
 
 PAD = -1
+
+
+def gather_windows(
+    padded: np.ndarray, positions: np.ndarray, window: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (centers, contexts) examples at ``positions``.
+
+    ``padded`` is a :meth:`WalkCorpus.padded_walks` matrix and
+    ``positions`` flat indices into it (:meth:`WalkCorpus.example_positions`).
+    Each context row holds the ``window`` tokens before the center, then
+    the ``window`` after it; ``-1`` where the window ran off the walk.
+    Both arrays come out int64, as gathered.
+    """
+    flat = padded.reshape(-1)
+    offsets = np.concatenate([np.arange(-window, 0), np.arange(1, window + 1)])
+    return flat[positions], flat[positions[:, None] + offsets]
 
 
 class WalkCorpus:
@@ -129,6 +146,44 @@ class WalkCorpus:
         return float((self.token_counts() > 0).mean())
 
     # ------------------------------------------------------------------
+    def padded_walks(self, window: int) -> np.ndarray:
+        """The walk matrix with ``window`` pad columns on each side.
+
+        Every window gathered at an example position (see
+        :meth:`example_positions`) then stays inside its own row: slots
+        that run off the walk read a pad instead of a neighbour walk.
+        """
+        if window < 1:
+            raise ValueError("window must be >= 1")
+        num_walks, max_len = self._walks.shape
+        padded = np.full((num_walks, max_len + 2 * window), PAD, dtype=np.int64)
+        padded[:, window : window + max_len] = self._walks
+        return padded
+
+    def example_positions(
+        self, window: int, rows: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Flat indices into :meth:`padded_walks` of the training examples.
+
+        One int64 position per example: every token of a walk with at
+        least two tokens (a window >= 1 then always holds a real
+        context). Ordered walk by walk — all walks, or the walk ``rows``
+        in the order given — and left to right within a walk.
+        """
+        if window < 1:
+            raise ValueError("window must be >= 1")
+        if rows is None:
+            rows = np.arange(self.num_walks)
+        lengths = self._lengths[rows]
+        counts = np.where(lengths >= 2, lengths, 0)
+        # Example k of the output sits at offset k - first(walk) along
+        # its walk's row, which starts at row * width + window.
+        first = np.cumsum(counts) - counts
+        width = self.max_length + 2 * window
+        positions = np.repeat(rows * width + window - first, counts)
+        positions += np.arange(positions.shape[0])
+        return positions
+
     def context_arrays(self, window: int) -> tuple[np.ndarray, np.ndarray]:
         """All (center, padded-context) training examples.
 
@@ -141,35 +196,14 @@ class WalkCorpus:
             the window ran off the walk (mask it in the trainer).
 
         The paper's window is symmetric: ``n`` vertices before and after
-        the center within the same walk. Construction is fully
-        vectorized: we build a (walks × len × 2*window) gather-index cube
-        with offsets [-window..-1, 1..window] and clamp/mask the edges.
+        the center within the same walk. This is
+        :func:`gather_windows` at every :meth:`example_positions` entry —
+        the trainer gathers the same windows one block of batches at a
+        time instead of materializing them all.
         """
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        walks, lengths = self._walks, self._lengths
-        num_walks, max_len = walks.shape
-        if num_walks == 0 or max_len == 0:
-            return (
-                np.empty(0, dtype=np.int64),
-                np.empty((0, 2 * window), dtype=np.int64),
-            )
-        offsets = np.concatenate(
-            [np.arange(-window, 0), np.arange(1, window + 1)]
-        )  # (2w,)
-        pos = np.arange(max_len)
-        gather = pos[None, :, None] + offsets[None, None, :]  # (1, L, 2w)
-        in_bounds = (gather >= 0) & (gather < max_len)
-        safe = np.clip(gather, 0, max_len - 1)
-        ctx = walks[np.arange(num_walks)[:, None, None], safe]  # (W, L, 2w)
-        valid_ctx = in_bounds & (ctx != PAD)
-        ctx = np.where(valid_ctx, ctx, PAD)
-        center_valid = walks != PAD  # (W, L)
-        # An example needs a real center and at least one real context.
-        keep = center_valid & valid_ctx.any(axis=2)
-        centers = walks[keep]
-        contexts = ctx[keep]
-        return centers.astype(np.int64), contexts.astype(np.int64)
+        return gather_windows(
+            self.padded_walks(window), self.example_positions(window), window
+        )
 
     def context_batches(
         self, window: int, *, rows_per_batch: int = 1024
@@ -178,9 +212,7 @@ class WalkCorpus:
         at a time.
 
         Memory stays O(rows_per_batch × walk_length × window) regardless
-        of corpus size — the path that makes the paper's t = ℓ = 1000
-        corpora (10⁹ tokens) trainable without materializing ~10¹⁰
-        context slots. Semantics match :meth:`context_arrays`: the
+        of corpus size. Semantics match :meth:`context_arrays`: the
         concatenation of all batches equals the full example set.
         """
         if rows_per_batch < 1:

@@ -1,5 +1,7 @@
 """Tests for the training loop."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -194,3 +196,25 @@ class TestSerialFallback:
         assert len(fallback) == 1 and fallback[0]["workers"] == 2
         assert result.config.workers == 1
         np.testing.assert_array_equal(result.vectors, serial.vectors)
+
+
+class TestMemory:
+    def test_peak_heap_stays_within_a_few_walk_matrices(self):
+        # Examples are positions into a padded copy of the walks, not a
+        # materialized (center, 2·window contexts) array — which alone
+        # would be ~11x the walk matrix at window 5.
+        g = planted_partition(n=2000, groups=20, alpha=0.1, inter_edges=400, seed=0)
+        corpus = generate_walks(
+            g, RandomWalkConfig(walks_per_vertex=10, walk_length=40, seed=0)
+        )
+        config = TrainConfig(dim=16, epochs=1, seed=0)
+        tracemalloc.start()
+        try:
+            train_embeddings(corpus, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        walk_bytes = corpus.walks.nbytes
+        assert peak <= 4 * walk_bytes, (
+            f"peak {peak / walk_bytes:.2f}x the walk matrix's bytes"
+        )

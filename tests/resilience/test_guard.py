@@ -6,6 +6,7 @@ state the rest of the suite relies on.
 """
 
 import time
+import tracemalloc
 
 import pytest
 
@@ -160,6 +161,30 @@ class TestEstimateFootprint:
     def test_as_dict_is_json_shaped(self):
         d = estimate_footprint([WALK_STAGE], _FakeGraph()).as_dict()
         assert set(d) == {"rss_bytes", "shm_bytes", "disk_bytes", "breakdown"}
+
+    def test_training_terms_cover_a_traced_run(self):
+        # The trainer's heap peak, weights and examples together, stays
+        # under what preflight charges for them.
+        from repro.core.trainer import TrainConfig, train_embeddings
+        from repro.graph.generators import planted_partition
+        from repro.pipeline import TrainStage, WalkStage
+        from repro.walks.engine import RandomWalkConfig, generate_walks
+
+        g = planted_partition(n=300, groups=6, alpha=0.2, inter_edges=60, seed=0)
+        walk_cfg = RandomWalkConfig(walks_per_vertex=10, walk_length=40, seed=0)
+        train_cfg = TrainConfig(dim=16, epochs=1, seed=0)
+        fp = estimate_footprint(
+            [WalkStage(walk_cfg), TrainStage(train_cfg)], g
+        )
+        corpus = generate_walks(g, walk_cfg)
+        tracemalloc.start()
+        try:
+            train_embeddings(corpus, train_cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        charged = fp.breakdown["train_weights"] + fp.breakdown["train_examples"]
+        assert peak <= charged, f"peak {peak} B over the {charged} B charged"
 
 
 def _ctx(workers=4, **budget_kwargs):
