@@ -11,7 +11,7 @@ graph core and on ``repro.resilience`` (integrity records), but never on
 ``repro.walks`` or ``repro.pipeline`` — the out-of-core substrate must
 stay consumable by every engine above it.
 
-Two classes of violation are checked, on *module-level* imports only
+Every rule applies to *module-level* imports only
 (``import x`` / ``from x import y`` at the top of the file, outside
 ``if TYPE_CHECKING:`` blocks). Function-local imports are exempt by
 design — that is exactly how the deprecation shims in ``walks.engine``
@@ -23,6 +23,16 @@ and ``core.trainer`` reach ``repro.pipeline`` without a cycle.
    import ``repro.pipeline`` — the engines sit *below* the runtime that
    orchestrates them.
 3. Nothing under ``repro`` imports ``repro.cli`` at module level.
+
+Two rules keep start-up lean (see "Start-up" in docs/PERFORMANCE.md):
+
+4. A package ``__init__.py`` imports no ``repro.*`` module except the
+   lazy-export helper ``repro._lazy``. Its public names load on first
+   access, so ``import repro`` loads neither numpy nor scipy.
+5. Only ``repro.core._math``, ``repro.core.fused`` and
+   ``repro.ml.spectral`` import ``scipy`` at module level; anything else
+   that needs it imports it inside the function. A walk-only run then
+   never loads scipy.
 
 Run from the repo root: ``python scripts/check_import_cycles.py``.
 Exits 1 with one line per violation.
@@ -128,6 +138,30 @@ def _in_layer(name: str, prefix: str) -> bool:
 # Entry points whose whole job is to invoke the CLI.
 EXEMPT = {"repro.__main__"}
 
+#: The one repro module a package ``__init__`` may import (rule 4).
+LAZY_HELPER = "repro._lazy"
+
+#: The modules that may import scipy at module level (rule 5).
+SCIPY_MODULES = {"repro.core._math", "repro.core.fused", "repro.ml.spectral"}
+
+
+def violation(path: Path, mod: str, imported: str) -> str | None:
+    """Why ``mod`` may not import ``imported`` at module level, if it may not."""
+    if (
+        path.name == "__init__.py"
+        and _in_layer(imported, "repro")
+        and imported != LAZY_HELPER
+    ):
+        return "a package __init__ loads its submodules lazily (repro._lazy)"
+    if _in_layer(imported, "scipy") and mod not in SCIPY_MODULES:
+        return "scipy loads at module level only in " + ", ".join(
+            sorted(SCIPY_MODULES)
+        )
+    for layer, forbidden, why in RULES:
+        if _in_layer(mod, layer) and _in_layer(imported, forbidden):
+            return why
+    return None
+
 
 def check() -> list[str]:
     violations: list[str] = []
@@ -137,13 +171,12 @@ def check() -> list[str]:
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
         for lineno, imported in module_level_imports(tree):
-            for layer, forbidden, why in RULES:
-                if _in_layer(mod, layer) and _in_layer(imported, forbidden):
-                    violations.append(
-                        f"{path.relative_to(SRC.parent)}:{lineno}: "
-                        f"{mod} imports {imported} ({why})"
-                    )
-                    break
+            why = violation(path, mod, imported)
+            if why is not None:
+                violations.append(
+                    f"{path.relative_to(SRC.parent)}:{lineno}: "
+                    f"{mod} imports {imported} ({why})"
+                )
     return violations
 
 

@@ -13,43 +13,27 @@ See README.md for the architecture overview, docs/architecture.md for
 the staged pipeline runtime, and DESIGN.md for the experiment index.
 """
 
-from repro.core.model import V2V, V2VConfig
-from repro.core.trainer import EmbeddingResult, TrainConfig, train_embeddings
-from repro.graph.core import EdgeList, Graph
-from repro.pipeline import (
-    DetectStage,
-    ExecutionContext,
-    LayoutStage,
-    Pipeline,
-    PipelineResult,
-    PredictStage,
-    TrainStage,
-    WalkStage,
-)
-from repro.walks.corpus import WalkCorpus
-from repro.walks.engine import RandomWalkConfig, WalkMode, generate_walks
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "V2V",
-    "V2VConfig",
-    "Graph",
-    "EdgeList",
-    "WalkCorpus",
-    "WalkMode",
-    "RandomWalkConfig",
-    "generate_walks",
-    "TrainConfig",
-    "EmbeddingResult",
-    "train_embeddings",
-    "ExecutionContext",
-    "Pipeline",
-    "PipelineResult",
-    "WalkStage",
-    "TrainStage",
-    "DetectStage",
-    "PredictStage",
-    "LayoutStage",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "core.model": ("V2V", "V2VConfig"),
+        "graph.core": ("Graph", "EdgeList"),
+        "walks.corpus": ("WalkCorpus",),
+        "walks.engine": ("WalkMode", "RandomWalkConfig", "generate_walks"),
+        "core.trainer": ("TrainConfig", "EmbeddingResult", "train_embeddings"),
+        "pipeline.context": ("ExecutionContext",),
+        "pipeline.runner": ("Pipeline", "PipelineResult"),
+        "pipeline.stages": (
+            "WalkStage",
+            "TrainStage",
+            "DetectStage",
+            "PredictStage",
+            "LayoutStage",
+        ),
+    },
+)
+__all__.append("__version__")

@@ -1,17 +1,16 @@
 """Benchmark harness: timers, experiment records, table/series printers."""
 
-from repro.bench.harness import (
-    ExperimentRecord,
-    Timer,
-    format_series,
-    format_table,
-    write_records_csv,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Timer",
-    "ExperimentRecord",
-    "format_table",
-    "format_series",
-    "write_records_csv",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "harness": (
+            "Timer",
+            "ExperimentRecord",
+            "format_table",
+            "format_series",
+            "write_records_csv",
+        ),
+    },
+)

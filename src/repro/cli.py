@@ -41,8 +41,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from repro.obs.logging import get_logger
 
 __all__ = ["main", "build_parser", "add_runtime_flags", "runtime_from_args"]
@@ -636,6 +634,8 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    import numpy as np
+
     from repro.pipeline import Pipeline, PredictStage
 
     with np.load(args.vectors, allow_pickle=False) as data:
@@ -852,6 +852,8 @@ def _cmd_runs(args) -> int:
 
 
 def _cmd_shard(args) -> int:
+    import numpy as np
+
     from repro.graph.store import GraphStore, StoreCorrupt
 
     if args.shard_command == "build":
@@ -981,11 +983,28 @@ def _open_registry(args, raw_argv: list[str]):
     return registry
 
 
-def main(argv: list[str] | None = None) -> int:
+def _failure_reason(exc: BaseException) -> str | None:
+    """The journal reason of a failure ``main`` reports as exit 2, else None.
+
+    Called only once a run has failed, so a run that succeeds never loads
+    the modules that define these errors (``repro report`` loads no numpy).
+    """
     from repro.graph.store import StoreCorrupt
-    from repro.obs.recorder import session
     from repro.resilience.checkpoint import DiskFull
     from repro.resilience.guard import BudgetExceeded
+
+    for kind, reason in (
+        (BudgetExceeded, "budget_exceeded"),
+        (DiskFull, "disk_full"),
+        (StoreCorrupt, "store_corrupt"),
+    ):
+        if isinstance(exc, kind):
+            return reason
+    return None
+
+
+def main(argv: list[str] | None = None) -> int:
+    from repro.obs.recorder import session
     from repro.resilience.lifecycle import (
         EXIT_INTERRUPTED,
         CancellationToken,
@@ -1036,28 +1055,15 @@ def main(argv: list[str] | None = None) -> int:
             exit_code=EXIT_INTERRUPTED,
         )
         return EXIT_INTERRUPTED
-    except BudgetExceeded as exc:
+    except BaseException as exc:
+        reason = _failure_reason(exc)
         if registry is not None:
-            registry.close_run("failed", reason="budget_exceeded")
-        _log.error("run.budget_exceeded", error=str(exc))
+            registry.close_run("failed", reason=reason or "exception")
+        if reason is None:
+            raise
+        _log.error(f"run.{reason}", error=str(exc))
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DiskFull as exc:
-        if registry is not None:
-            registry.close_run("failed", reason="disk_full")
-        _log.error("run.disk_full", error=str(exc))
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except StoreCorrupt as exc:
-        if registry is not None:
-            registry.close_run("failed", reason="store_corrupt")
-        _log.error("run.store_corrupt", error=str(exc))
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BaseException:
-        if registry is not None:
-            registry.close_run("failed", reason="exception")
-        raise
 
 
 if __name__ == "__main__":  # pragma: no cover

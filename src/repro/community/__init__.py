@@ -6,20 +6,16 @@ framing) and Girvan–Newman (edge-betweenness removal). Louvain and label
 propagation are provided as extensions for the ablation benches.
 """
 
-from repro.community.cnm import cnm_communities
-from repro.community.consensus import ConsensusResult, consensus_communities
-from repro.community.girvan_newman import girvan_newman_communities
-from repro.community.label_propagation import label_propagation_communities
-from repro.community.louvain import louvain_communities
-from repro.community.v2v_detector import V2VCommunityDetector, V2VDetectionResult
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "cnm_communities",
-    "consensus_communities",
-    "ConsensusResult",
-    "girvan_newman_communities",
-    "louvain_communities",
-    "label_propagation_communities",
-    "V2VCommunityDetector",
-    "V2VDetectionResult",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "cnm": ("cnm_communities",),
+        "consensus": ("consensus_communities", "ConsensusResult"),
+        "girvan_newman": ("girvan_newman_communities",),
+        "louvain": ("louvain_communities",),
+        "label_propagation": ("label_propagation_communities",),
+        "v2v_detector": ("V2VCommunityDetector", "V2VDetectionResult"),
+    },
+)

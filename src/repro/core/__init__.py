@@ -6,33 +6,22 @@ dense vector per vertex. Everything is from-scratch numpy with vectorized
 minibatch SGD (no per-token Python loops in the training path).
 """
 
-from repro.core.cbow import CBOWHierarchicalSoftmax, CBOWNegativeSampling
-from repro.core.huffman import HuffmanCoding, build_huffman
-from repro.core.model import V2V, V2VConfig
-from repro.core.negative import NegativeSampler
-from repro.core.selection import (
-    neighborhood_overlap,
-    select_dimension,
-    select_walk_budget,
-)
-from repro.core.skipgram import SkipGramNegativeSampling
-from repro.core.trainer import EmbeddingResult, TrainConfig, train_embeddings
-from repro.core.vocab import VertexVocab
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "V2V",
-    "V2VConfig",
-    "TrainConfig",
-    "EmbeddingResult",
-    "train_embeddings",
-    "VertexVocab",
-    "NegativeSampler",
-    "HuffmanCoding",
-    "build_huffman",
-    "CBOWNegativeSampling",
-    "CBOWHierarchicalSoftmax",
-    "SkipGramNegativeSampling",
-    "select_dimension",
-    "select_walk_budget",
-    "neighborhood_overlap",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "model": ("V2V", "V2VConfig"),
+        "trainer": ("TrainConfig", "EmbeddingResult", "train_embeddings"),
+        "vocab": ("VertexVocab",),
+        "negative": ("NegativeSampler",),
+        "huffman": ("HuffmanCoding", "build_huffman"),
+        "cbow": ("CBOWNegativeSampling", "CBOWHierarchicalSoftmax"),
+        "skipgram": ("SkipGramNegativeSampling",),
+        "selection": (
+            "select_dimension",
+            "select_walk_budget",
+            "neighborhood_overlap",
+        ),
+    },
+)

@@ -2,19 +2,13 @@
 OpenFlights substitute (see DESIGN.md §3 for the substitution rationale).
 """
 
-from repro.datasets.openflights import (
-    CONTINENTS,
-    OpenFlightsSpec,
-    synthetic_openflights,
-)
-from repro.datasets.karate import karate_club
-from repro.datasets.synthetic import alpha_sweep, community_benchmark
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "community_benchmark",
-    "alpha_sweep",
-    "karate_club",
-    "synthetic_openflights",
-    "OpenFlightsSpec",
-    "CONTINENTS",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "synthetic": ("community_benchmark", "alpha_sweep"),
+        "karate": ("karate_club",),
+        "openflights": ("synthetic_openflights", "OpenFlightsSpec", "CONTINENTS"),
+    },
+)

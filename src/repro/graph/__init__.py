@@ -12,83 +12,50 @@ memory-mapped CSR partitioned into shards — see
 docs/scaling.md). Engine layers consume views, not concrete classes.
 """
 
-from repro.graph.core import Graph, EdgeList
-from repro.graph.view import GraphView, is_graph_view
-from repro.graph.store import GraphStore, StoreCorrupt
-from repro.graph.partition import (
-    PARTITION_METHODS,
-    contiguous_relabel,
-    partition_vertices,
-    shard_of,
-)
-from repro.graph.generators import (
-    barabasi_albert,
-    complete_graph,
-    cycle_graph,
-    erdos_renyi,
-    grid_graph,
-    path_graph,
-    planted_partition,
-    random_geometric,
-    star_graph,
-    stochastic_block_model,
-)
-from repro.graph.lfr import lfr_benchmark
-from repro.graph.perturb import add_noise_edges, drop_edges, rewire_edges
-from repro.graph.metrics import (
-    average_clustering,
-    degree_assortativity,
-    density,
-    global_clustering,
-    modularity,
-    triangle_count,
-)
-from repro.graph.traversal import (
-    bfs_order,
-    bfs_distances,
-    connected_components,
-    dfs_order,
-    edge_betweenness,
-    is_connected,
-    shortest_path_lengths,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Graph",
-    "EdgeList",
-    "GraphView",
-    "is_graph_view",
-    "GraphStore",
-    "StoreCorrupt",
-    "PARTITION_METHODS",
-    "partition_vertices",
-    "contiguous_relabel",
-    "shard_of",
-    "planted_partition",
-    "erdos_renyi",
-    "barabasi_albert",
-    "stochastic_block_model",
-    "random_geometric",
-    "complete_graph",
-    "cycle_graph",
-    "path_graph",
-    "star_graph",
-    "grid_graph",
-    "bfs_order",
-    "bfs_distances",
-    "dfs_order",
-    "connected_components",
-    "is_connected",
-    "shortest_path_lengths",
-    "edge_betweenness",
-    "lfr_benchmark",
-    "drop_edges",
-    "add_noise_edges",
-    "rewire_edges",
-    "density",
-    "modularity",
-    "average_clustering",
-    "global_clustering",
-    "triangle_count",
-    "degree_assortativity",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "core": ("Graph", "EdgeList"),
+        "view": ("GraphView", "is_graph_view"),
+        "store": ("GraphStore", "StoreCorrupt"),
+        "partition": (
+            "PARTITION_METHODS",
+            "partition_vertices",
+            "contiguous_relabel",
+            "shard_of",
+        ),
+        "generators": (
+            "planted_partition",
+            "erdos_renyi",
+            "barabasi_albert",
+            "stochastic_block_model",
+            "random_geometric",
+            "complete_graph",
+            "cycle_graph",
+            "path_graph",
+            "star_graph",
+            "grid_graph",
+        ),
+        "traversal": (
+            "bfs_order",
+            "bfs_distances",
+            "dfs_order",
+            "connected_components",
+            "is_connected",
+            "shortest_path_lengths",
+            "edge_betweenness",
+        ),
+        "lfr": ("lfr_benchmark",),
+        "perturb": ("drop_edges", "add_noise_edges", "rewire_edges"),
+        "metrics": (
+            "density",
+            "modularity",
+            "average_clustering",
+            "global_clustering",
+            "triangle_count",
+            "degree_assortativity",
+        ),
+    },
+)

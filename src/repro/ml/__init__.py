@@ -6,47 +6,29 @@ distance, PCA, exact t-SNE, k-fold cross validation, and the clustering /
 classification metrics of Section III-B.
 """
 
-from repro.ml.cross_validation import KFold, cross_validate_knn
-from repro.ml.kmeans import KMeans, KMeansResult
-from repro.ml.knn import KNNClassifier
-from repro.ml.logreg import LogisticRegression
-from repro.ml.metrics import (
-    accuracy,
-    adjusted_rand_index,
-    confusion_counts,
-    normalized_mutual_information,
-    pairwise_f1,
-    pairwise_precision_recall,
-    purity,
-    silhouette_score,
-)
-from repro.ml.neighbors import cosine_similarity_matrix, knn_graph
-from repro.ml.pca import PCA
-from repro.ml.procrustes import aligned_distance, procrustes_align
-from repro.ml.spectral import spectral_communities, spectral_embedding
-from repro.ml.tsne import TSNE
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "KMeans",
-    "KMeansResult",
-    "KNNClassifier",
-    "LogisticRegression",
-    "PCA",
-    "TSNE",
-    "procrustes_align",
-    "aligned_distance",
-    "knn_graph",
-    "cosine_similarity_matrix",
-    "spectral_embedding",
-    "spectral_communities",
-    "KFold",
-    "cross_validate_knn",
-    "pairwise_precision_recall",
-    "pairwise_f1",
-    "accuracy",
-    "purity",
-    "adjusted_rand_index",
-    "normalized_mutual_information",
-    "silhouette_score",
-    "confusion_counts",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "kmeans": ("KMeans", "KMeansResult"),
+        "knn": ("KNNClassifier",),
+        "logreg": ("LogisticRegression",),
+        "pca": ("PCA",),
+        "tsne": ("TSNE",),
+        "procrustes": ("procrustes_align", "aligned_distance"),
+        "neighbors": ("knn_graph", "cosine_similarity_matrix"),
+        "spectral": ("spectral_embedding", "spectral_communities"),
+        "cross_validation": ("KFold", "cross_validate_knn"),
+        "metrics": (
+            "pairwise_precision_recall",
+            "pairwise_f1",
+            "accuracy",
+            "purity",
+            "adjusted_rand_index",
+            "normalized_mutual_information",
+            "silhouette_score",
+            "confusion_counts",
+        ),
+    },
+)

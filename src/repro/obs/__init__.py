@@ -27,111 +27,52 @@ and pays near-zero cost when observability is off (see
 docs/observability.md and the overhead guard benchmark).
 """
 
-from repro.obs.logging import (
-    HumanFormatter,
-    JsonlFormatter,
-    StructuredLogger,
-    configure_logging,
-    get_logger,
-    parse_jsonl,
-    teardown_logging,
-)
-from repro.obs.manifest import (
-    REQUIRED_KEYS,
-    SCHEMA_VERSION,
-    ManifestError,
-    build_manifest,
-    load_manifest,
-    validate_manifest,
-    write_manifest,
-)
-from repro.obs.metrics import (
-    NULL_REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullRegistry,
-)
-from repro.obs.recorder import (
-    NULL_RECORDER,
-    NullRecorder,
-    ObsConfig,
-    Recorder,
-    current_recorder,
-    install,
-    session,
-    use,
-)
-from repro.obs.export import (
-    chrome_trace,
-    validate_chrome_trace,
-    write_chrome_trace,
-)
-from repro.obs.live import (
-    LiveStatusFile,
-    read_status,
-    render_top,
-    top_command,
-)
-from repro.obs.profiler import SamplingProfiler, StackProfile
-from repro.obs.resources import ResourceSnapshot, resource_delta
-from repro.obs.slab import HOGWILD_SLOTS, MetricsSlab, MetricsSlabSpec
-from repro.obs.tracing import Span, Tracer
+from repro._lazy import lazy_exports
 
-__all__ = [
-    # logging
-    "StructuredLogger",
-    "get_logger",
-    "configure_logging",
-    "teardown_logging",
-    "JsonlFormatter",
-    "HumanFormatter",
-    "parse_jsonl",
-    # metrics
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NullRegistry",
-    "NULL_REGISTRY",
-    # tracing
-    "Span",
-    "Tracer",
-    # recorder
-    "ObsConfig",
-    "Recorder",
-    "NullRecorder",
-    "NULL_RECORDER",
-    "current_recorder",
-    "install",
-    "use",
-    "session",
-    # slab
-    "MetricsSlab",
-    "MetricsSlabSpec",
-    "HOGWILD_SLOTS",
-    # manifest
-    "SCHEMA_VERSION",
-    "REQUIRED_KEYS",
-    "ManifestError",
-    "build_manifest",
-    "write_manifest",
-    "load_manifest",
-    "validate_manifest",
-    # profiler
-    "SamplingProfiler",
-    "StackProfile",
-    # resources
-    "ResourceSnapshot",
-    "resource_delta",
-    # export
-    "chrome_trace",
-    "write_chrome_trace",
-    "validate_chrome_trace",
-    # live
-    "LiveStatusFile",
-    "read_status",
-    "render_top",
-    "top_command",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "logging": (
+            "StructuredLogger",
+            "get_logger",
+            "configure_logging",
+            "teardown_logging",
+            "JsonlFormatter",
+            "HumanFormatter",
+            "parse_jsonl",
+        ),
+        "metrics": (
+            "Counter",
+            "Gauge",
+            "Histogram",
+            "MetricsRegistry",
+            "NullRegistry",
+            "NULL_REGISTRY",
+        ),
+        "tracing": ("Span", "Tracer"),
+        "recorder": (
+            "ObsConfig",
+            "Recorder",
+            "NullRecorder",
+            "NULL_RECORDER",
+            "current_recorder",
+            "install",
+            "use",
+            "session",
+        ),
+        "slab": ("MetricsSlab", "MetricsSlabSpec", "HOGWILD_SLOTS"),
+        "manifest": (
+            "SCHEMA_VERSION",
+            "REQUIRED_KEYS",
+            "ManifestError",
+            "build_manifest",
+            "write_manifest",
+            "load_manifest",
+            "validate_manifest",
+        ),
+        "profiler": ("SamplingProfiler", "StackProfile"),
+        "resources": ("ResourceSnapshot", "resource_delta"),
+        "export": ("chrome_trace", "write_chrome_trace", "validate_chrome_trace"),
+        "live": ("LiveStatusFile", "read_status", "render_top", "top_command"),
+    },
+)

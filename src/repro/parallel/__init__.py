@@ -1,23 +1,12 @@
 """Parallel execution utilities: seeding, chunking, pool map, shared memory."""
 
-from repro.parallel.seeding import spawn_generators, spawn_seeds, worker_seed_sequence
-from repro.parallel.pool import (
-    chunk_bounds,
-    default_workers,
-    parallel_map,
-    resolve_workers,
-)
-from repro.parallel.shm import SharedArray, SharedArraySpec, shared_arrays
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "spawn_seeds",
-    "spawn_generators",
-    "worker_seed_sequence",
-    "chunk_bounds",
-    "default_workers",
-    "parallel_map",
-    "resolve_workers",
-    "SharedArray",
-    "SharedArraySpec",
-    "shared_arrays",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "seeding": ("spawn_seeds", "spawn_generators", "worker_seed_sequence"),
+        "pool": ("chunk_bounds", "default_workers", "parallel_map", "resolve_workers"),
+        "shm": ("SharedArray", "SharedArraySpec", "shared_arrays"),
+    },
+)

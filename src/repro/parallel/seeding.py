@@ -9,6 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
+# numpy loads numpy.random on first use; every caller here needs it, so
+# load it with this module rather than inside a caller's first draw.
+from numpy.random import SeedSequence, default_rng
+
 __all__ = ["spawn_seeds", "spawn_generators", "worker_seed_sequence"]
 
 
@@ -18,11 +22,7 @@ def spawn_seeds(
     """``count`` independent child seed sequences from one parent seed."""
     if count < 0:
         raise ValueError("count must be non-negative")
-    parent = (
-        seed
-        if isinstance(seed, np.random.SeedSequence)
-        else np.random.SeedSequence(seed)
-    )
+    parent = seed if isinstance(seed, SeedSequence) else SeedSequence(seed)
     return parent.spawn(count)
 
 
@@ -38,13 +38,11 @@ def worker_seed_sequence(
     ``(epoch, worker)`` so a resumed run replays the exact seeds of the
     epochs it re-executes.
     """
-    return np.random.SeedSequence(
-        entropy=entropy, spawn_key=tuple(int(k) for k in key)
-    )
+    return SeedSequence(entropy=entropy, spawn_key=tuple(int(k) for k in key))
 
 
 def spawn_generators(
     seed: int | np.random.SeedSequence | None, count: int
 ) -> list[np.random.Generator]:
     """``count`` independent PCG64 generators from one parent seed."""
-    return [np.random.default_rng(s) for s in spawn_seeds(seed, count)]
+    return [default_rng(s) for s in spawn_seeds(seed, count)]

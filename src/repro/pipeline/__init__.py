@@ -8,34 +8,21 @@ travels in one :class:`~repro.pipeline.context.ExecutionContext` instead
 of per-function keyword arguments. See docs/architecture.md.
 """
 
-from repro.pipeline.checkpointing import (
-    FingerprintedCheckpoints,
-    FingerprintMismatch,
-)
-from repro.pipeline.context import ExecutionContext
-from repro.pipeline.runner import Pipeline, PipelineResult, StageReport
-from repro.pipeline.stage import PipelineStage, Stage, StageError
-from repro.pipeline.stages import (
-    DetectStage,
-    LayoutStage,
-    PredictStage,
-    TrainStage,
-    WalkStage,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ExecutionContext",
-    "FingerprintMismatch",
-    "FingerprintedCheckpoints",
-    "Pipeline",
-    "PipelineResult",
-    "PipelineStage",
-    "Stage",
-    "StageError",
-    "StageReport",
-    "DetectStage",
-    "LayoutStage",
-    "PredictStage",
-    "TrainStage",
-    "WalkStage",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "context": ("ExecutionContext",),
+        "checkpointing": ("FingerprintMismatch", "FingerprintedCheckpoints"),
+        "runner": ("Pipeline", "PipelineResult", "StageReport"),
+        "stage": ("PipelineStage", "Stage", "StageError"),
+        "stages": (
+            "DetectStage",
+            "LayoutStage",
+            "PredictStage",
+            "TrainStage",
+            "WalkStage",
+        ),
+    },
+)

@@ -35,6 +35,7 @@ from typing import Any, Callable, Iterator
 import numpy as np
 
 from repro.obs.recorder import ObsConfig, current_recorder, session
+from repro.parallel.pool import resolve_workers
 from repro.parallel.seeding import spawn_seeds, worker_seed_sequence
 from repro.pipeline.checkpointing import FingerprintedCheckpoints
 from repro.resilience.checkpoint import CheckpointManager
@@ -193,8 +194,6 @@ class ExecutionContext:
     # -- workers / supervision / chaos ---------------------------------
     def resolve_workers(self) -> int:
         """The concrete worker count for parallel stages (always >= 1)."""
-        from repro.parallel.pool import resolve_workers
-
         return resolve_workers(self.workers)
 
     def wrap_task(self, fn: Callable) -> Callable:

@@ -20,17 +20,24 @@ can be registered the same way without touching the runner.
 from __future__ import annotations
 
 import hashlib
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.core.trainer import TrainConfig, train_embeddings
 from repro.graph.core import Graph
 from repro.obs.recorder import current_recorder
 from repro.pipeline.context import ExecutionContext
 from repro.pipeline.stage import PipelineStage
 from repro.walks.corpus import WalkCorpus
 from repro.walks.engine import RandomWalkConfig, generate_walks
+
+# The engine behind a GraphStore input: generate_walks reaches it through
+# a function-local import (the two modules import each other), so load it
+# with the stage rather than inside the first walk.
+import repro.walks.sharded  # noqa: F401
+
+if TYPE_CHECKING:
+    from repro.core.trainer import TrainConfig
 
 __all__ = [
     "WalkStage",
@@ -50,6 +57,13 @@ def _digest(arr: np.ndarray) -> str:
     """Content hash of an array, for fingerprinting stage inputs."""
     data = np.ascontiguousarray(arr)
     return hashlib.sha256(data.tobytes()).hexdigest()
+
+
+def train_embeddings(*args, **kwargs):
+    """:func:`repro.core.trainer.train_embeddings`, imported on first use."""
+    from repro.core.trainer import train_embeddings
+
+    return train_embeddings(*args, **kwargs)
 
 
 def _vectors_of(value: Any) -> np.ndarray:
@@ -105,6 +119,8 @@ class TrainStage(PipelineStage):
         checkpoint_every: int = 1,
         epoch_callback=None,
     ) -> None:
+        from repro.core.trainer import TrainConfig
+
         self.config = config or TrainConfig()
         self.init_vectors = init_vectors
         self.checkpoint_every = checkpoint_every

@@ -35,86 +35,53 @@ above uses to survive partial failure:
   tmp files from pid-gone runs.
 """
 
-from repro.resilience.chaos import (
-    FaultInjector,
-    InjectedFault,
-    injected_memory_bytes,
-    release_injected_memory,
-)
-from repro.resilience.guard import (
-    BudgetExceeded,
-    PressureWatchdog,
-    ResourceBudget,
-    RunFootprint,
-    estimate_footprint,
-    guard_state,
-    parse_size,
-    preflight,
-    reset_guard,
-)
-from repro.resilience.registry import RunRecord, RunRegistry
-from repro.resilience.lifecycle import (
-    EXIT_DEADLINE,
-    EXIT_INTERRUPTED,
-    CancellationToken,
-    CancelScope,
-    Deadline,
-    RunInterrupted,
-    cancel_scope,
-    current_cancel_scope,
-    expire_active_deadline,
-    signal_guard,
-)
-from repro.resilience.checkpoint import (
-    Checkpoint,
-    CheckpointCorrupt,
-    CheckpointManager,
-    DiskFull,
-    atomic_write_bytes,
-    integrity_record,
-    load_checkpoint,
-    reclaim_disk,
-    save_checkpoint,
-    verify_integrity,
-)
-from repro.resilience.supervisor import SupervisorConfig, current_heartbeat
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Checkpoint",
-    "CheckpointCorrupt",
-    "CheckpointManager",
-    "DiskFull",
-    "atomic_write_bytes",
-    "reclaim_disk",
-    "save_checkpoint",
-    "load_checkpoint",
-    "integrity_record",
-    "verify_integrity",
-    "SupervisorConfig",
-    "current_heartbeat",
-    "FaultInjector",
-    "InjectedFault",
-    "injected_memory_bytes",
-    "release_injected_memory",
-    "BudgetExceeded",
-    "PressureWatchdog",
-    "ResourceBudget",
-    "RunFootprint",
-    "estimate_footprint",
-    "guard_state",
-    "parse_size",
-    "preflight",
-    "reset_guard",
-    "RunRecord",
-    "RunRegistry",
-    "CancellationToken",
-    "CancelScope",
-    "Deadline",
-    "RunInterrupted",
-    "cancel_scope",
-    "current_cancel_scope",
-    "expire_active_deadline",
-    "signal_guard",
-    "EXIT_INTERRUPTED",
-    "EXIT_DEADLINE",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "checkpoint": (
+            "Checkpoint",
+            "CheckpointCorrupt",
+            "CheckpointManager",
+            "DiskFull",
+            "atomic_write_bytes",
+            "reclaim_disk",
+            "save_checkpoint",
+            "load_checkpoint",
+            "integrity_record",
+            "verify_integrity",
+        ),
+        "supervisor": ("SupervisorConfig", "current_heartbeat"),
+        "chaos": (
+            "FaultInjector",
+            "InjectedFault",
+            "injected_memory_bytes",
+            "release_injected_memory",
+        ),
+        "guard": (
+            "BudgetExceeded",
+            "PressureWatchdog",
+            "ResourceBudget",
+            "RunFootprint",
+            "estimate_footprint",
+            "guard_state",
+            "parse_size",
+            "preflight",
+            "reset_guard",
+        ),
+        "registry": ("RunRecord", "RunRegistry"),
+        "lifecycle": (
+            "CancellationToken",
+            "CancelScope",
+            "Deadline",
+            "RunInterrupted",
+            "cancel_scope",
+            "current_cancel_scope",
+            "expire_active_deadline",
+            "signal_guard",
+            "EXIT_INTERRUPTED",
+            "EXIT_DEADLINE",
+        ),
+    },
+)

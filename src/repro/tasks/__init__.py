@@ -6,20 +6,18 @@ implements that experiment end-to-end (edge split, pair features,
 logistic scorer, AUC).
 """
 
-from repro.tasks.link_prediction import (
-    EDGE_OPERATORS,
-    LinkPredictionResult,
-    auc_score,
-    edge_features,
-    link_prediction_experiment,
-    train_test_edge_split,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EDGE_OPERATORS",
-    "edge_features",
-    "train_test_edge_split",
-    "auc_score",
-    "link_prediction_experiment",
-    "LinkPredictionResult",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "link_prediction": (
+            "EDGE_OPERATORS",
+            "edge_features",
+            "train_test_edge_split",
+            "auc_score",
+            "link_prediction_experiment",
+            "LinkPredictionResult",
+        ),
+    },
+)

@@ -5,22 +5,18 @@ as (a) coordinate tables (CSV) and (b) ASCII scatter plots — the *data*
 of each paper figure, which is what the benches verify quantitatively.
 """
 
-from repro.viz.ascii import render_scatter, render_series
-from repro.viz.forceatlas import ForceAtlasLayout, force_atlas_layout
-from repro.viz.projection import (
-    cluster_boundaries,
-    pca_projection,
-    projection_to_csv,
-    separation_ratio,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ForceAtlasLayout",
-    "force_atlas_layout",
-    "pca_projection",
-    "cluster_boundaries",
-    "separation_ratio",
-    "projection_to_csv",
-    "render_scatter",
-    "render_series",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "forceatlas": ("ForceAtlasLayout", "force_atlas_layout"),
+        "projection": (
+            "pca_projection",
+            "cluster_boundaries",
+            "separation_ratio",
+            "projection_to_csv",
+        ),
+        "ascii": ("render_scatter", "render_series"),
+    },
+)

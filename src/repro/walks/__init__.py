@@ -5,21 +5,15 @@ active walk simultaneously, so generating ``t * |V|`` walks of length ``l``
 costs ``l`` numpy passes instead of ``t * |V| * l`` Python iterations.
 """
 
-from repro.walks.alias import AliasTable, build_arc_alias
-from repro.walks.corpus import WalkCorpus
-from repro.walks.engine import RandomWalkConfig, WalkMode, generate_walks
-from repro.walks.sharded import generate_walks_sharded
-from repro.walks.stats import CorpusStats, corpus_stats, crossing_rate
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AliasTable",
-    "build_arc_alias",
-    "WalkCorpus",
-    "RandomWalkConfig",
-    "WalkMode",
-    "generate_walks",
-    "generate_walks_sharded",
-    "CorpusStats",
-    "corpus_stats",
-    "crossing_rate",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "alias": ("AliasTable", "build_arc_alias"),
+        "corpus": ("WalkCorpus",),
+        "engine": ("RandomWalkConfig", "WalkMode", "generate_walks"),
+        "sharded": ("generate_walks_sharded",),
+        "stats": ("CorpusStats", "corpus_stats", "crossing_rate"),
+    },
+)
