@@ -27,9 +27,8 @@ at < 1% (``benchmarks/test_perf_lifecycle_overhead.py`` enforces it).
 Since PR 10 it also records ``shard_walks``: out-of-core walk
 throughput over a memory-mapped :class:`~repro.graph.store.GraphStore`
 at each shard × worker combination, with a hard bitwise-identity check
-against the single-shard corpus (shard layout is runtime policy, never
-model identity) and the frontier-exchange shape (rounds, boundary
-crossings) alongside the timings.
+against the in-memory corpus (backend and shard layout are runtime
+policy, never model identity).
 
 Since PR 9 it also records ``guard_overhead``: one watchdog
 ``poll_once()`` tick (a /proc RSS read plus two ``statvfs`` calls)
@@ -222,23 +221,18 @@ def _shard_walks(
     graph, walk_cfg, worker_counts: list[int], manifest_dir: Path, *,
     seed: int, warmup: int, repeats: int, shard_counts: tuple[int, ...] = (1, 4),
 ) -> list[dict]:
-    """Out-of-core walk throughput (PR 10): mmap'd store, per-shard tasks.
+    """Out-of-core walk throughput: :func:`generate_walks` over a mmap'd store.
 
-    Measures :func:`repro.walks.sharded.generate_walks_sharded` over the
-    same graph and walk config as the in-memory rows, at each shard ×
-    worker combination, and asserts every corpus is bitwise-identical to
-    the single-shard one — a bench run that silently broke shard
-    invariance would poison every number after it. Each row carries the
-    exchange-loop shape (``rounds``, boundary crossings ``exchanged``)
-    so throughput regressions can be told apart from partition-quality
-    regressions.
+    Uses the same graph and walk config as the in-memory rows, at each
+    shard × worker combination, and asserts every corpus is
+    bitwise-identical to the in-memory one — a bench run that silently
+    broke the determinism contract would poison every number after it.
     """
     from repro.graph.store import GraphStore
     from repro.pipeline import ExecutionContext
-    from repro.walks.sharded import generate_walks_sharded
 
     rows = []
-    reference = None
+    reference = generate_walks(graph, walk_cfg).walks
     with tempfile.TemporaryDirectory(prefix="bench_stores_") as tmp:
         for shards in shard_counts:
             store = GraphStore.build(
@@ -247,7 +241,7 @@ def _shard_walks(
             for workers in worker_counts:
                 ctx = ExecutionContext(workers=workers)
                 for _ in range(warmup):
-                    generate_walks_sharded(store, walk_cfg, context=ctx)
+                    generate_walks(store, walk_cfg, context=ctx)
                 mpath = (
                     manifest_dir / f"shard_s{shards}_w{workers}.manifest.json"
                 )
@@ -256,22 +250,17 @@ def _shard_walks(
                 }
                 with _observed(mpath, run_config):
                     for _ in range(max(repeats, 1)):
-                        walks = generate_walks_sharded(
-                            store, walk_cfg, context=ctx
-                        )
-                if reference is None:
-                    reference = walks.walks
+                        walks = generate_walks(store, walk_cfg, context=ctx)
                 identical = bool(np.array_equal(reference, walks.walks))
                 if not identical:
                     raise RuntimeError(
-                        f"shard invariance broken at shards={shards} "
+                        f"store corpus differs at shards={shards} "
                         f"workers={workers}"
                     )
                 manifest = load_manifest(mpath)
                 metrics = manifest["metrics"]
                 hist = metrics["histograms"]["walks.generate_seconds"]
                 best = hist["min"]
-                reps = max(repeats, 1)
                 rows.append(
                     {
                         "shards": shards,
@@ -281,14 +270,7 @@ def _shard_walks(
                         "walks_per_sec": round(
                             walks.num_walks / max(best, 1e-9), 1
                         ),
-                        "rounds": int(
-                            metrics["counters"]["shard.rounds"] // reps
-                        ),
-                        "exchanged": int(
-                            metrics["counters"].get("shard.exchanged", 0)
-                            // reps
-                        ),
-                        "identical_to_single_shard": identical,
+                        "identical_to_in_memory": identical,
                         "repeats": int(hist["count"]),
                         "manifest": mpath.name,
                     }

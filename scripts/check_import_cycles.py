@@ -14,8 +14,9 @@ stay consumable by every engine above it.
 Every rule applies to *module-level* imports only
 (``import x`` / ``from x import y`` at the top of the file, outside
 ``if TYPE_CHECKING:`` blocks). Function-local imports are exempt by
-design — that is exactly how the deprecation shims in ``walks.engine``
-and ``core.trainer`` reach ``repro.pipeline`` without a cycle.
+design — that is how ``walks.engine.generate_walks`` and
+``core.trainer.train_embeddings`` resolve their ``ExecutionContext``
+(``repro.pipeline.context``) without a cycle.
 
 1. ``repro.pipeline`` must not import ``repro.cli`` — the pipeline is a
    library layer; the CLI sits on top of it.
@@ -56,17 +57,17 @@ RULES = [
     (
         "repro.core",
         "repro.pipeline",
-        "engines sit below the pipeline runtime (use function-local imports in shims)",
+        "engines sit below the pipeline runtime (use function-local imports)",
     ),
     (
         "repro.walks",
         "repro.pipeline",
-        "engines sit below the pipeline runtime (use function-local imports in shims)",
+        "engines sit below the pipeline runtime (use function-local imports)",
     ),
     (
         "repro.parallel",
         "repro.pipeline",
-        "engines sit below the pipeline runtime (use function-local imports in shims)",
+        "engines sit below the pipeline runtime (use function-local imports)",
     ),
     (
         "repro.graph.store",

@@ -229,7 +229,6 @@ def runtime_from_args(args):
         checkpoint_dir=getattr(args, "checkpoint_dir", None),
         resume=getattr(args, "resume", False),
         workers=resolve_workers(getattr(args, "walk_workers", 1)),
-        shards=getattr(args, "shards", None),
         supervisor=supervisor,
         seed=getattr(args, "seed", None),
         cancellation=token,
@@ -279,8 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=None,
             metavar="N",
-            help="shard count when auto-building --graph-store (default 4), "
-            "and a cap on concurrent shard tasks per walk exchange round",
+            help="auto-build shard count for --graph-store (default 4)",
         )
 
     p_embed = sub.add_parser("embed", help="train V2V vectors from an edge list")

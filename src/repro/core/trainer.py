@@ -23,7 +23,6 @@ import time
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
-from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 import numpy as np
@@ -313,19 +312,12 @@ def _train_fingerprint(
     }
 
 
-# Local "not passed" sentinel for the legacy keyword shims (the pipeline
-# layer has its own; this module must not import it at module level).
-_UNSET = object()
-
-
 def train_embeddings(
     corpus: WalkCorpus,
     config: TrainConfig | None = None,
     *,
     context=None,
     init_vectors: np.ndarray | None = None,
-    checkpoint_dir: "str | Path | None" = _UNSET,  # type: ignore[assignment]
-    resume: bool = _UNSET,  # type: ignore[assignment]
     checkpoint_every: int = 1,
     epoch_callback: Callable[[int, float], None] | None = None,
 ) -> EmbeddingResult:
@@ -349,10 +341,7 @@ def train_embeddings(
     the epoch after it, replaying the exact RNG stream of an
     uninterrupted run. ``epoch_callback(epoch_index, mean_loss)`` fires
     after each completed epoch (after the snapshot, so a crash inside
-    the callback is itself resumable). The individual
-    ``checkpoint_dir=``/``resume=`` keyword arguments remain accepted
-    for compatibility with a ``DeprecationWarning`` and cannot be
-    combined with ``context``.
+    the callback is itself resumable).
 
     One setup and one epoch loop serve every run; only the epoch body
     differs. ``workers=1`` steps in-process through a batch source (the
@@ -362,13 +351,9 @@ def train_embeddings(
     shared memory is missing it falls back to ``workers=1`` with a
     ``RuntimeWarning``.
     """
-    from repro.pipeline.context import UNSET, context_from_legacy
+    from repro.pipeline.context import context_from_legacy
 
-    ctx = context_from_legacy(
-        context,
-        checkpoint_dir=UNSET if checkpoint_dir is _UNSET else checkpoint_dir,
-        resume=UNSET if resume is _UNSET else resume,
-    )
+    ctx = context_from_legacy(context)
     config = config or TrainConfig()
     # TrainConfig.supervisor predates the context; honor it when the
     # context does not name its own supervision policy.

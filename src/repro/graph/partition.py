@@ -17,8 +17,7 @@ trivial baseline:
   equal ranges. No locality claim; useful as a control and for graphs
   whose ids already encode locality.
 
-Placement only affects *performance* (how often walks are parked and
-exchanged), never results: the sharded walk engine draws each step from
+Placement never affects results: the walk engine draws each step from
 a counter-based stream keyed by (seed, walk, step), so the corpus is
 identical for every partitioning.
 

@@ -567,7 +567,7 @@ def _relabeled_arrays(g: Graph, perm: np.ndarray) -> dict[str, np.ndarray]:
     arrays["indptr"] = indptr
     if w is not None:
         arrays["weights"] = np.ascontiguousarray(np.asarray(w)[order])
-        # Per-row inclusive cumulative weights: the sharded walk engine
+        # Per-row inclusive cumulative weights: the walk engine
         # draws weighted steps by binary-searching this straight off the
         # mmap, so no in-RAM alias table is ever built.
         arrays["cum_weights"] = _row_cumsum(indptr, arrays["weights"])

@@ -20,14 +20,13 @@ Layering note: this module sits *above* ``repro.obs``, ``repro.parallel``
 and ``repro.resilience`` but *below* the stage implementations. The
 low-level engines (``repro.walks.engine``, ``repro.core.trainer``)
 accept a context duck-typed and only import this module lazily inside
-their public compatibility shims — never at module level — which is
-what ``scripts/check_import_cycles.py`` enforces.
+their entry points — never at module level — which is what
+``scripts/check_import_cycles.py`` enforces.
 """
 
 from __future__ import annotations
 
 import contextlib
-import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Iterator
@@ -54,8 +53,6 @@ __all__ = ["ExecutionContext", "UNSET", "context_from_legacy"]
 # Sentinel distinguishing "caller did not pass this legacy kwarg" from
 # every real value (including None and False).
 UNSET: Any = object()
-
-_DEPRECATED_RUNTIME_KWARGS = ("checkpoint_dir", "resume", "supervisor")
 
 
 @dataclass(frozen=True)
@@ -84,12 +81,9 @@ class ExecutionContext:
         RNG stream layout and is therefore model identity, not runtime
         policy.
     shards:
-        Cap on how many graph-store shard tasks run concurrently per
-        walk exchange round (see :mod:`repro.walks.sharded`). ``None``
-        (default) means min(workers, store shard count). Pure
-        scheduling — the sharded engine's corpus is bitwise-identical
-        for every value — so it is runtime policy like ``workers``, not
-        model identity. Ignored by in-memory stages.
+        Not read by any stage: the walk engine splits walk rows, not
+        shards (see :mod:`repro.walks.engine`). Kept only so existing
+        callers that pass it keep working.
     supervisor:
         Liveness policy for parallel workers (heartbeats, watchdog,
         respawn ladder); ``None`` means ``SupervisorConfig()``'s
@@ -280,20 +274,14 @@ def _stable_key(name: str) -> int:
 
 def context_from_legacy(
     context: "ExecutionContext | None",
-    *,
-    stacklevel: int = 3,
     **legacy: Any,
 ) -> "ExecutionContext":
-    """Build the effective context for a public compatibility shim.
+    """Build the effective context from ``context`` or keyword shorthand.
 
     ``legacy`` maps :class:`ExecutionContext` field names to the values
-    of the old per-function keyword arguments, with :data:`UNSET`
-    marking "not passed". Passing both ``context`` and any legacy
-    keyword is an error (the settings would conflict); passing legacy
-    *runtime-threading* keywords (``checkpoint_dir``/``resume``/
-    ``supervisor``) without a context emits the migration
-    ``DeprecationWarning``. ``workers=`` stays warning-free — it is
-    documented shorthand for ``ExecutionContext(workers=...)``.
+    of per-function keyword shorthands (today only ``workers=``), with
+    :data:`UNSET` marking "not passed". Passing both ``context`` and any
+    of them is an error (the settings would conflict).
     """
     supplied = {k: v for k, v in legacy.items() if v is not UNSET}
     if context is not None:
@@ -304,14 +292,4 @@ def context_from_legacy(
                 "with the explicit ExecutionContext"
             )
         return context
-    deprecated = sorted(set(supplied) & set(_DEPRECATED_RUNTIME_KWARGS))
-    if deprecated:
-        warnings.warn(
-            f"passing {', '.join(deprecated)} as individual keyword "
-            "arguments is deprecated; build a "
-            "repro.pipeline.ExecutionContext and pass it as context= "
-            "(see docs/architecture.md for the migration note)",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
     return ExecutionContext(**supplied)

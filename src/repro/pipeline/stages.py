@@ -31,11 +31,6 @@ from repro.pipeline.stage import PipelineStage
 from repro.walks.corpus import WalkCorpus
 from repro.walks.engine import RandomWalkConfig, generate_walks
 
-# The engine behind a GraphStore input: generate_walks reaches it through
-# a function-local import (the two modules import each other), so load it
-# with the stage rather than inside the first walk.
-import repro.walks.sharded  # noqa: F401
-
 if TYPE_CHECKING:
     from repro.core.trainer import TrainConfig
 
@@ -74,13 +69,10 @@ def _vectors_of(value: Any) -> np.ndarray:
 class WalkStage(PipelineStage):
     """Generate the walk corpus (paper Section II-A) from a graph view.
 
-    The input is any :class:`repro.graph.view.GraphView` backend: an
-    in-memory :class:`Graph` runs the lock-step engine; a memory-mapped
-    :class:`repro.graph.store.GraphStore` dispatches to the
-    shard-parallel engine (:mod:`repro.walks.sharded`), whose
-    concurrency is capped by ``ExecutionContext.shards``. Checkpointed
-    chunks (``checkpoint_chunks``) apply to the in-memory path only —
-    shard rounds are idempotent and recompute instead.
+    The input is an in-memory :class:`Graph` or a memory-mapped
+    :class:`repro.graph.store.GraphStore`; both run the one walk engine
+    and obey its determinism contract (see :mod:`repro.walks.engine`),
+    checkpointed chunks (``checkpoint_chunks``) included.
     """
 
     name = "walks"

@@ -435,9 +435,8 @@ def clamp_wave(wave: int) -> int:
     """Walk-engine hook: chunks per frontier wave under pressure.
 
     Level ≥ 1 serializes chunk scheduling to one chunk per wave, halving
-    the live walk buffers. Wave size is pure scheduling — the resume
-    fingerprint counts *chunks*, not waves — so this never perturbs
-    resumability.
+    the live walk buffers. Wave size is pure scheduling — a chunk's
+    bytes depend only on its rows — so this never perturbs resumability.
     """
     if _STATE.level >= LEVEL_WAVE:
         return 1

@@ -13,7 +13,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "alias": ("AliasTable", "build_arc_alias"),
         "corpus": ("WalkCorpus",),
         "engine": ("RandomWalkConfig", "WalkMode", "generate_walks"),
-        "sharded": ("generate_walks_sharded",),
         "stats": ("CorpusStats", "corpus_stats", "crossing_rate"),
     },
 )

@@ -1,39 +1,76 @@
-"""Vectorized constrained random walks (paper Section II-A).
+"""Vectorized constrained random walks (paper Section II-A): the walk engine.
 
-All walk variants share one stepping loop that advances *every* active
-walk by one hop per iteration:
+Modes:
 
 - ``UNIFORM``          — uniform random neighbor (the basic walk).
-- ``WEIGHTED``         — P(arc) proportional to edge weight (alias tables).
+- ``WEIGHTED``         — P(arc) proportional to edge weight.
 - ``VERTEX_WEIGHTED``  — P(arc) proportional to the *target vertex* weight.
 - ``TEMPORAL``         — arcs must be strictly increasing in timestamp;
   optionally two consecutive arcs must be within ``time_window`` of each
-  other. Implemented with a vectorized per-row binary search over
-  time-sorted arcs.
+  other.
+- ``NODE2VEC``         — second-order p/q bias (Grover & Leskovec 2016).
 
 Directed graphs simply follow out-arcs; a walk that reaches a vertex with
 no (eligible) out-arc terminates, exactly as the paper specifies, and its
 remaining positions are padded with ``-1``.
+
+**Determinism contract.** The walk corpus is a pure function of
+``(graph, config, seed)``: the same bytes on either graph backend — an
+in-memory :class:`~repro.graph.core.Graph` or a memory-mapped
+:class:`~repro.graph.store.GraphStore` — and at any worker, shard or
+checkpoint-chunk count. Every draw is *counter-based*: step ``s`` of walk
+``w`` consumes ``u = mix64(key, w, s)``, a SplitMix64-style hash under a
+key derived from ``config.seed``, so no draw depends on which process
+walks which rows, or in what order. (The weighted modes search per-row
+cumulative weights; a store sums them in its own row order, so a draw
+landing within one rounding unit of an arc boundary could in principle
+pick differently across backends.) ``tests/walks/test_shard_golden.py``
+pins the bytes for every backend, worker, shard and chunk count.
+
+**One stepper over one view.** Both backends present the same CSR view:
+``indptr``/``indices``, per-row inclusive cumulative weights for the
+weighted modes (a binary search per draw, no alias tables), time-sorted
+rows for temporal walks and target-sorted rows for node2vec. A store
+renumbers vertices; its view carries the permutation, and tokens are
+written in original ids. An in-memory graph is the identity case. Walks
+advance in lock step, one vectorized draw per step for a block of walks.
+Parallel runs split walk *rows*: each task walks its rows over the whole
+graph (exported to shared memory, or the store's mmap opened by path)
+and writes them into one shared matrix.
+
+node2vec takes up to :data:`_N2V_LANES` counter-addressed rejection
+candidates per step, then an exact draw over the neighbor row: a bounded
+number of draws per step, and exactly the second-order law. A store
+refuses node2vec, because its rows are not sorted by target, which the
+adjacency test needs.
 """
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from repro.graph.core import Graph
 from repro.obs.recorder import current_recorder
-from repro.parallel.seeding import spawn_seeds
-from repro.walks.alias import AliasTable, build_arc_alias
 from repro.walks.corpus import WalkCorpus
 
-__all__ = ["WalkMode", "RandomWalkConfig", "generate_walks"]
+__all__ = ["WalkMode", "RandomWalkConfig", "generate_walks", "hash_uniform"]
 
 PAD = -1
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+_LANE_SALT = 0xD1B54A32D192ED03
+_STEP_MULT = np.uint64(0xBF58476D1CE4E5B9)
+#: Walks the stepper advances together (see :func:`_advance`).
+_CHUNK = 1 << 15
+#: node2vec rejection candidates per step before the exact row draw.
+_N2V_LANES = 8
 
 
 class WalkMode(str, enum.Enum):
@@ -80,121 +117,546 @@ class RandomWalkConfig:
             raise ValueError("p/q only apply to node2vec walks")
 
 
-# Local "not passed" sentinel for the legacy keyword shims (the pipeline
+# ---------------------------------------------------------------------------
+# Counter-based draws
+
+
+def _mix64_int(x: int) -> int:
+    """SplitMix64 finalizer on a Python int (key derivation only)."""
+    x &= _MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
+
+
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """Vectorized SplitMix64 finalizer, in place on a uint64 array it owns."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def derive_key(seed: int | None) -> int:
+    """64-bit hash key from a walk config seed (entropy-random for None)."""
+    entropy = np.random.SeedSequence(seed).entropy
+    folded = (entropy ^ (entropy >> 64) ^ (entropy >> 128)) & _MASK64
+    return _mix64_int(folded ^ _GOLDEN)
+
+
+def _walk_prefix(key: int, walk_ids: np.ndarray, lane: int = 0) -> np.ndarray:
+    """The walk-id half of the counter hash, computed once per walk."""
+    w = np.asarray(walk_ids, dtype=np.uint64)
+    k = np.uint64((key ^ _mix64_int(lane * _LANE_SALT + _GOLDEN)) & _MASK64)
+    return _mix64(w * np.uint64(_GOLDEN) ^ k)
+
+
+def _step_uniform(prefix: np.ndarray, steps) -> np.ndarray:
+    """53-bit uniforms in [0, 1) for (walk prefix, step) pairs; ``steps``
+    is an array or one step for every walk."""
+    if np.ndim(steps):
+        z = _mix64(prefix + np.asarray(steps, dtype=np.uint64) * _STEP_MULT)
+    else:
+        z = _mix64(prefix + np.uint64(int(steps) * int(_STEP_MULT) & _MASK64))
+    z >>= np.uint64(11)
+    u = z.astype(np.float64)
+    u *= 1.0 / (1 << 53)
+    return u
+
+
+def hash_uniform(
+    key: int, walk_ids: np.ndarray, steps: np.ndarray, lane: int = 0
+) -> np.ndarray:
+    """Counter-based uniforms in [0, 1): one per (walk, step) pair.
+
+    ``u[i] = f(key, walk_ids[i], steps[i], lane)`` with no sequential
+    state — the property the determinism contract rests on. 53-bit
+    mantissa draws, matching ``Generator.random`` precision.
+    """
+    return _step_uniform(_walk_prefix(key, walk_ids, lane), steps)
+
+
+# ---------------------------------------------------------------------------
+# Stepper
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """The resolved walk configuration a row task runs."""
+
+    mode: WalkMode
+    walk_length: int
+    time_window: float | None
+    p: float
+    q: float
+    key: int
+
+
+class _Walks(NamedTuple):
+    """Walks in flight, one entry per walk; all of them are at one step."""
+
+    rows: np.ndarray  # walk id = output row
+    cur: np.ndarray  # current vertex (the view's id space)
+    prefix: np.ndarray  # _walk_prefix of the walk id
+    last: np.ndarray | None  # temporal: time of the last arc; node2vec: previous vertex
+
+    def take(self, index) -> "_Walks":
+        return _Walks(*(None if a is None else a[index] for a in self))
+
+
+def _draw(arrays: dict, plan: _Plan, walks: _Walks, step: int):
+    """Step ``step``'s next vertices (``PAD`` where no arc is eligible)
+    and the walks' new ``last`` state."""
+    indices = arrays["indices"]
+    row_start = arrays["indptr"][walks.cur]
+    row_stop = arrays["row_stop"][walks.cur]
+    u = _step_uniform(walks.prefix, step)
+    last = None
+    if plan.mode is WalkMode.TEMPORAL:
+        times = arrays["times"]
+        elig_lo = _segment_searchsorted(
+            times, row_start, row_stop, walks.last, side="right"
+        )
+        if plan.time_window is not None:
+            # A fresh walk (t = -inf) has no previous arc, so no window cap.
+            cap = np.where(
+                np.isinf(walks.last), np.inf, walks.last + plan.time_window
+            )
+            elig_hi = _segment_searchsorted(
+                times, row_start, row_stop, cap, side="right"
+            )
+        else:
+            elig_hi = row_stop
+        count = elig_hi - elig_lo
+        ok = count > 0
+        pick = elig_lo + (u * np.maximum(count, 1)).astype(np.int64)
+        np.minimum(pick, np.maximum(elig_hi - 1, 0), out=pick)
+        last = np.where(ok, np.take(times, pick, mode="clip"), walks.last)
+    else:
+        deg = row_stop - row_start
+        ok = deg > 0
+        pick = (u * deg).astype(np.int64)
+        # A dead end picks row_start - 1: clipped by the take below and
+        # overwritten with PAD.
+        np.minimum(pick, deg - 1, out=pick)
+        pick += row_start
+        if plan.mode in (WalkMode.WEIGHTED, WalkMode.VERTEX_WEIGHTED):
+            cum = arrays["cum"]
+            total = cum[np.maximum(row_stop - 1, 0)] * ok
+            positive = total > 0
+            if np.any(positive):
+                wpick = _segment_searchsorted(
+                    cum, row_start, row_stop, u * total, side="left"
+                )
+                np.minimum(wpick, np.maximum(row_stop - 1, 0), out=wpick)
+                # All-zero rows keep the uniform pick (they degenerate
+                # to uniform, like build_arc_alias).
+                pick = np.where(positive, wpick, pick)
+        elif plan.mode is WalkMode.NODE2VEC:
+            _node2vec_picks(arrays, plan, walks, step, pick, row_start, deg, ok)
+            last = walks.cur
+    nxt = np.take(indices, pick, mode="clip")
+    if not ok.all():
+        nxt[~ok] = PAD
+    return nxt, last
+
+
+def _node2vec_picks(arrays, plan, walks, step, pick, row_start, deg, ok) -> None:
+    """Turn ``pick`` (uniform arcs) into second-order picks, in place.
+
+    From ``cur`` with previous vertex ``prev``, neighbor ``x`` has weight
+    ``1/p`` if ``x == prev``, 1 if ``x`` is adjacent to ``prev`` and
+    ``1/q`` otherwise. Candidate ``k`` (lane ``2k``; candidate 0 is the
+    step's uniform pick) is accepted when lane ``2k + 1`` falls under
+    ``weight / max weight``. A walk with no accepted candidate after
+    :data:`_N2V_LANES` draws its arc exactly from the weighted row with
+    lane ``2 * _N2V_LANES``. Both stages sample the same law, so the
+    mixture is exact. First hops (no ``prev``) stay uniform.
+    """
+    w_return, w_explore = 1.0 / plan.p, 1.0 / plan.q
+    w_max = max(w_return, 1.0, w_explore)
+    pending = np.flatnonzero(ok & (walks.last >= 0))
+    if pending.size == 0 or w_return == w_explore == 1.0:
+        return
+    indices = arrays["indices"]
+    walk_ids = walks.rows[pending]
+    prev = walks.last[pending]
+    start = row_start[pending]
+    degree = deg[pending]
+
+    def lane(k: int, sel: np.ndarray) -> np.ndarray:
+        return _step_uniform(_walk_prefix(plan.key, walk_ids[sel], k), step)
+
+    def weight(prev_v: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return np.where(
+            x == prev_v,
+            w_return,
+            np.where(_is_adjacent(arrays, prev_v, x), 1.0, w_explore),
+        )
+
+    todo = np.arange(pending.size)
+    cand = pick[pending]
+    for k in range(_N2V_LANES):
+        if k:
+            offs = (lane(2 * k, todo) * degree[todo]).astype(np.int64)
+            np.minimum(offs, degree[todo] - 1, out=offs)
+            cand = start[todo] + offs
+        accept = lane(2 * k + 1, todo) * w_max < weight(prev[todo], indices[cand])
+        pick[pending[todo[accept]]] = cand[accept]
+        todo = todo[~accept]
+        if todo.size == 0:
+            return
+    # Exact draw: expand the remaining walks' rows into one flat segment
+    # list and invert each row's cumulative weight.
+    d = degree[todo]
+    seg = np.repeat(np.arange(todo.size), d)
+    first = np.cumsum(d) - d
+    arcs = np.arange(int(d.sum()), dtype=np.int64) - first[seg] + start[todo][seg]
+    w = weight(prev[todo][seg], indices[arcs])
+    cum = np.cumsum(w)
+    base = cum[first] - w[first]
+    target = base + lane(2 * _N2V_LANES, todo) * (cum[first + d - 1] - base)
+    at = np.searchsorted(cum, target, side="right")
+    pick[pending[todo]] = arcs[np.clip(at, first, first + d - 1)]
+
+
+def _is_adjacent(arrays: dict, u: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Per element: is ``x`` an out-neighbor of ``u``? (target-sorted rows)"""
+    indices = arrays["indices"]
+    stops = arrays["row_stop"][u]
+    pos = _segment_searchsorted(
+        indices, arrays["indptr"][u], stops, x, side="left"
+    )
+    found = pos < stops
+    found[found] = indices[pos[found]] == x[found]
+    return found
+
+
+def _advance(arrays: dict, plan: _Plan, walks: _Walks, out: np.ndarray) -> None:
+    """Advance ``walks`` from step 1 until each finishes or dies.
+
+    Writes every token, in original ids, into its walk's row of ``out``,
+    and pads the rest of a row with ``PAD`` when its walk dies.
+    Walks advance in lock step, :data:`_CHUNK` at a time: the step
+    temporaries then stay small enough to be recycled by the allocator
+    instead of being page-faulted in afresh on every step.
+    """
+    from repro.resilience.lifecycle import current_cancel_scope
+    from repro.resilience.supervisor import current_heartbeat
+
+    heartbeat = current_heartbeat()
+    scope = current_cancel_scope()
+    perm_ext = arrays.get("perm_ext")
+    for first in range(0, walks.rows.size, _CHUNK):
+        batch = walks.take(slice(first, first + _CHUNK))
+        for step in range(1, plan.walk_length):
+            heartbeat.beat()  # liveness signal for the supervisor watchdog
+            scope.check()  # cooperative cancel: one poll per vectorized hop
+            nxt, last = _draw(arrays, plan, batch, step)
+            # perm_ext[PAD] == PAD: a walk that dies writes PAD.
+            tokens = nxt if perm_ext is None else perm_ext[nxt]
+            rows = batch.rows
+            if rows[-1] - rows[0] == rows.size - 1:  # ascending, no gaps
+                out[rows[0] : rows[-1] + 1, step] = tokens
+            else:
+                out[rows, step] = tokens
+            batch = _Walks(rows, nxt, batch.prefix, last)
+            alive = nxt != PAD
+            if not alive.all():
+                out[rows[~alive], step + 1 :] = PAD
+                batch = batch.take(np.flatnonzero(alive))
+                if not batch.rows.size:
+                    break
+
+
+# ---------------------------------------------------------------------------
+# Graph views and the row task
+
+
+@dataclass(frozen=True)
+class _StoreView:
+    """A store's walk arrays by path: every process maps the store itself."""
+
+    path: str
+    ident: str | None  # the manifest's integrity digest
+    names: tuple
+
+
+@dataclass(frozen=True)
+class _SharedView:
+    """An in-memory graph's walk arrays, exported to shared memory."""
+
+    specs: dict  # name -> SharedArraySpec
+
+
+_OPEN_STORE: tuple = (None, None)
+
+
+def _store_arrays(view: _StoreView) -> dict:
+    """A store's walk arrays as plain ndarray views over read-only mmaps.
+
+    Cached per process for the last store opened, keyed by path *and*
+    the manifest's integrity digest: pool workers outlive a map, and a
+    store removed and rebuilt at the same path must not be walked
+    through the old graph's mappings.
+    """
+    global _OPEN_STORE
+    if _OPEN_STORE[0] != view:
+        arrays = {
+            name: np.load(
+                Path(view.path) / f"{name}.npy", mmap_mode="r", allow_pickle=False
+            ).view(np.ndarray)
+            for name in view.names
+        }
+        for name in ("cum_weights", "cum_vertex_weights"):
+            if name in arrays:
+                arrays["cum"] = arrays.pop(name)
+        arrays["row_stop"] = arrays["indptr"][1:]
+        arrays["perm_ext"] = np.append(arrays.pop("perm"), PAD)
+        _OPEN_STORE = (view, arrays)
+    return _OPEN_STORE[1]
+
+
+def _open_view(view) -> dict:
+    """The stepper's arrays for a view, in this process."""
+    if isinstance(view, _StoreView):
+        return _store_arrays(view)
+    if isinstance(view, _SharedView):
+        from repro.parallel.shm import attach_cached
+
+        view = {name: attach_cached(spec).array for name, spec in view.specs.items()}
+    return {**view, "row_stop": view["indptr"][1:]}
+
+
+def _graph_arrays(g, mode: WalkMode) -> dict:
+    """An in-memory graph's walk arrays, laid out as a store lays them
+    out: rows time-sorted on a temporal graph (target-sorted for
+    node2vec), cumulative weights per row."""
+    indices, weights, times = g.indices, g.edge_weights, g.edge_times
+    by = indices if mode is WalkMode.NODE2VEC else times
+    if by is not None:
+        rows = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.indptr))
+        order = np.lexsort((by, rows))
+        indices = np.ascontiguousarray(indices[order])
+        if weights is not None:
+            weights = weights[order]
+        if times is not None:
+            times = np.ascontiguousarray(times[order])
+    arrays = {"indptr": g.indptr, "indices": indices}
+    if mode in (WalkMode.WEIGHTED, WalkMode.VERTEX_WEIGHTED):
+        from repro.graph.store import _row_cumsum
+
+        if mode is WalkMode.VERTEX_WEIGHTED:
+            weights = g.vertex_weights[indices]
+        arrays["cum"] = _row_cumsum(g.indptr, np.asarray(weights, dtype=np.float64))
+    elif mode is WalkMode.TEMPORAL:
+        arrays["times"] = times
+    return arrays
+
+
+def _store_view(store, mode: WalkMode) -> _StoreView:
+    names = ["indptr", "indices", "perm"]
+    if mode is WalkMode.WEIGHTED:
+        names.append("cum_weights")
+    elif mode is WalkMode.VERTEX_WEIGHTED:
+        names.append("cum_vertex_weights")
+    elif mode is WalkMode.TEMPORAL:
+        names.append("times")
+    return _StoreView(
+        str(store.path),
+        store.manifest.get("integrity", {}).get("digest"),
+        tuple(names),
+    )
+
+
+@contextlib.contextmanager
+def _task_view(view, pooled: bool):
+    """The view row tasks receive: in-memory arrays go to shared memory
+    for pooled runs; a store view travels as its path."""
+    if not pooled or isinstance(view, _StoreView):
+        yield view
+        return
+    from repro.parallel.shm import release_cached, shared_arrays
+
+    with shared_arrays() as scope:
+        specs = {name: scope.from_array(arr).spec for name, arr in view.items()}
+        try:
+            yield _SharedView(specs)
+        finally:
+            # An in-process fallback leaves attachments in this process's
+            # cache; drop them with the segments.
+            for spec in specs.values():
+                release_cached(spec.name)
+
+
+@dataclass(frozen=True)
+class _RowTask:
+    """Walk rows ``[lo, hi)`` over the whole graph; picklable in O(rows)."""
+
+    view: object  # arrays dict in-process, or a _SharedView / _StoreView
+    plan: _Plan
+    lo: int
+    hi: int
+    starts: np.ndarray  # start vertex of each row, in the view's ids
+    out: object  # the (walks, length) matrix, or its SharedArraySpec
+
+
+def _walk_rows(task: _RowTask) -> tuple[int, int, float]:
+    """Walk one task's rows into the output; returns (lo, hi, seconds).
+
+    Idempotent: draws are counter-based and a task writes exactly its
+    own rows, so a killed-and-respawned task rewrites identical bytes.
+    """
+    started = time.perf_counter()
+    arrays = _open_view(task.view)
+    shared = None
+    out = task.out
+    if not isinstance(out, np.ndarray):
+        from repro.parallel.shm import SharedArray
+
+        # The output changes every run and can be large: attach/close per
+        # task instead of pinning it in the process-level cache.
+        shared = SharedArray.attach(out)
+        out = shared.array
+    try:
+        perm_ext = arrays.get("perm_ext")
+        out[task.lo : task.hi, 0] = (
+            task.starts if perm_ext is None else perm_ext[task.starts]
+        )
+        if arrays["indices"].size == 0:
+            # Without an arc to take, every walk ends at its start vertex.
+            out[task.lo : task.hi, 1:] = PAD
+        elif task.plan.walk_length > 1 and task.hi > task.lo:
+            walk_ids = np.arange(task.lo, task.hi, dtype=np.int64)
+            last = None
+            if task.plan.mode is WalkMode.TEMPORAL:
+                last = np.full(walk_ids.size, -np.inf)
+            elif task.plan.mode is WalkMode.NODE2VEC:
+                last = np.full(walk_ids.size, PAD, dtype=np.int64)
+            walks = _Walks(
+                rows=walk_ids,
+                cur=task.starts,
+                prefix=_walk_prefix(task.plan.key, walk_ids),
+                last=last,
+            )
+            _advance(arrays, task.plan, walks, out)
+    finally:
+        if shared is not None:
+            shared.close()
+    return task.lo, task.hi, time.perf_counter() - started
+
+
+# ---------------------------------------------------------------------------
+# Public entry
+
+
+# Local "not passed" sentinel for the ``workers=`` shorthand (the pipeline
 # layer has its own; this module must not import it at module level).
 _UNSET = object()
 
 
 def generate_walks(
-    g: Graph,
+    g,
     config: RandomWalkConfig | None = None,
     *,
     context=None,
     workers: "int | None" = _UNSET,  # type: ignore[assignment]
     keep_shared: bool = False,
-    checkpoint_dir: "str | Path | None" = _UNSET,  # type: ignore[assignment]
-    resume: bool = _UNSET,  # type: ignore[assignment]
     checkpoint_chunks: int | None = None,
-    supervisor=_UNSET,
 ) -> WalkCorpus:
     """Generate ``t`` walks from every vertex (or from ``start_vertices``).
 
-    Returns a :class:`WalkCorpus` whose ``walks`` matrix has one row per
-    walk, padded with ``-1`` after termination.
+    ``g`` is an in-memory :class:`~repro.graph.core.Graph` or a
+    :class:`~repro.graph.store.GraphStore`. Returns a :class:`WalkCorpus`
+    whose ``walks`` matrix has one row per walk, in original vertex ids,
+    padded with ``-1`` after termination; row ``i`` starts at
+    ``starts[i % len(starts)]``. The corpus obeys the determinism
+    contract in this module's docstring.
 
-    Runtime concerns — worker count, checkpoint directory, resume,
-    supervision, chaos hooks — travel in ``context``, a
-    :class:`repro.pipeline.ExecutionContext`:
+    Runtime concerns travel in ``context``, a
+    :class:`repro.pipeline.ExecutionContext` (``workers=`` is shorthand
+    for ``ExecutionContext(workers=...)`` and cannot be combined with
+    it):
 
-    * ``context.workers > 1`` splits the walk set across a process pool;
-      each chunk gets an independent spawned seed stream, so results are
-      reproducible for a fixed ``(seed, workers)`` pair (but differ
-      across worker counts, since the streams differ). ``None``/< 1
-      means auto via :func:`repro.parallel.pool.resolve_workers`.
-      Parallel workers write their rows straight into one shared-memory
-      block — chunk results are never pickled back through the pool —
-      and ``keep_shared=True`` hands that block to the returned corpus
+    * ``context.workers > 1`` splits the walk rows across the worker
+      pool. The rows land in one shared-memory block, and
+      ``keep_shared=True`` hands that block to the returned corpus
       zero-copy (call :meth:`WalkCorpus.release` when done, or let GC
-      unlink it).
-    * ``context.checkpoint_dir`` enables durable execution: the walk set
-      is split into ``checkpoint_chunks`` chunks (default
-      ``max(workers, 1)``) and each completed chunk is written
-      atomically to the directory. With ``context.resume`` true, chunks
-      already on disk (with a matching configuration fingerprint) are
-      reused instead of recomputed, so a killed run restarts where it
-      stopped and — because chunk seeds are spawned deterministically
-      from ``config.seed`` — produces a corpus bitwise-identical to an
-      uninterrupted run with the same ``(seed, chunk count)``. A
-      fingerprint mismatch raises
-      :class:`repro.pipeline.FingerprintMismatch` (a ``ValueError``)
-      rather than silently mixing corpora.
-    * ``context.supervisor`` sets the liveness policy parallel chunks
-      run under (heartbeat-based hung-worker detection, kill/respawn
-      with chunk reassignment, and a degrade ladder to serial; default
-      ``SupervisorConfig()``). Chunk recomputation is idempotent (same
-      seed → same rows), so a respawned chunk is bitwise-harmless.
-
-    The individual ``workers=``/``checkpoint_dir=``/``resume=``/
-    ``supervisor=`` keyword arguments remain accepted for compatibility
-    (``checkpoint_dir``/``resume``/``supervisor`` with a
-    ``DeprecationWarning``); they cannot be combined with ``context``.
+      unlink it). ``None``/< 1 means auto via
+      :func:`repro.parallel.pool.resolve_workers`.
+    * ``context.checkpoint_dir`` makes the run durable: the rows are
+      split into ``checkpoint_chunks`` chunks (default
+      ``max(workers, 1)``), and each completed chunk is written
+      atomically with the rows it holds. With ``context.resume``,
+      chunks already on disk with a matching configuration fingerprint
+      are reused, whatever chunk count wrote them. A fingerprint
+      mismatch raises :class:`repro.pipeline.FingerprintMismatch` (a
+      ``ValueError``) rather than silently mixing corpora.
+    * ``context.supervisor`` sets the liveness policy pooled row tasks
+      run under (hung-worker detection, kill/respawn with task
+      reassignment, a degrade ladder to in-process; default
+      ``SupervisorConfig()``).
     """
     from repro.pipeline.context import UNSET, context_from_legacy
 
     ctx = context_from_legacy(
-        context,
-        workers=UNSET if workers is _UNSET else workers,
-        checkpoint_dir=UNSET if checkpoint_dir is _UNSET else checkpoint_dir,
-        resume=UNSET if resume is _UNSET else resume,
-        supervisor=UNSET if supervisor is _UNSET else supervisor,
+        context, workers=UNSET if workers is _UNSET else workers
     )
-    return _generate_walks(
-        g, config, ctx, keep_shared=keep_shared, chunks=checkpoint_chunks
-    )
-
-
-def _generate_walks(
-    g: Graph,
-    config: RandomWalkConfig | None,
-    ctx,
-    *,
-    keep_shared: bool = False,
-    chunks: int | None = None,
-) -> WalkCorpus:
-    """Context-based engine entry (``ctx`` is an ExecutionContext)."""
     config = config or RandomWalkConfig()
-    if getattr(g, "mmap_backed", False) and hasattr(g, "shard"):
-        # Out-of-core store: shard-parallel engine with counter-based
-        # draws (bitwise-stable across shard/worker counts). Durable
-        # chunk checkpoints don't apply there — shard rounds are
-        # idempotent (see repro.walks.sharded).
-        from repro.walks.sharded import generate_walks_sharded
-
-        return generate_walks_sharded(g, config, context=ctx)
+    mode = WalkMode(config.mode)
+    store = getattr(g, "mmap_backed", False) and hasattr(g, "shard")
+    _validate_mode(g, mode, store)
+    n = int(g.n)
+    starts = _resolve_starts(config, n)
     workers = ctx.resolve_workers()
     rec = current_recorder()
+    fields = {"shards": int(g.num_shards)} if store else {}
     with ctx.lifecycle(), rec.span(
         "walks.generate",
-        n=int(g.n),
-        mode=str(WalkMode(config.mode).value),
+        n=n,
+        mode=str(mode.value),
         walks_per_vertex=config.walks_per_vertex,
         walk_length=config.walk_length,
         workers=workers,
+        **fields,
     ) as span:
         with rec.time("walks.generate_seconds") as timer:
-            if ctx.checkpoint_dir is not None:
-                corpus = _generate_walks_checkpointed(
-                    g, config, ctx, chunks=chunks or workers
-                )
-            elif workers > 1:
-                corpus = _generate_walks_parallel(g, config, ctx, keep_shared)
+            if store:
+                view = _store_view(g, mode)
+                inverse = np.empty(n, dtype=np.int64)
+                inverse[g.permutation()] = np.arange(n, dtype=np.int64)
+                starts = inverse[starts]
             else:
-                corpus = _generate_walks_serial(g, config)
+                view = _graph_arrays(g, mode)
+            plan = _Plan(
+                mode=mode,
+                walk_length=int(config.walk_length),
+                time_window=config.time_window,
+                p=config.p,
+                q=config.q,
+                key=derive_key(config.seed),
+            )
+            corpus = _walk(
+                g,
+                config,
+                plan,
+                view,
+                np.tile(starts, config.walks_per_vertex),
+                ctx,
+                workers,
+                keep_shared=keep_shared,
+                chunks=checkpoint_chunks or workers,
+            )
         if rec.enabled:
             walks_per_sec = corpus.num_walks / max(timer.seconds, 1e-9)
             rec.inc("walks.total", corpus.num_walks)
             rec.inc("walks.tokens", corpus.num_tokens)
             rec.set("walks.walks_per_sec", walks_per_sec)
+            if store:
+                rec.inc("shard.walks", corpus.num_walks)
+                rec.set("shard.shards", float(g.num_shards))
             span.annotate(
                 walks=corpus.num_walks,
                 tokens=corpus.num_tokens,
@@ -203,366 +665,62 @@ def _generate_walks(
         return corpus
 
 
-def _generate_walks_serial(g: Graph, config: RandomWalkConfig) -> WalkCorpus:
-    """The single-process stepping loop shared by every dispatch path."""
-    mode = WalkMode(config.mode)
-    _validate_mode(g, mode)
-
-    if config.start_vertices is not None:
-        starts_once = np.asarray(config.start_vertices, dtype=np.int64)
-        if starts_once.size and (starts_once.min() < 0 or starts_once.max() >= g.n):
-            raise ValueError("start vertex out of range")
-    else:
-        starts_once = np.arange(g.n, dtype=np.int64)
-    starts = np.tile(starts_once, config.walks_per_vertex)
-    num_walks = starts.shape[0]
-
-    walks = np.full((num_walks, config.walk_length), PAD, dtype=np.int64)
-    if num_walks == 0 or g.n == 0:
-        return WalkCorpus(walks, num_vertices=g.n)
-    walks[:, 0] = starts
-    if config.walk_length == 1:
-        return WalkCorpus(walks, num_vertices=g.n)
-
-    # One independent stream per stepper keeps results reproducible and
-    # lets a future multi-process split reuse the same spawning scheme.
-    rng = np.random.default_rng(spawn_seeds(config.seed, 1)[0])
-    stepper = _make_stepper(g, mode, config)
-    _step_walks_masked(stepper, starts, walks, rng)
-    return WalkCorpus(walks, num_vertices=g.n)
-
-
-def _step_walks_masked(stepper, starts, walks, rng) -> None:
-    """The reference stepping loop: masked advance of the live walk set.
-
-    This is the reproducibility anchor for walk generation — the
-    ``workers=1`` path runs exactly this loop, and the golden pipeline
-    checksum pins its draws. The batched frontier loop below
-    (:func:`_step_walks_dense`) must stay bitwise-identical to it on
-    dead-end-free graphs (``tests/walks/test_frontier.py``).
-    """
-    from repro.resilience.lifecycle import current_cancel_scope
-    from repro.resilience.supervisor import current_heartbeat
-
-    heartbeat = current_heartbeat()
-    scope = current_cancel_scope()
-    num_walks, walk_length = walks.shape
-    cur = starts.copy()
-    active = np.ones(num_walks, dtype=bool)
-    state = stepper.initial_state(num_walks)
-    for step in range(1, walk_length):
-        heartbeat.beat()  # liveness signal for the supervisor watchdog
-        scope.check()  # cooperative cancel: one poll per vectorized hop
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
-            break
-        nxt, ok, state = stepper.step(cur[idx], idx, state, rng)
-        landed = idx[ok]
-        walks[landed, step] = nxt[ok]
-        cur[landed] = nxt[ok]
-        active[idx[~ok]] = False
-
-
-def _step_walks_dense(stepper, starts, walk_length, rng) -> np.ndarray:
-    """Frontier-batched stepping for graphs where no walk can die.
-
-    When every vertex has an out-arc (and the mode is not temporal), the
-    masked loop's bookkeeping — ``flatnonzero`` over the always-full
-    active set, per-step fancy scatter writes, the ``ok`` re-masking
-    inside every stepper — is pure overhead: the frontier is the whole
-    walk set at every step. This loop advances that full frontier with
-    one vectorized draw per wave via ``stepper.step_dense`` and writes
-    whole columns contiguously (the walk matrix is built transposed,
-    ``(length, walks)``, and returned as its transpose).
-
-    Draw-equivalence: ``step_dense`` consumes the RNG stream in exactly
-    the order the masked stepper does when all walks are alive, so for a
-    fixed seed the result is bitwise-identical to the reference loop —
-    ~3x faster on the bench corpus. Used by the parallel chunk workers;
-    the ``workers=1`` path keeps the reference loop above.
-    """
-    from repro.resilience.lifecycle import current_cancel_scope
-    from repro.resilience.supervisor import current_heartbeat
-
-    heartbeat = current_heartbeat()
-    scope = current_cancel_scope()
-    num_walks = starts.shape[0]
-    walks = np.empty((walk_length, num_walks), dtype=np.int64)
-    walks[0] = starts
-    cur = starts
-    state = stepper.initial_state(num_walks)
-    for step in range(1, walk_length):
-        heartbeat.beat()
-        scope.check()
-        cur, state = stepper.step_dense(cur, state, rng)
-        walks[step] = cur
-    return walks.T
-
-
-def _chunk_walks(args: tuple) -> np.ndarray:
-    """Generate one chunk of walks (serial engine on a start slice)."""
-    g, config, starts, seed_state = args[:4]
-    chunk_config = RandomWalkConfig(
-        walks_per_vertex=1,
-        walk_length=config.walk_length,
-        mode=config.mode,
-        time_window=config.time_window,
-        p=config.p,
-        q=config.q,
-        seed=seed_state,
-        start_vertices=starts,
-    )
-    # Straight to the serial engine: chunks must not re-enter the public
-    # generate_walks(), which would nest spans and double-count metrics.
-    return _generate_walks_serial(g, chunk_config).walks
-
-
-def _chunk_task(args: tuple) -> np.ndarray:
-    """Module-level worker (picklable) returning one chunk of walks."""
-    return _chunk_walks(args)
-
-
-@dataclass(frozen=True)
-class _ShmChunkTask:
-    """Everything a chunk worker needs, with zero graph bytes attached.
-
-    The legacy ``_chunk_task`` tuples pickle the whole :class:`Graph`
-    into every item; these tasks carry only shared-memory *handles* for
-    the (mode-specific) stepping arrays plus the chunk's scalars, so a
-    task crosses the pool pipe in a few hundred bytes and precomputed
-    structures (alias tables, row-sorted adjacency) are built once in
-    the parent instead of once per chunk per worker.
-    """
-
-    mode: WalkMode
-    walk_length: int
-    time_window: float | None
-    p: float
-    q: float
-    seed: int
-    starts: np.ndarray
-    lo: int
-    hi: int
-    out: "object"  # SharedArraySpec of the (rows, walk_length) result block
-    arrays: dict  # name -> SharedArraySpec of the stepping arrays
-    dense_ok: bool
-
-
-def _export_walk_arrays(g: Graph, mode: WalkMode, scope) -> tuple[dict, bool]:
-    """Copy the stepping arrays for ``mode`` into shared segments.
-
-    Returns ``(specs, dense_ok)`` where ``specs`` maps array name to
-    :class:`~repro.parallel.shm.SharedArraySpec` and ``dense_ok`` says
-    whether chunk workers may run the frontier-batched loop (every
-    vertex has an out-arc, so no walk can ever die; temporal walks are
-    excluded because their eligible arc set shrinks over time).
-    """
-    arrays: dict[str, np.ndarray] = {"indptr": g.indptr}
-    if mode in (WalkMode.UNIFORM, WalkMode.WEIGHTED, WalkMode.VERTEX_WEIGHTED):
-        arrays["indices"] = g.indices
-    if mode in (WalkMode.WEIGHTED, WalkMode.VERTEX_WEIGHTED):
-        weights = (
-            g.edge_weights
-            if mode is WalkMode.WEIGHTED
-            else g.vertex_weights[g.indices]
-        )
-        table = build_arc_alias(g.indptr, weights)
-        arrays["prob"] = table.prob
-        arrays["alias"] = table.alias
-    elif mode is WalkMode.NODE2VEC:
-        order = _sort_rows_by_value(g.indptr, g.indices)
-        arrays["sorted_indices"] = np.ascontiguousarray(g.indices[order])
-    elif mode is WalkMode.TEMPORAL:
-        order = _sort_rows_by_time(g.indptr, g.edge_times)
-        arrays["sorted_indices"] = np.ascontiguousarray(g.indices[order])
-        arrays["sorted_times"] = np.ascontiguousarray(g.edge_times[order])
-    specs = {name: scope.from_array(arr).spec for name, arr in arrays.items()}
-    degrees = np.diff(g.indptr)
-    dense_ok = (
-        mode is not WalkMode.TEMPORAL
-        and degrees.size > 0
-        and int(degrees.min()) > 0
-    )
-    return specs, dense_ok
-
-
-def _stepper_from_shared(task: _ShmChunkTask, arrs: dict) -> object:
-    """Rebuild the task's stepper over shared-memory array views."""
-    if task.mode is WalkMode.UNIFORM:
-        return _UniformStepper(arrs["indptr"], arrs["indices"])
-    if task.mode in (WalkMode.WEIGHTED, WalkMode.VERTEX_WEIGHTED):
-        table = AliasTable(prob=arrs["prob"], alias=arrs["alias"])
-        return _AliasStepper(arrs["indptr"], arrs["indices"], table)
-    if task.mode is WalkMode.NODE2VEC:
-        return _Node2VecStepper(arrs["indptr"], arrs["sorted_indices"], task.p, task.q)
-    return _TemporalStepper(
-        arrs["indptr"],
-        arrs["sorted_indices"],
-        arrs["sorted_times"],
-        task.time_window,
-    )
-
-
-def _chunk_task_shm(task: _ShmChunkTask) -> tuple[int, int, float]:
-    """Worker that writes its chunk straight into the shared walk block.
-
-    Returns only the row bounds it filled plus its own wall-clock
-    seconds (the parent records per-chunk latency) — nothing heavyweight
-    crosses the pool's result pipe. Re-running a chunk (reassigned after
-    a worker death) rewrites the same rows with the same seed, so the
-    operation is idempotent. Graph-array attachments are cached per
-    process (:func:`repro.parallel.shm.attach_cached`): persistent-pool
-    workers map each segment once per run, not once per chunk.
-
-    The chunk rng is spawned exactly as the legacy serial path spawns
-    it from a chunk config (``spawn_seeds(seed, 1)[0]``), so for a fixed
-    ``(seed, workers)`` pair this path is bitwise-identical to the
-    pre-batching chunk worker.
-    """
-    from repro.parallel.shm import SharedArray, attach_cached
-
-    started = time.perf_counter()
-    arrs = {name: attach_cached(spec).array for name, spec in task.arrays.items()}
-    stepper = _stepper_from_shared(task, arrs)
-    rng = np.random.default_rng(spawn_seeds(task.seed, 1)[0])
-    if task.dense_ok and task.walk_length > 1:
-        walks = _step_walks_dense(stepper, task.starts, task.walk_length, rng)
-    else:
-        walks = np.full((task.starts.shape[0], task.walk_length), PAD, dtype=np.int64)
-        walks[:, 0] = task.starts
-        if task.walk_length > 1:
-            _step_walks_masked(stepper, task.starts, walks, rng)
-    # The out block changes every run and can be large: attach/close per
-    # chunk instead of pinning it in the process-level cache.
-    out = SharedArray.attach(task.out)
-    try:
-        out.array[task.lo : task.hi] = walks
-    finally:
-        out.close()
-    return task.lo, task.hi, time.perf_counter() - started
-
-
-def _chunk_tasks(
-    g: Graph, config: RandomWalkConfig, chunks: int
-) -> list[tuple] | None:
-    """Per-chunk ``_chunk_task`` argument tuples (None if no walks).
-
-    Chunk seeds are spawned deterministically from ``config.seed``, so
-    the task list — and therefore the assembled corpus — depends only on
-    ``(seed, chunk count)``, not on how chunks are scheduled. Each tuple
-    carries the chunk's ``(lo, hi)`` row range in the assembled corpus.
-    """
-    from repro.parallel.pool import chunk_bounds
-    from repro.parallel.seeding import spawn_seeds
-
-    if config.start_vertices is not None:
-        starts_once = np.asarray(config.start_vertices, dtype=np.int64)
-        if starts_once.size and (starts_once.min() < 0 or starts_once.max() >= g.n):
-            raise ValueError("start vertex out of range")
-    else:
-        starts_once = np.arange(g.n, dtype=np.int64)
-    starts = np.tile(starts_once, config.walks_per_vertex)
-    if starts.size == 0:
-        return None
-    bounds = chunk_bounds(starts.shape[0], chunks)
-    # SeedSequence state is a plain int tuple -> picklable across processes.
-    seeds = [
-        int(s.generate_state(1)[0])
-        for s in spawn_seeds(config.seed, len(bounds))
-    ]
-    return [
-        (g, config, starts[lo:hi], seed, lo, hi)
-        for (lo, hi), seed in zip(bounds, seeds)
-    ]
-
-
-def _empty_corpus(g: Graph, config: RandomWalkConfig) -> WalkCorpus:
-    return WalkCorpus(
-        np.full((0, config.walk_length), PAD, dtype=np.int64),
-        num_vertices=g.n,
-    )
-
-
-def _generate_walks_parallel(
-    g: Graph,
-    config: RandomWalkConfig,
-    ctx,
-    keep_shared: bool = False,
+def _walk(
+    g, config, plan, view, starts, ctx, workers, *, keep_shared, chunks
 ) -> WalkCorpus:
-    """Fan chunks out to a pool; rows land in one shared-memory block.
+    """Walk every row, in one process or across the pool, checkpointed
+    or not; every path runs the same row task."""
+    from repro.parallel.pool import chunk_bounds, parallel_map
+    from repro.parallel.shm import SHM_AVAILABLE, SharedArray
 
-    Workers write into the block in place and return only row bounds, so
-    a multi-GB corpus is never pickled through the pool's result pipe.
-    The stepping arrays travel the same way: the parent exports CSR (and
-    any mode-specific precomputation — alias tables, row-sorted
-    adjacency) into shared segments once, and every chunk task carries
-    only the handles. Falls back to the graph-pickling path on platforms
-    without POSIX shared memory.
-    """
-    from repro.parallel.pool import parallel_map
-    from repro.parallel.shm import (
-        SHM_AVAILABLE,
-        SharedArray,
-        release_cached,
-        shared_arrays,
-    )
-
-    workers = ctx.resolve_workers()
-    tasks = _chunk_tasks(g, config, workers)
-    if tasks is None:
-        return _empty_corpus(g, config)
-    if not SHM_AVAILABLE:  # pragma: no cover - exotic platforms only
-        chunks = parallel_map(ctx.wrap_task(_chunk_task), tasks, workers=workers)
-        return WalkCorpus(np.vstack(chunks), num_vertices=g.n)
-
-    mode = WalkMode(config.mode)
-    _validate_mode(g, mode)
-    total_rows = tasks[-1][5]
-    shared = SharedArray.create((total_rows, config.walk_length), np.int64)
+    num_walks = starts.shape[0]
+    pooled = workers > 1 and num_walks > 1 and SHM_AVAILABLE
+    shape = (num_walks, plan.walk_length)
+    shared = SharedArray.create(shape, np.int64) if pooled else None
+    walks = shared.array if pooled else np.empty(shape, dtype=np.int64)
+    rec = current_recorder()
     try:
-        with shared_arrays() as scope:
-            specs, dense_ok = _export_walk_arrays(g, mode, scope)
-            shm_tasks = [
-                _ShmChunkTask(
-                    mode=mode,
-                    walk_length=config.walk_length,
-                    time_window=config.time_window,
-                    p=config.p,
-                    q=config.q,
-                    seed=seed,
-                    starts=starts,
-                    lo=lo,
-                    hi=hi,
-                    out=shared.spec,
-                    arrays=specs,
-                    dense_ok=dense_ok,
+        with _task_view(view, pooled) as task_view:
+
+            def run(bounds: list[tuple[int, int]]) -> None:
+                tasks = [
+                    _RowTask(
+                        task_view,
+                        plan,
+                        lo,
+                        hi,
+                        starts[lo:hi],
+                        shared.spec if pooled else walks,
+                    )
+                    for lo, hi in bounds
+                ]
+                done = parallel_map(
+                    ctx.wrap_task(_walk_rows),
+                    tasks,
+                    workers=workers if pooled else 1,
+                    supervisor=ctx.supervisor,
                 )
-                for (_g, _config, starts, seed, lo, hi) in tasks
-            ]
-            bounds = parallel_map(
-                ctx.wrap_task(_chunk_task_shm),
-                shm_tasks,
-                workers=workers,
-                supervisor=ctx.supervisor,
-            )
-        # A serial-fallback pass runs chunk tasks in this process and
-        # leaves its graph attachments in the local cache; drop them now
-        # that the segments are unlinked.
-        for spec in specs.values():
-            release_cached(spec.name)
-        rec = current_recorder()
-        if rec.enabled:
-            for lo, hi, seconds in bounds:
-                rec.observe("walks.chunk_seconds", seconds)
-                rec.event(
-                    "walks.chunk",
-                    level="debug",
-                    rows=hi - lo,
-                    seconds=round(seconds, 6),
-                )
+                if rec.enabled:
+                    for lo, hi, seconds in done:
+                        rec.observe("walks.chunk_seconds", seconds)
+                        rec.event(
+                            "walks.chunk",
+                            level="debug",
+                            rows=hi - lo,
+                            seconds=round(seconds, 6),
+                        )
+
+            bounds = chunk_bounds(num_walks, max(chunks, 1))
+            if ctx.checkpoint_dir is None:
+                run(bounds if pooled else [(0, num_walks)])
+            else:
+                _run_checkpointed(g, config, ctx, workers, bounds, walks, run)
     except BaseException:
-        shared.destroy()
+        if shared is not None:
+            shared.destroy()
         raise
+    if shared is None:
+        return WalkCorpus(walks, num_vertices=g.n)
     if keep_shared:
         return WalkCorpus(shared.array, num_vertices=g.n, shared=shared)
     walks = shared.copy()
@@ -570,7 +728,7 @@ def _generate_walks_parallel(
     return WalkCorpus(walks, num_vertices=g.n)
 
 
-def _walk_fingerprint(g: Graph, config: RandomWalkConfig, chunks: int) -> dict:
+def _walk_fingerprint(g, config: RandomWalkConfig) -> dict:
     """Identity of a checkpointed walk job; mismatches refuse to resume."""
     starts = config.start_vertices
     return {
@@ -584,410 +742,95 @@ def _walk_fingerprint(g: Graph, config: RandomWalkConfig, chunks: int) -> dict:
         "p": config.p,
         "q": config.q,
         "seed": config.seed,
-        "chunks": int(chunks),
         "start_vertices": None if starts is None else [int(v) for v in starts],
     }
 
 
-def _generate_walks_checkpointed(
-    g: Graph,
-    config: RandomWalkConfig,
-    ctx,
-    *,
-    chunks: int,
-) -> WalkCorpus:
-    from repro.parallel.pool import parallel_map
-
-    tasks = _chunk_tasks(g, config, chunks)
-    if tasks is None:
-        return _empty_corpus(g, config)
-    store = ctx.fingerprinted(
-        _walk_fingerprint(g, config, len(tasks)),
-        what="walk checkpoint",
-        described="walk configuration",
-    )
-    workers = ctx.resolve_workers()
-    rec = current_recorder()
-
-    done: dict[int, np.ndarray] = {}
-    if ctx.resume:
-        for i in range(len(tasks)):
-            ckpt = store.load(f"walks-{i:04d}")
-            if ckpt is None:
-                continue
-            done[i] = ckpt.arrays["walks"]
-        if done:
-            rec.inc("walks.chunks_resumed", len(done))
-            rec.event(
-                "walks.resume", chunks=len(done), of=len(tasks)
-            )
-
+def _run_checkpointed(g, config, ctx, workers, bounds, walks, run) -> None:
+    """Walk the chunks in ``bounds`` that no checkpoint holds yet, saving
+    each chunk (with its rows) once its wave completes."""
     from repro.resilience.guard import clamp_wave
     from repro.resilience.lifecycle import current_cancel_scope
 
+    store = ctx.fingerprinted(
+        _walk_fingerprint(g, config),
+        what="walk checkpoint",
+        described="walk configuration",
+    )
+    rec = current_recorder()
+    done = np.zeros(walks.shape[0], dtype=bool)
+    if ctx.resume:
+        # Every chunk records its rows, so chunks written at any chunk
+        # count fill the matrix.
+        resumed = 0
+        for name in store.manager.names():
+            ckpt = store.load(name) if name.startswith("walks-") else None
+            if ckpt is None:
+                continue
+            lo, hi = ckpt.meta["rows"]
+            walks[lo:hi] = ckpt.arrays["walks"]
+            done[lo:hi] = True
+            resumed += 1
+        if resumed:
+            rec.inc("walks.chunks_resumed", resumed)
+            rec.event("walks.resume", chunks=resumed, of=len(bounds))
+
     scope = current_cancel_scope()
-    missing = [i for i in range(len(tasks)) if i not in done]
+    missing = [
+        (i, lo, hi) for i, (lo, hi) in enumerate(bounds) if not done[lo:hi].all()
+    ]
     # Compute in waves of `workers` chunks, checkpointing after each
     # wave, so a kill mid-job loses at most one wave of work. Under
     # memory pressure the guard ladder clamps the wave to one chunk —
     # re-read per wave so a mid-run breach takes effect immediately.
-    # Wave size is pure scheduling (the fingerprint counts chunks), so
-    # shrinking it never perturbs resume identity.
-    lo, wave_index = 0, 0
-    while lo < len(missing):
+    first, wave_index = 0, 0
+    while first < len(missing):
         # Completed waves are already durable; raising here (cancel or
-        # deadline) loses at most the wave in flight, and chunk seeds
-        # are deterministic so resume recomputes it bit-for-bit.
+        # deadline) loses at most the wave in flight.
         scope.check()
-        wave = clamp_wave(max(workers, 1))
-        batch = missing[lo : lo + wave]
-        lo += wave
+        wave = missing[first : first + clamp_wave(max(workers, 1))]
+        first += len(wave)
         wave_started = time.perf_counter()
-        computed = parallel_map(
-            ctx.wrap_task(_chunk_task),
-            [tasks[i] for i in batch],
-            workers=workers,
-            supervisor=ctx.supervisor,
-        )
-        for i, walks in zip(batch, computed):
-            store.save(f"walks-{i:04d}", {"walks": walks}, {"chunk": i})
-            done[i] = walks
+        run([(lo, hi) for _, lo, hi in wave])
+        for i, lo, hi in wave:
+            meta = {"chunk": i, "rows": [lo, hi]}
+            store.save(f"walks-{i:04d}", {"walks": walks[lo:hi]}, meta)
         if rec.enabled:
             wave_seconds = time.perf_counter() - wave_started
             rec.observe("walks.wave_seconds", wave_seconds)
-            rec.inc("walks.chunks_computed", len(batch))
+            rec.inc("walks.chunks_computed", len(wave))
             rec.event(
                 "walks.wave",
                 wave=wave_index,
-                chunks=len(batch),
+                chunks=len(wave),
                 seconds=round(wave_seconds, 6),
             )
         wave_index += 1
-    ordered = [done[i] for i in range(len(tasks))]
-    return WalkCorpus(np.vstack(ordered), num_vertices=g.n)
 
 
-def _validate_mode(g: Graph, mode: WalkMode) -> None:
+def _resolve_starts(config: RandomWalkConfig, n: int) -> np.ndarray:
+    """Start vertices in original ids (the public API's space)."""
+    if config.start_vertices is not None:
+        starts = np.asarray(config.start_vertices, dtype=np.int64)
+        if starts.size and (starts.min() < 0 or starts.max() >= n):
+            raise ValueError("start vertex out of range")
+        return starts
+    return np.arange(n, dtype=np.int64)
+
+
+def _validate_mode(g, mode: WalkMode, store: bool) -> None:
+    if mode is WalkMode.NODE2VEC and store:
+        raise ValueError(
+            "node2vec walks are not supported on a graph store: its rows "
+            "are not sorted by target, which the second-order adjacency "
+            "test needs — walk the in-memory graph (GraphStore.to_graph())"
+        )
     if mode is WalkMode.WEIGHTED and g.edge_weights is None:
         raise ValueError("WEIGHTED walk requires edge weights")
     if mode is WalkMode.VERTEX_WEIGHTED and g.vertex_weights is None:
         raise ValueError("VERTEX_WEIGHTED walk requires vertex weights")
     if mode is WalkMode.TEMPORAL and g.edge_times is None:
         raise ValueError("TEMPORAL walk requires edge timestamps")
-
-
-def _make_stepper(g: Graph, mode: WalkMode, config: RandomWalkConfig):
-    if mode is WalkMode.UNIFORM:
-        return _UniformStepper.from_graph(g)
-    if mode is WalkMode.WEIGHTED:
-        return _AliasStepper.from_graph(g, g.edge_weights)
-    if mode is WalkMode.VERTEX_WEIGHTED:
-        target_weights = g.vertex_weights[g.indices]
-        return _AliasStepper.from_graph(g, target_weights)
-    if mode is WalkMode.NODE2VEC:
-        return _Node2VecStepper.from_graph(g, config.p, config.q)
-    return _TemporalStepper.from_graph(g, config.time_window)
-
-
-class _UniformStepper:
-    """Uniform neighbor choice: next = indices[indptr[v] + floor(u * deg)].
-
-    Steppers take raw CSR arrays (not a :class:`Graph`) so chunk workers
-    can rebuild them over shared-memory views without reassembling — or
-    pickling — the graph object; :meth:`from_graph` is the parent-side
-    convenience constructor.
-    """
-
-    def __init__(self, indptr: np.ndarray, indices: np.ndarray) -> None:
-        self.indptr = indptr
-        self.indices = indices
-        self.degrees = np.diff(indptr)
-
-    @classmethod
-    def from_graph(cls, g: Graph) -> "_UniformStepper":
-        return cls(g.indptr, g.indices)
-
-    def initial_state(self, num_walks: int) -> None:
-        return None
-
-    def step(
-        self,
-        cur: np.ndarray,
-        walk_ids: np.ndarray,
-        state: None,
-        rng: np.random.Generator,
-    ) -> tuple[np.ndarray, np.ndarray, None]:
-        deg = self.degrees[cur]
-        ok = deg > 0
-        nxt = np.full(cur.shape[0], PAD, dtype=np.int64)
-        if np.any(ok):
-            u = rng.random(int(ok.sum()))
-            offs = (u * deg[ok]).astype(np.int64)
-            np.minimum(offs, deg[ok] - 1, out=offs)
-            nxt[ok] = self.indices[self.indptr[cur[ok]] + offs]
-        return nxt, ok, None
-
-    def step_dense(
-        self, cur: np.ndarray, state: None, rng: np.random.Generator
-    ) -> tuple[np.ndarray, None]:
-        """Full-frontier hop; draw-for-draw identical to :meth:`step`
-        when every walk is alive (no masking, no scatter)."""
-        deg = self.degrees[cur]
-        u = rng.random(cur.shape[0])
-        offs = (u * deg).astype(np.int64)
-        np.minimum(offs, deg - 1, out=offs)
-        return self.indices[self.indptr[cur] + offs], None
-
-
-class _AliasStepper:
-    """Weighted neighbor choice via flat per-vertex alias tables.
-
-    The table is built once (parent-side via :meth:`from_graph`, a
-    Python-loop Vose construction) and shared with chunk workers as two
-    flat arrays — workers must never rebuild it per chunk.
-    """
-
-    def __init__(
-        self, indptr: np.ndarray, indices: np.ndarray, table: AliasTable
-    ) -> None:
-        self.indptr = indptr
-        self.indices = indices
-        self.degrees = np.diff(indptr)
-        self.table = table
-        # Vertices whose arc weights are all zero cannot move (a zero-weight
-        # neighborhood has no valid draw under the proportional rule... but
-        # we follow the uniform-degeneration convention from build_arc_alias
-        # only when *some* weight is positive elsewhere; an all-zero row is
-        # treated as uniform too, which keeps walks alive on such rows).
-
-    @classmethod
-    def from_graph(cls, g: Graph, arc_weights: np.ndarray) -> "_AliasStepper":
-        return cls(g.indptr, g.indices, build_arc_alias(g.indptr, arc_weights))
-
-    def initial_state(self, num_walks: int) -> None:
-        return None
-
-    def step(
-        self,
-        cur: np.ndarray,
-        walk_ids: np.ndarray,
-        state: None,
-        rng: np.random.Generator,
-    ) -> tuple[np.ndarray, np.ndarray, None]:
-        deg = self.degrees[cur]
-        ok = deg > 0
-        nxt = np.full(cur.shape[0], PAD, dtype=np.int64)
-        if np.any(ok):
-            arcs = self.table.sample(self.indptr[cur[ok]], deg[ok], rng)
-            nxt[ok] = self.indices[arcs]
-        return nxt, ok, None
-
-    def step_dense(
-        self, cur: np.ndarray, state: None, rng: np.random.Generator
-    ) -> tuple[np.ndarray, None]:
-        arcs = self.table.sample(self.indptr[cur], self.degrees[cur], rng)
-        return self.indices[arcs], None
-
-
-class _TemporalStepper:
-    """Time-increasing walks with optional window constraint.
-
-    Arcs inside each CSR row are pre-sorted by timestamp. Each step finds,
-    per walk, the eligible arc range ``(first time > t_cur,
-    last time <= t_cur + window]`` with a vectorized segment binary search
-    and samples uniformly inside it. Walk state is the timestamp of the
-    last traversed arc (-inf at the start, so the first hop is free).
-
-    Temporal walks can die at any vertex (the eligible range empties), so
-    there is no ``step_dense``: this mode always runs the masked loop.
-    """
-
-    def __init__(
-        self,
-        indptr: np.ndarray,
-        sorted_indices: np.ndarray,
-        sorted_times: np.ndarray,
-        time_window: float | None,
-    ) -> None:
-        self.indptr = indptr
-        self.window = time_window
-        self.sorted_indices = sorted_indices
-        self.sorted_times = sorted_times
-
-    @classmethod
-    def from_graph(cls, g: Graph, time_window: float | None) -> "_TemporalStepper":
-        order = _sort_rows_by_time(g.indptr, g.edge_times)
-        return cls(
-            g.indptr,
-            np.ascontiguousarray(g.indices[order]),
-            np.ascontiguousarray(g.edge_times[order]),
-            time_window,
-        )
-
-    def initial_state(self, num_walks: int) -> np.ndarray:
-        return np.full(num_walks, -np.inf)
-
-    def step(
-        self,
-        cur: np.ndarray,
-        walk_ids: np.ndarray,
-        state: np.ndarray,
-        rng: np.random.Generator,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        t_cur = state[walk_ids]
-        row_start = self.indptr[cur]
-        row_stop = self.indptr[cur + 1]
-        lo = _segment_searchsorted(self.sorted_times, row_start, row_stop, t_cur, side="right")
-        if self.window is not None:
-            # A fresh walk (t = -inf) has no previous arc, so no window cap.
-            cap = np.where(np.isinf(t_cur), np.inf, t_cur + self.window)
-            hi = _segment_searchsorted(self.sorted_times, row_start, row_stop, cap, side="right")
-        else:
-            hi = row_stop
-        count = hi - lo
-        ok = count > 0
-        nxt = np.full(cur.shape[0], PAD, dtype=np.int64)
-        if np.any(ok):
-            u = rng.random(int(ok.sum()))
-            pick = lo[ok] + (u * count[ok]).astype(np.int64)
-            np.minimum(pick, hi[ok] - 1, out=pick)
-            nxt[ok] = self.sorted_indices[pick]
-            state[walk_ids[ok]] = self.sorted_times[pick]
-        return nxt, ok, state
-
-
-class _Node2VecStepper:
-    """Second-order biased walks (Grover & Leskovec 2016).
-
-    From current vertex v with previous vertex u, a neighbor x is chosen
-    with unnormalized weight 1/p if x == u (return), 1 if x is adjacent
-    to u (triangle step), 1/q otherwise (exploration). Implemented with
-    the node2vec authors' rejection-sampling trick: draw a uniform
-    neighbor, accept with weight/max_weight — fully vectorized across
-    walks, with adjacency tests done as a batched segment binary search
-    over row-sorted CSR. The first hop (no previous vertex) is uniform.
-    """
-
-    MAX_REJECTION_ROUNDS = 64
-
-    def __init__(
-        self, indptr: np.ndarray, sorted_indices: np.ndarray, p: float, q: float
-    ) -> None:
-        self.indptr = indptr
-        self.degrees = np.diff(indptr)
-        self.p = p
-        self.q = q
-        # Row-sorted adjacency for O(log deg) membership tests; the sort
-        # happens once in from_graph (or the exporting parent), never in
-        # chunk workers.
-        self.sorted_indices = sorted_indices
-        self.w_return = 1.0 / p
-        self.w_triangle = 1.0
-        self.w_explore = 1.0 / q
-        self.w_max = max(self.w_return, self.w_triangle, self.w_explore)
-
-    @classmethod
-    def from_graph(cls, g: Graph, p: float, q: float) -> "_Node2VecStepper":
-        order = _sort_rows_by_value(g.indptr, g.indices)
-        return cls(g.indptr, np.ascontiguousarray(g.indices[order]), p, q)
-
-    def initial_state(self, num_walks: int) -> np.ndarray:
-        return np.full(num_walks, -1, dtype=np.int64)  # previous vertex
-
-    def _uniform_pick(
-        self, cur: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        deg = self.degrees[cur]
-        u = rng.random(cur.shape[0])
-        offs = (u * deg).astype(np.int64)
-        np.minimum(offs, deg - 1, out=offs)
-        return self.sorted_indices[self.indptr[cur] + offs]
-
-    def _is_adjacent(self, u: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Vectorized: is x a neighbor of u? (both arrays, per element)."""
-        starts = self.indptr[u]
-        stops = self.indptr[u + 1]
-        pos = _segment_searchsorted(
-            self.sorted_indices, starts, stops, x, side="left"
-        )
-        in_range = pos < stops
-        found = np.zeros(u.shape[0], dtype=bool)
-        safe = np.minimum(pos, self.sorted_indices.shape[0] - 1)
-        found[in_range] = self.sorted_indices[safe[in_range]] == x[in_range]
-        return found
-
-    def _biased_pick(
-        self, cur: np.ndarray, prev: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        """One rejection-sampled hop for every (cur, prev) pair."""
-        result = np.full(cur.shape[0], PAD, dtype=np.int64)
-        pending = np.ones(cur.shape[0], dtype=bool)
-        # First hops (prev == -1) are plain uniform draws.
-        fresh = prev < 0
-        if np.any(fresh):
-            result[fresh] = self._uniform_pick(cur[fresh], rng)
-            pending[fresh] = False
-        for _ in range(self.MAX_REJECTION_ROUNDS):
-            idx = np.flatnonzero(pending)
-            if idx.size == 0:
-                break
-            cand = self._uniform_pick(cur[idx], rng)
-            w = np.where(
-                cand == prev[idx],
-                self.w_return,
-                np.where(
-                    self._is_adjacent(prev[idx], cand),
-                    self.w_triangle,
-                    self.w_explore,
-                ),
-            )
-            accept = rng.random(idx.size) < w / self.w_max
-            result[idx[accept]] = cand[accept]
-            pending[idx[accept]] = False
-        still = np.flatnonzero(pending)
-        if still.size:  # pathological p/q: fall back to uniform
-            result[still] = self._uniform_pick(cur[still], rng)
-        return result
-
-    def step(
-        self,
-        cur: np.ndarray,
-        walk_ids: np.ndarray,
-        state: np.ndarray,
-        rng: np.random.Generator,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        deg = self.degrees[cur]
-        ok = deg > 0
-        nxt = np.full(cur.shape[0], PAD, dtype=np.int64)
-        if np.any(ok):
-            nxt[ok] = self._biased_pick(cur[ok], state[walk_ids[ok]], rng)
-            state[walk_ids[ok]] = cur[ok]
-        return nxt, ok, state
-
-    def step_dense(
-        self, cur: np.ndarray, state: np.ndarray, rng: np.random.Generator
-    ) -> tuple[np.ndarray, np.ndarray]:
-        # The new state (previous vertex) is exactly the frontier we just
-        # left; the caller never mutates it, so no copy is needed.
-        return self._biased_pick(cur, state, rng), cur
-
-
-def _sort_rows_by_value(indptr: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Permutation sorting each CSR row's arcs by target id."""
-    n = indptr.shape[0] - 1
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    return np.lexsort((values, rows))
-
-
-def _sort_rows_by_time(indptr: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Permutation sorting each CSR row's arcs by timestamp.
-
-    Implemented as one global stable argsort of (row, time) pairs, which
-    keeps the row blocks contiguous — no Python-level per-row loop.
-    """
-    n = indptr.shape[0] - 1
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    return np.lexsort((times, rows))
 
 
 def _segment_searchsorted(

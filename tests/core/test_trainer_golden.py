@@ -66,43 +66,43 @@ CASES = {
 
 GOLDEN = {
     "fused": (
-        "bb543e65b0925676acc6f0468c7a1420f154f0c473062ab88a9ecb71b338e19a"
+        "553ff2e156bb712cd05668810199bffdede9be763bb39f28eadbcf41c18ce93b"
     ),
     "reference": (
-        "bfb116d816db56d3dd5d4a87cd2f3ada28af8a9b8a0d37112dfa72d649af10fe"
+        "ca361a03f5a07cf48f874708d365adfa7ee8b8b25cf66b13fc7067ff7780d789"
     ),
     "skipgram": (
-        "b9829c48d80b76825185f727bd8fdbf3f503f5b890151913aec0bedb53de52f7"
+        "b7ed29f161fd8c5a5adc8eb0df588c292cac27037d47e962615006fe8aff23a0"
     ),
     "hierarchical": (
-        "75a63eda502f7249126daf78304785e018e4894df97851043a27fe8b4854cf8f"
+        "7c970107432454e37c38a5b3e1f9ebb5af5ad2939daea42390e948acf4abb6e5"
     ),
     "subsample": (
-        "702558856f0fc8542728ddc22f4526f9b0fd2d45aac70bec8754f9f84c364f1f"
+        "1a54b5f289d7fdce5a0bed263d0a9b9d3f66d59b5490fe40cd516950966c4faf"
     ),
     "no_shuffle": (
-        "0ca47329f7340799b0b19c5855e9fd5088ffdea33395e6b28a638b6af0bf478c"
+        "23aee3bda601a4ee72117b1f40aefcf4672a1897922bcb8d0d63f2948b26ef23"
     ),
     "early_stop": (
-        "ca95ca4323f8b4d80450fedf3ebbf6e02c7421400eb0d0105d0c2bf8a23e1b6f"
+        "955ae1bb38a802af8690f8fde7dfb2c541352f677de6cdb58767518e4778998f"
     ),
     "streaming": (
-        "5f3c5dad6036dc187712572e755703f12e33e1930fb7284994527b5d9d13ef51"
+        "a949b63bdbbe5257f72fa96205cf8b0fe969486d92f5d8d645a4da9c9e9e2c1f"
     ),
     "streaming_subsample": (
-        "8f93f97971da643d575013fd098efb88752bd74c31dff09cebdc784a6ecd6e84"
+        "cfc81d99099a787173e70ac91dfd304f4d8ad468d42c5eed0ae1923ec0c2c038"
     ),
     "streaming_no_shuffle": (
-        "0ca47329f7340799b0b19c5855e9fd5088ffdea33395e6b28a638b6af0bf478c"
+        "23aee3bda601a4ee72117b1f40aefcf4672a1897922bcb8d0d63f2948b26ef23"
     ),
     "streaming_reference": (
-        "416802bb70b0f2a6acb0066a036f774a72772421cd1d65025043bace43a0397a"
+        "917361c29bc262c019051f1d7da0c2594470ea56775d53742d20059e05dfe503"
     ),
     "warm_start": (
-        "c8c844d556002fac4d7293ef8c03b1bb9a92bacf9c34192d5210694feca463c7"
+        "17da090ec1d5688e4f65b9ca35b38dd7965781f2e96023b08ea4bb5ae3e2a388"
     ),
     "hogwild_workers1": (
-        "bb543e65b0925676acc6f0468c7a1420f154f0c473062ab88a9ecb71b338e19a"
+        "553ff2e156bb712cd05668810199bffdede9be763bb39f28eadbcf41c18ce93b"
     ),
 }
 

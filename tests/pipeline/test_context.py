@@ -126,13 +126,6 @@ class TestContextFromLegacy:
             ctx = context_from_legacy(None, workers=4, checkpoint_dir=UNSET)
         assert ctx.workers == 4
 
-    def test_deprecated_kwargs_warn(self, tmp_path):
-        with pytest.warns(DeprecationWarning, match="checkpoint_dir, resume"):
-            ctx = context_from_legacy(
-                None, checkpoint_dir=tmp_path, resume=True, workers=UNSET
-            )
-        assert ctx.checkpoint_dir == tmp_path and ctx.resume is True
-
     def test_context_plus_legacy_is_an_error(self, tmp_path):
         with pytest.raises(TypeError, match="not both"):
             context_from_legacy(

@@ -1,22 +1,17 @@
-"""The legacy per-function runtime kwargs keep working — with a warning.
+"""Runtime settings travel in ``context=``; ``workers=`` is the one shorthand.
 
-The PR that introduced ``ExecutionContext`` kept the historical
-signatures of ``generate_walks``/``train_embeddings`` as thin shims.
-These tests pin the compatibility contract:
-
-* the modern call paths are completely warning-free (asserted under
+* the call paths are completely warning-free (asserted under
   ``simplefilter("error")``);
-* ``checkpoint_dir=``/``resume=``/``supervisor=`` still function but
-  emit the migration ``DeprecationWarning``;
-* ``workers=`` stays a silent, documented shorthand;
-* mixing ``context=`` with legacy kwargs is a ``TypeError``.
+* ``workers=`` stays a silent, documented shorthand on ``generate_walks``;
+* mixing ``context=`` with the shorthand is a ``TypeError``, and the
+  removed per-function ``checkpoint_dir=``/``resume=``/``supervisor=``
+  keywords are refused.
 """
 
 from __future__ import annotations
 
 import warnings
 
-import numpy as np
 import pytest
 
 from repro.core.trainer import TrainConfig, train_embeddings
@@ -72,57 +67,21 @@ class TestModernPathIsWarningFree:
             V2V(cfg).fit(graph, context=ExecutionContext(checkpoint_dir=tmp_path))
 
 
-class TestLegacyKwargsWarnButWork:
-    def test_generate_walks_checkpoint_dir(self, graph, walk_config, tmp_path):
-        with pytest.warns(DeprecationWarning, match="checkpoint_dir"):
-            corpus = generate_walks(graph, walk_config, checkpoint_dir=tmp_path)
-        assert (tmp_path / "walks-0000.ckpt.npz").exists()
-        with pytest.warns(DeprecationWarning, match="checkpoint_dir, resume"):
-            resumed = generate_walks(
-                graph, walk_config, checkpoint_dir=tmp_path, resume=True
-            )
-        assert np.array_equal(corpus.walks, resumed.walks)
-
-    def test_generate_walks_supervisor(self, graph, walk_config):
-        from repro.resilience.supervisor import SupervisorConfig
-
-        with pytest.warns(DeprecationWarning, match="supervisor"):
-            generate_walks(
-                graph,
-                walk_config,
-                workers=2,
-                supervisor=SupervisorConfig(worker_deadline=30.0),
-            )
-
-    def test_train_embeddings_checkpoint_dir(
-        self, graph, walk_config, train_config, tmp_path
-    ):
-        corpus = generate_walks(graph, walk_config)
-        with pytest.warns(DeprecationWarning, match="checkpoint_dir"):
-            first = train_embeddings(corpus, train_config, checkpoint_dir=tmp_path)
-        assert (tmp_path / "trainer.ckpt.npz").exists()
-        with pytest.warns(DeprecationWarning, match="checkpoint_dir, resume"):
-            resumed = train_embeddings(
-                corpus, train_config, checkpoint_dir=tmp_path, resume=True
-            )
-        assert np.array_equal(first.vectors, resumed.vectors)
-
-
 class TestConflictingSettings:
-    def test_generate_walks_context_plus_legacy(self, graph, walk_config, tmp_path):
+    def test_generate_walks_context_plus_legacy(self, graph, walk_config):
         with pytest.raises(TypeError, match="not both"):
             generate_walks(
                 graph,
                 walk_config,
                 context=ExecutionContext(),
-                checkpoint_dir=tmp_path,
+                workers=2,
             )
 
     def test_train_embeddings_context_plus_legacy(
         self, graph, walk_config, train_config, tmp_path
     ):
         corpus = generate_walks(graph, walk_config)
-        with pytest.raises(TypeError, match="not both"):
+        with pytest.raises(TypeError, match="resume"):
             train_embeddings(
                 corpus,
                 train_config,

@@ -27,7 +27,7 @@ import numpy as np
 from repro import V2V, V2VConfig
 from repro.graph.generators import planted_partition
 
-GOLDEN_SHA256 = "527520505ee6ccae824959a3b3c5aa835035a4e1d132e088d5666654d0888cc8"
+GOLDEN_SHA256 = "88c03c33181cad2a9f2098a4d25db6952ed79b2d2532ef2b8753558566d0f67f"
 
 
 def _golden_digest() -> str:

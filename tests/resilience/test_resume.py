@@ -83,6 +83,62 @@ class TestWalkResume:
                 checkpoint_chunks=4,
             )
 
+    def test_resume_across_a_changed_chunk_count(self, graph, tmp_path):
+        # Chunks record their rows, so a run checkpointed at 4 chunks
+        # resumes at 2 (here: after a crash that kept 3 of the 4).
+        cfg = RandomWalkConfig(**WALK_CFG)
+        full = generate_walks(
+            graph,
+            cfg,
+            context=ExecutionContext(checkpoint_dir=tmp_path / "full"),
+            checkpoint_chunks=4,
+        )
+        mgr_full = CheckpointManager(tmp_path / "full")
+        mgr_part = CheckpointManager(tmp_path / "part")
+        for name in mgr_full.names()[:3]:
+            ckpt = mgr_full.load(name)
+            mgr_part.save(name, ckpt.arrays, ckpt.meta)
+        for ckpt_dir in (tmp_path / "full", tmp_path / "part"):
+            resumed = generate_walks(
+                graph,
+                cfg,
+                context=ExecutionContext(checkpoint_dir=ckpt_dir, resume=True),
+                checkpoint_chunks=2,
+            )
+            np.testing.assert_array_equal(full.walks, resumed.walks)
+
+    def test_store_input_writes_and_resumes_checkpoints(self, graph, tmp_path):
+        from repro.graph.store import GraphStore
+        from repro.obs.metrics import MetricsRegistry
+        from repro.obs.recorder import Recorder, use
+
+        store = GraphStore.build(graph, tmp_path / "store", shards=3, seed=1)
+        cfg = RandomWalkConfig(**WALK_CFG)
+        first = generate_walks(
+            store,
+            cfg,
+            context=ExecutionContext(checkpoint_dir=tmp_path / "ckpt"),
+            checkpoint_chunks=3,
+        )
+        assert len(CheckpointManager(tmp_path / "ckpt").names()) == 3
+        registry = MetricsRegistry()
+        with use(Recorder(registry)):
+            resumed = generate_walks(
+                store,
+                cfg,
+                context=ExecutionContext(
+                    checkpoint_dir=tmp_path / "ckpt", resume=True
+                ),
+                checkpoint_chunks=3,
+            )
+        counters = registry.snapshot()["counters"]
+        assert counters["walks.chunks_resumed"] == 3
+        assert "walks.chunks_computed" not in counters
+        np.testing.assert_array_equal(first.walks, resumed.walks)
+        np.testing.assert_array_equal(
+            first.walks, generate_walks(graph, cfg).walks
+        )
+
     def test_without_resume_recomputes(self, graph, tmp_path):
         cfg = RandomWalkConfig(**WALK_CFG)
         first = generate_walks(

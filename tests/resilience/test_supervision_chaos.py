@@ -132,16 +132,16 @@ class TestWalkWorkerKilled:
         self, graph, tmp_path, no_leaks, monkeypatch
     ):
         config = RandomWalkConfig(walks_per_vertex=4, walk_length=20, seed=5)
-        baseline = generate_walks(graph, config, workers=2)
+        baseline = generate_walks(graph, config)
 
         manifest_path = tmp_path / "run.json"
         injector = FaultInjector(
-            engine._chunk_task_shm,
+            engine._walk_rows,
             exit_on_calls={1},
             only_in_subprocess=True,
             once_marker=tmp_path / "fired",
         )
-        monkeypatch.setattr(engine, "_chunk_task_shm", injector)
+        monkeypatch.setattr(engine, "_walk_rows", injector)
         cfg = ObsConfig(log_level="error", metrics_out=str(manifest_path))
         with session(cfg, run_config={"chaos": "walk-kill"}, stream=io.StringIO()):
             supervised = generate_walks(
@@ -151,7 +151,8 @@ class TestWalkWorkerKilled:
             )
 
         assert (tmp_path / "fired").exists(), "fault never fired"
-        # Chunk re-execution is idempotent: bitwise-identical corpus.
+        # A row task rewrites exactly its own rows with counter-based
+        # draws, so re-running it is idempotent: bitwise-identical corpus.
         np.testing.assert_array_equal(supervised.walks, baseline.walks)
         counters = load_manifest(manifest_path)["metrics"]["counters"]
         assert counters["supervisor.respawns"] >= 1

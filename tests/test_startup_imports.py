@@ -99,7 +99,7 @@ def test_package_import_loads_no_submodule(package):
 
 def test_walk_only_setup_loads_no_scipy():
     loaded = loaded_after(WALK_SETUP)
-    assert "repro.walks.sharded" in loaded
+    assert "repro.walks.engine" in loaded
     assert not _under(loaded, "scipy")
     assert "repro.core.trainer" not in loaded
 

@@ -95,6 +95,18 @@ class TestUniformWalks:
         corpus = generate_walks(Graph(0), RandomWalkConfig(seed=0))
         assert corpus.num_walks == 0
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("mode", [WalkMode.UNIFORM, WalkMode.WEIGHTED])
+    def test_edgeless_graph_walks_stay_at_start(self, mode, workers):
+        from repro.graph.core import EdgeList
+
+        empty = np.zeros(0, dtype=np.int64)
+        g = Graph(3, EdgeList(empty, empty, weights=np.zeros(0)))
+        cfg = RandomWalkConfig(walks_per_vertex=2, walk_length=4, seed=0, mode=mode)
+        walks = generate_walks(g, cfg, workers=workers).walks
+        assert np.array_equal(walks[:, 0], np.tile(np.arange(3), 2))
+        assert np.all(walks[:, 1:] == PAD)
+
     def test_neighbor_distribution_uniform(self, rng):
         g = Graph(4, [(0, 1), (0, 2), (0, 3)])
         cfg = RandomWalkConfig(

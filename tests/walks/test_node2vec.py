@@ -116,3 +116,76 @@ class TestBias:
         # Walk 0 -> 1 -> x: x should be 0 (return) ~99% of the time.
         third = corpus.walks[:, 2]
         assert (third == 0).mean() > 0.9
+
+
+def _exact_second_step(g, prev, cur, p, q):
+    """node2vec's one-step law from ``cur`` having come from ``prev``:
+    weight 1/p to return, 1 to a neighbor of ``prev``, 1/q otherwise
+    (the alias-edge weights of Grover & Leskovec's reference code)."""
+    targets = np.sort(g.neighbors(cur))
+    weights = np.array(
+        [
+            1.0 / p if x == prev else 1.0 if g.has_edge(prev, int(x)) else 1.0 / q
+            for x in targets
+        ]
+    )
+    return targets, weights / weights.sum()
+
+
+class TestTransitionLaw:
+    """Chi-square of observed one-step transitions against the exact law."""
+
+    # (edges, prev, cur, p, q, lump): ``lump`` tests "return" against
+    # "any other target" where single targets expect too few counts for
+    # the chi-square.
+    CASES = {
+        # Return, two triangle steps and three exploring steps from
+        # vertex 1 after arriving from vertex 0: every weight class
+        # appears, and rejection and exact draws both run.
+        "moderate": (
+            [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6)],
+            0,
+            1,
+            0.5,
+            2.0,
+            False,
+        ),
+        # A 20-leaf star at p=0.01, q=100: from the hub a walk returns to
+        # its leaf with probability 0.998, but a candidate is accepted
+        # with probability about 0.05 per lane, so most steps exhaust the
+        # rejection lanes and take the exact draw.
+        "extreme": (
+            [(0, leaf) for leaf in range(1, 21)],
+            1,
+            0,
+            0.01,
+            100.0,
+            True,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_one_step_matches_exact_probabilities(self, case):
+        from scipy.stats import chisquare
+
+        edges, prev, cur, p, q, lump = self.CASES[case]
+        g = Graph(max(max(e) for e in edges) + 1, edges)
+        cfg = RandomWalkConfig(
+            walks_per_vertex=60_000, walk_length=3, seed=3,
+            mode=WalkMode.NODE2VEC, p=p, q=q,
+            start_vertices=np.asarray([prev]),
+        )
+        walks = generate_walks(g, cfg).walks
+        third = walks[walks[:, 1] == cur, 2]
+        targets, probs = _exact_second_step(g, prev, cur, p, q)
+        observed = np.array([(third == t).sum() for t in targets], dtype=float)
+        assert observed.sum() == third.size > 10_000
+        if lump:
+            back = targets == prev
+            observed = np.array([observed[back].sum(), observed[~back].sum()])
+            probs = np.array([probs[back].sum(), probs[~back].sum()])
+        _, pvalue = chisquare(observed, probs * observed.sum())
+        assert pvalue > 1e-3, (
+            f"{case}: transitions {observed.tolist()} do not follow the "
+            f"node2vec law {np.round(probs * observed.sum(), 1).tolist()}"
+        )

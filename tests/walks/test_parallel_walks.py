@@ -59,3 +59,59 @@ class TestParallelWalks:
         cfg = RandomWalkConfig(walks_per_vertex=4, walk_length=15, seed=0)
         par = generate_walks(graph, cfg, workers=3)
         assert par.coverage() == 1.0
+
+
+def _rich_graph(directed: bool):
+    """Weights, times and vertex weights; the directed variant has sinks."""
+    from repro.graph.core import EdgeList, Graph
+
+    rng = np.random.default_rng(3)
+    base = planted_partition(n=80, groups=4, alpha=0.6, inter_edges=20, seed=1)
+    src, dst = base.arc_array()
+    keep = src < dst
+    s, d = src[keep], dst[keep]
+    if directed:  # drop every out-arc of vertices 0..9: dead ends
+        keep = s >= 10
+        s, d = s[keep], d[keep]
+    return Graph(
+        base.n,
+        EdgeList(
+            s,
+            d,
+            weights=rng.uniform(0.1, 5.0, size=s.size),
+            times=rng.uniform(0.0, 100.0, size=s.size),
+        ),
+        directed=directed,
+        vertex_weights=rng.uniform(0.5, 2.0, size=base.n),
+    )
+
+
+POOLED_MODES = {
+    "uniform": {},
+    "weighted": {"mode": WalkMode.WEIGHTED},
+    "vertex_weighted": {"mode": WalkMode.VERTEX_WEIGHTED},
+    "temporal": {"mode": WalkMode.TEMPORAL, "time_window": 30.0},
+    "node2vec": {"mode": WalkMode.NODE2VEC, "p": 0.25, "q": 4.0},
+}
+
+
+@pytest.mark.parametrize("directed", [False, True], ids=["undirected", "sinks"])
+@pytest.mark.parametrize("mode", sorted(POOLED_MODES))
+def test_pooled_corpus_equals_serial(mode, directed):
+    """Worker count is scheduling only: pooled rows are the serial bytes."""
+    g = _rich_graph(directed)
+    cfg = RandomWalkConfig(
+        walks_per_vertex=3, walk_length=12, seed=9, **POOLED_MODES[mode]
+    )
+    serial = generate_walks(g, cfg).walks
+    if directed:
+        assert (serial == -1).any(), "the sink graph should end some walks"
+    for workers in (2, 3):
+        pooled = generate_walks(g, cfg, workers=workers).walks
+        np.testing.assert_array_equal(serial, pooled)
+
+
+def test_pooled_out_of_range_start_raises_before_any_task(graph):
+    cfg = RandomWalkConfig(seed=0, start_vertices=np.asarray([0, graph.n]))
+    with pytest.raises(ValueError, match="out of range"):
+        generate_walks(graph, cfg, workers=2)

@@ -1,9 +1,9 @@
-"""Shard-parallel walk engine: determinism across layouts, mode support.
+"""Walks over a graph store: determinism across layouts, mode support.
 
-The engine's core promise: the merged corpus is **bitwise-identical**
-for every shard count, worker count, and partitioning method at a fixed
-seed — shard layout is runtime policy, never model identity. Everything
-here pivots on that.
+The walk engine's promise (see :mod:`repro.walks.engine`): the corpus is
+**bitwise-identical** for every shard count, worker count and
+partitioning method at a fixed seed, and equal to the in-memory graph's
+corpus — shard layout is runtime policy, never model identity.
 """
 
 from __future__ import annotations
@@ -21,8 +21,13 @@ from repro.graph.store import GraphStore
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import Recorder, use
 from repro.pipeline.context import ExecutionContext
-from repro.walks.engine import PAD, RandomWalkConfig, WalkMode, generate_walks
-from repro.walks.sharded import generate_walks_sharded, hash_uniform
+from repro.walks.engine import (
+    PAD,
+    RandomWalkConfig,
+    WalkMode,
+    generate_walks,
+    hash_uniform,
+)
 
 
 @pytest.fixture(scope="module")
@@ -75,18 +80,18 @@ MODES = [
 class TestShardCountInvariance:
     @pytest.mark.parametrize("config", MODES, ids=lambda c: c.mode.value)
     def test_bitwise_equal_across_shard_counts(self, stores, config):
-        ref = generate_walks_sharded(stores[1], config).walks
+        ref = generate_walks(stores[1], config).walks
         for s in (2, 4):
-            got = generate_walks_sharded(stores[s], config).walks
+            got = generate_walks(stores[s], config).walks
             assert np.array_equal(ref, got), f"{config.mode}: {s} shards differ"
 
     @pytest.mark.parametrize("config", MODES, ids=lambda c: c.mode.value)
     def test_bitwise_equal_across_worker_counts(self, stores, config):
-        # One process walks one row range; pooled workers run exchange
-        # rounds between shards. Both must write the same bytes.
+        # One process walks every row; pooled workers split the rows.
+        # Both must write the same bytes.
         for shards in (2, 4):
-            ref = generate_walks_sharded(stores[shards], config).walks
-            par = generate_walks_sharded(
+            ref = generate_walks(stores[shards], config).walks
+            par = generate_walks(
                 stores[shards], config, context=ExecutionContext(workers=3)
             ).walks
             assert np.array_equal(ref, par), f"{shards} shards differ"
@@ -98,38 +103,21 @@ class TestShardCountInvariance:
             store = GraphStore.build(
                 rich, tmp_path / method, shards=4, method=method, seed=5
             )
-            corpora.append(generate_walks_sharded(store, config).walks)
+            corpora.append(generate_walks(store, config).walks)
         assert np.array_equal(corpora[0], corpora[1])
         assert np.array_equal(corpora[0], corpora[2])
 
     def test_context_shards_cap_is_scheduling_only(self, stores):
         config = MODES[0]
-        ref = generate_walks_sharded(stores[4], config).walks
-        capped = generate_walks_sharded(
+        ref = generate_walks(stores[4], config).walks
+        capped = generate_walks(
             stores[4], config, context=ExecutionContext(workers=3, shards=1)
         ).walks
         assert np.array_equal(ref, capped)
 
 
 class TestExchange:
-    @staticmethod
-    def _counters(store, workers):
-        registry = MetricsRegistry()
-        with use(Recorder(registry)):
-            generate_walks_sharded(
-                store, MODES[0], context=ExecutionContext(workers=workers)
-            )
-        return registry.snapshot()["counters"]
-
-    def test_one_process_walks_one_range_without_exchange(self, stores):
-        counters = self._counters(stores[4], workers=1)
-        assert counters["shard.rounds"] == 1
-        assert counters["shard.exchanged"] == 0
-
-    def test_pooled_workers_run_exchange_rounds(self, stores):
-        counters = self._counters(stores[4], workers=2)
-        assert counters["shard.rounds"] > 1
-        assert counters["shard.exchanged"] > 0
+    """Pooled row tasks map the store by path, cached per worker."""
 
     def test_store_rebuilt_at_the_same_path_is_not_walked_stale(self, tmp_path):
         # Pool workers outlive a map; their cached mmaps of the first
@@ -141,13 +129,13 @@ class TestExchange:
             g = community_benchmark(0.7, n=120, groups=4, inter_edges=60, seed=seed)
             return GraphStore.build(g, path, shards=4, seed=3)
 
-        generate_walks_sharded(
+        generate_walks(
             build(11), config, context=ExecutionContext(workers=2)
         )
         shutil.rmtree(path)
         rebuilt = build(12)
-        serial = generate_walks_sharded(rebuilt, config).walks
-        pooled = generate_walks_sharded(
+        serial = generate_walks(rebuilt, config).walks
+        pooled = generate_walks(
             rebuilt, config, context=ExecutionContext(workers=2)
         ).walks
         assert np.array_equal(serial, pooled)
@@ -160,7 +148,7 @@ class TestMemory:
         config = RandomWalkConfig(walks_per_vertex=10, walk_length=40, seed=0)
         tracemalloc.start()
         try:
-            walks = generate_walks_sharded(store, config).walks
+            walks = generate_walks(store, config).walks
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -171,7 +159,7 @@ class TestMemory:
 
 class TestCorpusValidity:
     def test_walks_follow_edges_in_original_ids(self, rich, stores):
-        walks = generate_walks_sharded(stores[4], MODES[0]).walks
+        walks = generate_walks(stores[4], MODES[0]).walks
         assert walks.shape == (rich.n * 2, 12)
         assert np.array_equal(
             walks[: rich.n, 0], np.arange(rich.n)
@@ -184,7 +172,7 @@ class TestCorpusValidity:
 
     def test_temporal_walks_respect_time_order(self, rich, stores):
         config = MODES[3]
-        walks = generate_walks_sharded(stores[4], config).walks
+        walks = generate_walks(stores[4], config).walks
         src, dst = rich.arc_array()
         times = rich.edge_times
         lookup: dict[tuple[int, int], list[float]] = {}
@@ -205,13 +193,13 @@ class TestCorpusValidity:
         config = RandomWalkConfig(
             walk_length=6, walks_per_vertex=3, seed=1, start_vertices=[5, 17, 99]
         )
-        walks = generate_walks_sharded(stores[2], config).walks
+        walks = generate_walks(stores[2], config).walks
         assert walks.shape == (9, 6)
         assert np.array_equal(walks[:, 0], np.tile([5, 17, 99], 3))
 
     def test_walk_length_one_returns_starts(self, stores):
         config = RandomWalkConfig(walk_length=1, walks_per_vertex=1, seed=1)
-        walks = generate_walks_sharded(stores[2], config).walks
+        walks = generate_walks(stores[2], config).walks
         assert np.array_equal(walks[:, 0], np.arange(stores[2].n))
 
 
@@ -219,27 +207,32 @@ class TestValidation:
     def test_node2vec_is_refused(self, stores):
         config = RandomWalkConfig(mode=WalkMode.NODE2VEC, p=2.0, q=0.5, seed=1)
         with pytest.raises(ValueError, match="node2vec"):
-            generate_walks_sharded(stores[1], config)
+            generate_walks(stores[1], config)
 
     def test_missing_arrays_are_refused(self, tmp_path):
         plain = community_benchmark(0.7, n=30, groups=2, inter_edges=10, seed=1)
         store = GraphStore.build(plain, tmp_path / "plain", shards=2)
         for mode in (WalkMode.WEIGHTED, WalkMode.VERTEX_WEIGHTED, WalkMode.TEMPORAL):
             with pytest.raises(ValueError):
-                generate_walks_sharded(store, RandomWalkConfig(mode=mode, seed=1))
+                generate_walks(store, RandomWalkConfig(mode=mode, seed=1))
 
     def test_start_vertex_out_of_range(self, stores):
         config = RandomWalkConfig(seed=1, start_vertices=[400])
         with pytest.raises(ValueError, match="out of range"):
-            generate_walks_sharded(stores[1], config)
+            generate_walks(stores[1], config)
 
 
 class TestDispatch:
-    def test_generate_walks_routes_stores_to_sharded_engine(self, stores):
-        config = MODES[0]
-        via_dispatch = generate_walks(stores[4], config).walks
-        direct = generate_walks_sharded(stores[4], config).walks
-        assert np.array_equal(via_dispatch, direct)
+    def test_store_and_graph_give_the_same_corpus(self, rich, stores):
+        # One engine: a store is the in-memory graph's CSR view under a
+        # vertex permutation, so both backends walk the same bytes.
+        for config in MODES:
+            in_memory = generate_walks(rich, config).walks
+            for shards in (1, 4):
+                from_store = generate_walks(stores[shards], config).walks
+                assert np.array_equal(in_memory, from_store), (
+                    f"{config.mode.value}: {shards}-shard store differs"
+                )
 
 
 class TestHashUniform:

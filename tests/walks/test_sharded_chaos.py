@@ -1,12 +1,11 @@
-"""Chaos: a killed shard worker must not change the merged corpus.
+"""Chaos: a killed worker walking a store must not change the corpus.
 
-Shard tasks are idempotent — every random draw is a pure function of
+Row tasks are idempotent — every random draw is a pure function of
 (seed, walk id, step), and workers only *read* the mmap'd store — so
 the supervisor can respawn a killed worker and replay its task with no
-effect on the output bytes. That property is what makes crash recovery
-free on the sharded path; this test kills a real worker process
-mid-round and asserts the corpus is bitwise-identical to an
-undisturbed run.
+effect on the output bytes. This test kills a real worker process
+mid-run and asserts the corpus is bitwise-identical to an undisturbed
+run.
 """
 
 from __future__ import annotations
@@ -22,8 +21,7 @@ from repro.parallel.shm import SHM_AVAILABLE
 from repro.pipeline.context import ExecutionContext
 from repro.resilience.chaos import FaultInjector
 from repro.resilience.supervisor import SupervisorConfig
-from repro.walks.engine import RandomWalkConfig
-from repro.walks.sharded import generate_walks_sharded
+from repro.walks.engine import RandomWalkConfig, generate_walks
 
 from tests.parallel.test_shm import shm_entries
 
@@ -62,7 +60,7 @@ def test_killed_worker_resumes_bitwise_identical(
     store, tmp_path, no_leaks, recording
 ):
     config = RandomWalkConfig(walks_per_vertex=2, walk_length=16, seed=21)
-    undisturbed = generate_walks_sharded(store, config).walks
+    undisturbed = generate_walks(store, config).walks
 
     ctx = ExecutionContext(
         workers=2,
@@ -74,7 +72,7 @@ def test_killed_worker_resumes_bitwise_identical(
             once_marker=tmp_path / "fired",
         ),
     )
-    survived = generate_walks_sharded(store, config, context=ctx).walks
+    survived = generate_walks(store, config, context=ctx).walks
 
     assert (tmp_path / "fired").exists(), "fault never fired — test proved nothing"
     counters = recording.snapshot()["counters"]
