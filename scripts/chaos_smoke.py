@@ -43,11 +43,7 @@ from repro.core.trainer import TrainConfig, train_embeddings
 from repro.graph.generators import planted_partition
 from repro.obs.manifest import load_manifest
 from repro.obs.recorder import ObsConfig, session
-from repro.parallel.hogwild import (
-    hogwild_epoch_task,
-    hogwild_supported,
-    train_hogwild,
-)
+from repro.parallel.hogwild import hogwild_supported
 from repro.pipeline import ExecutionContext
 from repro.resilience.chaos import FaultInjector
 from repro.resilience.supervisor import SupervisorConfig
@@ -66,7 +62,6 @@ def _train_config() -> TrainConfig:
         seed=3,
         early_stop=False,
         workers=2,
-        supervisor=SUPERVISED,
     )
 
 
@@ -75,17 +70,17 @@ def _run_scenario(name, corpus, out_dir, scratch, **fault_kwargs):
     events = out_dir / f"{name}.events.jsonl"
     manifest = out_dir / f"{name}.manifest.json"
     marker = scratch / f"{name}.fired"
-    injector = FaultInjector(
-        hogwild_epoch_task,
-        only_in_subprocess=True,
-        once_marker=marker,
-        **fault_kwargs,
+    chaos = ExecutionContext(
+        supervisor=SUPERVISED,
+        fault_injector=lambda task: FaultInjector(
+            task, only_in_subprocess=True, once_marker=marker, **fault_kwargs
+        ),
     )
     cfg = ObsConfig(
         log_level="error", log_json=str(events), metrics_out=str(manifest)
     )
     with session(cfg, run_config={"chaos": name}, stream=io.StringIO()):
-        result = train_hogwild(corpus, _train_config(), task_fn=injector)
+        result = train_embeddings(corpus, _train_config(), context=chaos)
 
     failures = []
     if not marker.exists():

@@ -46,7 +46,6 @@ import argparse
 import io
 import json
 import os
-import re
 import signal
 import subprocess
 import sys
@@ -61,11 +60,7 @@ from repro.graph.generators import planted_partition
 from repro.graph.io import write_edge_list
 from repro.obs.manifest import load_manifest
 from repro.obs.recorder import ObsConfig, session
-from repro.parallel.hogwild import (
-    hogwild_epoch_task,
-    hogwild_supported,
-    train_hogwild,
-)
+from repro.parallel.hogwild import hogwild_supported
 from repro.pipeline import ExecutionContext
 from repro.resilience.chaos import FaultInjector
 from repro.resilience.supervisor import SupervisorConfig
@@ -327,23 +322,26 @@ def _hang_scenario(seed, corpus, scratch, out_dir):
     label = f"seed{seed}.hang"
     manifest = out_dir / f"seed{seed}.hang.manifest.json"
     marker = scratch / f"hang{seed}.fired"
-    injector = FaultInjector(
-        hogwild_epoch_task,
-        only_in_subprocess=True,
-        once_marker=marker,
-        hang_on_calls={1},
-        hang_seconds=3600.0,
+    chaos = ExecutionContext(
+        supervisor=SUPERVISED,
+        fault_injector=lambda task: FaultInjector(
+            task,
+            only_in_subprocess=True,
+            once_marker=marker,
+            hang_on_calls={1},
+            hang_seconds=3600.0,
+        ),
     )
     cfg = ObsConfig(log_level="error", metrics_out=str(manifest))
     shm_before = _shm_names()
     with session(cfg, run_config={"chaos": label}, stream=io.StringIO()):
-        result = train_hogwild(
+        result = train_embeddings(
             corpus,
             TrainConfig(
                 dim=12, epochs=3, batch_size=128, seed=seed,
-                early_stop=False, workers=2, supervisor=SUPERVISED,
+                early_stop=False, workers=2,
             ),
-            task_fn=injector,
+            context=chaos,
         )
     if not marker.exists():
         failures.append(f"{label}: fault never fired")

@@ -99,9 +99,9 @@ def add_runtime_flags(
         parser.add_argument(
             "--max-respawns",
             type=int,
-            default=3,
+            default=None,
             help="respawn budget per worker-count rung before degrading to "
-            "fewer workers (requires --worker-deadline; default: 3)",
+            "fewer workers (default: 3)",
         )
     parser.add_argument(
         "--deadline",
@@ -206,12 +206,13 @@ def runtime_from_args(args):
     from repro.pipeline.context import ExecutionContext
     from repro.resilience.supervisor import SupervisorConfig
 
-    supervisor = None
-    if getattr(args, "worker_deadline", None) is not None:
-        supervisor = SupervisorConfig(
-            worker_deadline=args.worker_deadline,
-            max_respawns=getattr(args, "max_respawns", 3),
-        )
+    # Either flag alone overrides only its own SupervisorConfig field.
+    policy = {
+        name: value
+        for name in ("worker_deadline", "max_respawns")
+        if (value := getattr(args, name, None)) is not None
+    }
+    supervisor = SupervisorConfig(**policy) if policy else None
     budget = None
     memory_budget = getattr(args, "memory_budget", None)
     disk_budget = getattr(args, "disk_budget", None)
@@ -538,8 +539,6 @@ def _v2v_config(args):
         q=args.q,
         train_workers=resolve_workers(getattr(args, "train_workers", 1)),
         seed=args.seed,
-        worker_deadline=getattr(args, "worker_deadline", None),
-        max_respawns=getattr(args, "max_respawns", 3),
     )
 
 

@@ -16,25 +16,30 @@ from __future__ import annotations
 import io
 import json
 import zipfile
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from repro.core.trainer import EmbeddingResult, TrainConfig, train_embeddings
 from repro.graph.core import Graph
-from repro.obs.recorder import ObsConfig, current_recorder
+from repro.obs.recorder import current_recorder
 from repro.resilience.checkpoint import (
     CheckpointCorrupt,
     atomic_write_bytes,
     integrity_record,
     verify_integrity,
 )
-from repro.resilience.supervisor import SupervisorConfig
 from repro.walks.corpus import WalkCorpus
 from repro.walks.engine import RandomWalkConfig, WalkMode, generate_walks
 
 __all__ = ["V2V", "V2VConfig"]
+
+#: Supervision fields that model files saved by earlier versions still
+#: carry in their embedded config. Supervision is runtime policy (it
+#: lives on :class:`~repro.pipeline.ExecutionContext`), so loading drops
+#: them.
+_RETIRED_KEYS = ("worker_deadline", "max_respawns")
 
 
 @dataclass(frozen=True)
@@ -50,7 +55,10 @@ class V2VConfig:
     (:mod:`repro.parallel.hogwild`); ``1`` is the bitwise-deterministic
     serial trainer. Walk-stage workers are a per-call choice
     (``fit(workers=...)``) because they don't change the model identity
-    the way the trainer's worker count does.
+    the way the trainer's worker count does. Runtime policy
+    (checkpointing, supervision, telemetry) is never part of the config;
+    it travels in the :class:`~repro.pipeline.ExecutionContext` given to
+    :meth:`V2V.fit`.
     """
 
     dim: int = 50
@@ -76,15 +84,6 @@ class V2VConfig:
     stream_rows: int = 1024
     train_workers: int = 1
     seed: int | None = None
-    # Telemetry is not part of the model's identity: excluded from
-    # equality so configs differing only in observability stay equal.
-    observability: ObsConfig | None = field(default=None, compare=False)
-    # Worker supervision (liveness, not identity — same exclusion).
-    # ``worker_deadline`` set → hung or dead parallel workers are
-    # killed/respawned within that many seconds; unset → the pool's
-    # ``SupervisorConfig()`` defaults.
-    worker_deadline: float | None = field(default=None, compare=False)
-    max_respawns: int = field(default=3, compare=False)
 
     def __post_init__(self) -> None:
         # Fail fast: constructing the stage configs runs their full
@@ -122,16 +121,6 @@ class V2VConfig:
             stream_rows=self.stream_rows,
             workers=self.train_workers,
             seed=self.seed,
-            supervisor=self.supervisor_config(),
-        )
-
-    def supervisor_config(self) -> SupervisorConfig | None:
-        """The supervision policy, or ``None`` for the pool's defaults."""
-        if self.worker_deadline is None:
-            return None
-        return SupervisorConfig(
-            worker_deadline=self.worker_deadline,
-            max_respawns=self.max_respawns,
         )
 
     def with_dim(self, dim: int) -> "V2VConfig":
@@ -143,13 +132,8 @@ class V2VConfig:
     # (used by V2V.save/load and the observability run manifest).
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
-        """JSON-able form of the config.
-
-        ``observability`` is excluded: telemetry settings are per-run
-        plumbing (file handles, sinks), not model identity, and they do
-        not survive serialization meaningfully.
-        """
-        data = {k: v for k, v in self.__dict__.items() if k != "observability"}
+        """JSON-able form of the config."""
+        data = dict(self.__dict__)
         data["walk_mode"] = str(WalkMode(self.walk_mode).value)
         return data
 
@@ -159,7 +143,11 @@ class V2VConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "V2VConfig":
-        """Inverse of :meth:`to_dict`; unknown keys raise ``ValueError``."""
+        """Inverse of :meth:`to_dict`; unknown keys raise ``ValueError``.
+
+        The retired supervision keys of older model files are dropped.
+        """
+        data = {k: v for k, v in data.items() if k not in _RETIRED_KEYS}
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:
@@ -167,7 +155,6 @@ class V2VConfig:
                 f"unknown V2VConfig keys: {', '.join(unknown)} "
                 "(file written by an incompatible version?)"
             )
-        data = dict(data)
         if "walk_mode" in data:
             data["walk_mode"] = WalkMode(data["walk_mode"])
         return cls(**data)
@@ -194,38 +181,22 @@ class V2V:
     # ------------------------------------------------------------------
     # Fitting
     # ------------------------------------------------------------------
-    def _context(
-        self,
-        context,
-        *,
-        checkpoint_dir: str | Path | None = None,
-        resume: bool = False,
-        workers: int | None = 1,
-    ):
-        """Resolve the :class:`~repro.pipeline.ExecutionContext` to run under.
+    def _context(self, context, workers: int | None = 1):
+        """The :class:`~repro.pipeline.ExecutionContext` to run under.
 
-        Either the caller hands us a prebuilt context, or we assemble one
-        from the convenience kwargs — never both. The model config then
-        fills any runtime concern the context left unset (supervision
-        policy, telemetry, seed), so a bare ``fit(graph)`` still honors
-        ``V2VConfig.observability`` and friends.
+        ``workers=`` is shorthand for ``ExecutionContext(workers=...)``;
+        a non-default value cannot be combined with ``context=``. A
+        context without a seed takes the model's, which seeds the
+        auxiliary streams of downstream stages.
         """
         from repro.pipeline.context import ExecutionContext
 
-        if context is not None:
-            if checkpoint_dir is not None or resume or workers != 1:
-                raise TypeError(
-                    "pass runtime settings either via context= or as "
-                    "checkpoint_dir/resume/workers keyword arguments, not both"
-                )
-            ctx = context
-        else:
-            ctx = ExecutionContext(
-                checkpoint_dir=checkpoint_dir, resume=resume, workers=workers
+        if context is not None and workers != 1:
+            raise TypeError(
+                "pass workers either via context= or as the workers= "
+                "shorthand, not both"
             )
-        ctx = ctx.with_supervisor(self.config.supervisor_config())
-        if ctx.observability is None and self.config.observability is not None:
-            ctx = replace(ctx, observability=self.config.observability)
+        ctx = context or ExecutionContext(workers=workers)
         if ctx.seed is None and self.config.seed is not None:
             ctx = replace(ctx, seed=self.config.seed)
         return ctx
@@ -235,43 +206,39 @@ class V2V:
         graph: Graph,
         *,
         context=None,
-        checkpoint_dir: str | Path | None = None,
-        resume: bool = False,
         workers: int | None = 1,
     ) -> "V2V":
         """Generate walks on ``graph`` and train the embedding.
 
         ``fit`` is a facade over the staged runtime: it executes
         ``Pipeline([WalkStage, TrainStage])`` (:mod:`repro.pipeline`)
-        under one :class:`~repro.pipeline.ExecutionContext`. Pass a
-        prebuilt context via ``context=`` for full control, or use the
-        convenience kwargs below (mutually exclusive with ``context=``).
+        under one :class:`~repro.pipeline.ExecutionContext`, which
+        carries every runtime setting: checkpointing and resume,
+        supervision, telemetry, chaos hooks, cancellation (see
+        :mod:`repro.pipeline.context`).
 
         ``workers`` parallelizes the *walk* stage (``None``/< 1 = auto
-        via :func:`repro.parallel.pool.resolve_workers`); the *training*
-        stage fans out when ``config.train_workers > 1`` (shared-memory
-        Hogwild, see docs/PERFORMANCE.md).
+        via :func:`repro.parallel.pool.resolve_workers`); it is
+        shorthand for ``context=ExecutionContext(workers=...)``. The
+        *training* stage fans out when ``config.train_workers > 1``
+        (shared-memory Hogwild, see docs/PERFORMANCE.md).
 
-        ``checkpoint_dir`` makes the whole pipeline durable: completed
-        walk chunks land under ``<dir>/walks/`` and the trainer snapshot
-        at ``<dir>/trainer.ckpt.npz``, each written atomically. A run
-        killed at any point restarts with ``resume=True`` and continues
-        from the last checkpoint, ending in embeddings bitwise-identical
-        to an uninterrupted run with the same seed (docs/resilience.md).
-        The trainer fingerprint includes the worker count, so a resume
-        with a different ``train_workers`` is refused rather than mixing
-        determinism regimes.
+        With ``context.checkpoint_dir`` set, completed walk chunks land
+        under ``<dir>/walks/`` and the trainer snapshot at
+        ``<dir>/trainer.ckpt.npz``, each written atomically. A run
+        killed at any point restarts with ``context.resume`` and
+        continues from the last checkpoint, ending in embeddings
+        bitwise-identical to an uninterrupted run with the same seed
+        (docs/resilience.md). The trainer fingerprint includes the
+        worker count, so a resume with a different ``train_workers`` is
+        refused rather than mixing determinism regimes.
 
-        With observability configured (on the context or via
-        ``config.observability``) and no recorder already installed by an
-        enclosing session (e.g. the CLI's), ``fit`` opens its own
-        :func:`repro.obs.session` for the duration of the pipeline, so
-        library users get logs/metrics/manifest without touching global
-        state themselves.
+        With ``context.observability`` set and no recorder already
+        installed by an enclosing session (e.g. the CLI's), ``fit``
+        opens its own :func:`repro.obs.session` for the duration of the
+        pipeline, with this config in the run manifest.
         """
-        ctx = self._context(
-            context, checkpoint_dir=checkpoint_dir, resume=resume, workers=workers
-        )
+        ctx = self._context(context, workers)
         run_config = self.config.to_dict()
         run_config["entrypoint"] = "V2V.fit"
         with ctx.session(run_config=run_config):
@@ -298,11 +265,9 @@ class V2V:
         *,
         init_vectors: np.ndarray | None = None,
         context=None,
-        checkpoint_dir: str | Path | None = None,
-        resume: bool = False,
     ) -> "V2V":
         """Train on an existing walk corpus (optionally warm-started)."""
-        ctx = self._context(context, checkpoint_dir=checkpoint_dir, resume=resume)
+        ctx = self._context(context)
         self._corpus = corpus
         self._result = train_embeddings(
             corpus,

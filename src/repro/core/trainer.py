@@ -7,12 +7,12 @@ trainer implements that behaviour explicitly: per-epoch mean loss is
 tracked, and training stops once the relative improvement stays below
 ``tol`` for ``patience`` consecutive epochs.
 
-Durability: with ``checkpoint_dir`` set, the full trainer state (weight
-matrices, RNG state, loss history, early-stop counters, LR-schedule
-position) is snapshotted atomically after each epoch; ``resume=True``
-restores the latest snapshot and continues, producing final embeddings
-bitwise-identical to an uninterrupted run with the same seed (see
-docs/resilience.md).
+Durability: with ``context.checkpoint_dir`` set, the full trainer state
+(weight matrices, RNG state, loss history, early-stop counters,
+LR-schedule position) is snapshotted atomically after each epoch;
+``context.resume`` restores the latest snapshot and continues,
+producing final embeddings bitwise-identical to an uninterrupted run
+with the same seed (see docs/resilience.md).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import time
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -35,9 +35,6 @@ from repro.core.vocab import VertexVocab
 from repro.obs.recorder import current_recorder
 from repro.resilience.lifecycle import current_cancel_scope
 from repro.walks.corpus import WalkCorpus, gather_windows
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.resilience.supervisor import SupervisorConfig
 
 __all__ = ["TrainConfig", "EmbeddingResult", "train_embeddings", "resolve_kernel"]
 
@@ -85,9 +82,6 @@ class TrainConfig:
     # deterministic at workers=1.
     kernel: str = "auto"
     shuffle: bool = field(default=True, compare=False)
-    # Liveness policy for the Hogwild worker pool, not model identity:
-    # excluded from equality and from the resume fingerprint.
-    supervisor: "SupervisorConfig | None" = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.dim < 1:
@@ -294,10 +288,8 @@ def _train_fingerprint(
     corpus: WalkCorpus, config: TrainConfig, init_vectors: np.ndarray | None
 ) -> dict:
     """Identity of a training job: config + kernel + corpus shape + warm start."""
-    config_dict = asdict(config)
-    config_dict.pop("supervisor", None)  # liveness policy, not identity
     return {
-        "config": config_dict,
+        "config": asdict(config),
         # The resolved kernel, not just the field: what "auto" runs can
         # change between versions, and a snapshot must never resume on a
         # kernel of another dtype.
@@ -351,13 +343,10 @@ def train_embeddings(
     shared memory is missing it falls back to ``workers=1`` with a
     ``RuntimeWarning``.
     """
-    from repro.pipeline.context import context_from_legacy
+    from repro.pipeline.context import ExecutionContext
 
-    ctx = context_from_legacy(context)
+    ctx = context or ExecutionContext()
     config = config or TrainConfig()
-    # TrainConfig.supervisor predates the context; honor it when the
-    # context does not name its own supervision policy.
-    ctx = ctx.with_supervisor(config.supervisor)
     if config.workers > 1:
         from repro.parallel.hogwild import hogwild_supported
 

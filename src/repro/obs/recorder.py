@@ -56,7 +56,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ObsConfig:
-    """Declarative observability settings (CLI flags / ``V2VConfig``).
+    """Declarative observability settings (CLI flags / ``ExecutionContext``).
 
     ``enabled=False`` is the hard opt-out: no recorder is installed at
     all. ``trace=True`` additionally mirrors span begin/end events to

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import contextlib
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,7 +55,7 @@ from repro.parallel.seeding import worker_seed_sequence
 from repro.resilience.lifecycle import current_cancel_scope
 from repro.parallel.shm import SHM_AVAILABLE, SharedArraySpec, shared_arrays
 
-__all__ = ["train_hogwild", "hogwild_supported", "hogwild_epoch_task"]
+__all__ = ["hogwild_supported", "hogwild_epoch_task"]
 
 
 def hogwild_supported() -> bool:
@@ -185,22 +185,6 @@ def hogwild_epoch_task(task: _EpochTask) -> tuple[float, int]:
         )
     finally:
         slab.close()
-
-
-def train_hogwild(corpus, config=None, *, task_fn=None, **kwargs):
-    """:func:`repro.core.trainer.train_embeddings` with ``task_fn`` as the
-    pooled worker task — the chaos tests and scripts pass a
-    :class:`repro.resilience.chaos.FaultInjector` around
-    :func:`hogwild_epoch_task` (pipeline runs use the context's
-    ``fault_injector`` hook, which this sets)."""
-    from repro.core.trainer import train_embeddings
-
-    if task_fn is not None:
-        from repro.pipeline.context import ExecutionContext
-
-        context = kwargs.get("context") or ExecutionContext()
-        kwargs["context"] = replace(context, fault_injector=lambda _fn: task_fn)
-    return train_embeddings(corpus, config, **kwargs)
 
 
 @contextlib.contextmanager

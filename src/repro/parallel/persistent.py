@@ -85,7 +85,8 @@ from repro.resilience.supervisor import (
 
 __all__ = ["PersistentPool", "get_pool", "shutdown_pools"]
 
-_UNSET = object()
+# Placeholder for a result slot whose item has not come back yet.
+_PENDING = object()
 
 # Seconds in-flight items get to return once cancellation is requested.
 _CANCEL_GRACE = 1.0
@@ -272,7 +273,7 @@ class PersistentPool:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         n = len(items)
-        results: list = [_UNSET] * n
+        results: list = [_PENDING] * n
         with self._lock:
             if self._active:
                 raise RuntimeError("a map is already running on this pool")
@@ -287,7 +288,7 @@ class PersistentPool:
                     closed = self._closed
                 if closed or not pool_allowed():
                     self._teardown()
-        remaining = [i for i in range(n) if results[i] is _UNSET]
+        remaining = [i for i in range(n) if results[i] is _PENDING]
         if remaining:
             scope = current_cancel_scope()
             scope.check()

@@ -1,20 +1,20 @@
 """ExecutionContext: every runtime concern of a pipeline run, in one value.
 
-PRs 1–4 grew four cross-cutting runtime systems — checkpoint/resume,
-worker pools, supervision, telemetry — and each was hand-threaded
-through the stack as its own keyword argument (``checkpoint_dir=``,
-``resume=``, ``workers=``, ``supervisor=``, ``observability=``). The
-:class:`ExecutionContext` replaces that piecemeal plumbing: it is the
-*single* carrier of runtime policy, constructed once at the entry point
-(CLI ``runtime_from_args``, ``V2V.fit``, or directly by a library user)
-and passed whole through every stage.
+A context says *how* a run executes, never *what* it computes: where
+checkpoints land and whether they are resumed, how many processes run,
+what liveness policy supervises them, what telemetry is recorded, which
+chaos hook wraps worker tasks, and when the run must stop. Model
+identity (dimensions, seeds, walk modes) stays in the stage configs
+(``RandomWalkConfig``/``TrainConfig``/``V2VConfig``), so two runs with
+different contexts but equal configs compute identical results.
 
-Crucially, nothing in the context affects *what* is computed — only
-*how*: where checkpoints land, how many processes run, what gets
-supervised, what gets logged. Model identity (dimensions, seeds, walk
-modes) stays in the stage configs (``RandomWalkConfig``/``TrainConfig``),
-so two runs with different contexts but equal configs produce identical
-results.
+The context is the only place a runtime setting can be given. It is
+built once at the entry point (the CLI's ``runtime_from_args``, or
+directly by a library user) and passed whole through every stage; no
+config object carries a second copy. The one shorthand is ``workers=``
+on ``generate_walks`` and ``V2V.fit``, which stands for
+``ExecutionContext(workers=...)`` and cannot be combined with
+``context=``.
 
 Layering note: this module sits *above* ``repro.obs``, ``repro.parallel``
 and ``repro.resilience`` but *below* the stage implementations. The
@@ -48,11 +48,7 @@ from repro.resilience.lifecycle import (
 )
 from repro.resilience.supervisor import SupervisorConfig
 
-__all__ = ["ExecutionContext", "UNSET", "context_from_legacy"]
-
-# Sentinel distinguishing "caller did not pass this legacy kwarg" from
-# every real value (including None and False).
-UNSET: Any = object()
+__all__ = ["ExecutionContext"]
 
 
 @dataclass(frozen=True)
@@ -237,14 +233,6 @@ class ExecutionContext:
             return self
         return replace(self, checkpoint_dir=self.checkpoint_dir / name)
 
-    def with_supervisor(
-        self, supervisor: SupervisorConfig | None
-    ) -> "ExecutionContext":
-        """A copy with ``supervisor`` filled in (legacy-config merging)."""
-        if supervisor is None or self.supervisor is not None:
-            return self
-        return replace(self, supervisor=supervisor)
-
     # -- seed tree ------------------------------------------------------
     def spawn_seeds(self, count: int) -> list[np.random.SeedSequence]:
         """``count`` independent child streams of the context seed."""
@@ -270,26 +258,3 @@ def _stable_key(name: str) -> int:
     import zlib
 
     return zlib.crc32(name.encode())
-
-
-def context_from_legacy(
-    context: "ExecutionContext | None",
-    **legacy: Any,
-) -> "ExecutionContext":
-    """Build the effective context from ``context`` or keyword shorthand.
-
-    ``legacy`` maps :class:`ExecutionContext` field names to the values
-    of per-function keyword shorthands (today only ``workers=``), with
-    :data:`UNSET` marking "not passed". Passing both ``context`` and any
-    of them is an error (the settings would conflict).
-    """
-    supplied = {k: v for k, v in legacy.items() if v is not UNSET}
-    if context is not None:
-        if supplied:
-            raise TypeError(
-                "pass runtime settings either via context= or as legacy "
-                f"keyword arguments, not both: {sorted(supplied)} conflict "
-                "with the explicit ExecutionContext"
-            )
-        return context
-    return ExecutionContext(**supplied)

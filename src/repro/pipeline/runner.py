@@ -119,8 +119,17 @@ class Pipeline:
         RSS/shm/disk for the duration, driving the degradation ladder on
         breach — whose last rung cancels the run through the same
         cooperative machinery as a SIGTERM.
+
+        With ``context.observability`` set and no session already open
+        (the CLI's, or ``V2V.fit``'s), the run gets its own
+        observability session and run manifest.
         """
         ctx = context or ExecutionContext()
+        run_config = {"entrypoint": "Pipeline.execute", "stages": self.names}
+        with ctx.session(run_config=run_config):
+            return self._execute(ctx, value)
+
+    def _execute(self, ctx: ExecutionContext, value: Any) -> PipelineResult:
         ctx = preflight(ctx, self.stages, value)
         rec = current_recorder()
         outputs: dict[str, Any] = {}

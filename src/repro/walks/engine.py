@@ -552,17 +552,12 @@ def _walk_rows(task: _RowTask) -> tuple[int, int, float]:
 # Public entry
 
 
-# Local "not passed" sentinel for the ``workers=`` shorthand (the pipeline
-# layer has its own; this module must not import it at module level).
-_UNSET = object()
-
-
 def generate_walks(
     g,
     config: RandomWalkConfig | None = None,
     *,
     context=None,
-    workers: "int | None" = _UNSET,  # type: ignore[assignment]
+    workers: "int | None" = 1,
     keep_shared: bool = False,
     checkpoint_chunks: int | None = None,
 ) -> WalkCorpus:
@@ -577,8 +572,8 @@ def generate_walks(
 
     Runtime concerns travel in ``context``, a
     :class:`repro.pipeline.ExecutionContext` (``workers=`` is shorthand
-    for ``ExecutionContext(workers=...)`` and cannot be combined with
-    it):
+    for ``ExecutionContext(workers=...)``; a non-default value cannot be
+    combined with ``context=``):
 
     * ``context.workers > 1`` splits the walk rows across the worker
       pool. The rows land in one shared-memory block, and
@@ -599,11 +594,14 @@ def generate_walks(
       reassignment, a degrade ladder to in-process; default
       ``SupervisorConfig()``).
     """
-    from repro.pipeline.context import UNSET, context_from_legacy
+    from repro.pipeline.context import ExecutionContext
 
-    ctx = context_from_legacy(
-        context, workers=UNSET if workers is _UNSET else workers
-    )
+    if context is not None and workers != 1:
+        raise TypeError(
+            "pass workers either via context= or as the workers= "
+            "shorthand, not both"
+        )
+    ctx = context or ExecutionContext(workers=workers)
     config = config or RandomWalkConfig()
     mode = WalkMode(config.mode)
     store = getattr(g, "mmap_backed", False) and hasattr(g, "shard")

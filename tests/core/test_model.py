@@ -165,6 +165,44 @@ class TestPersistence:
         np.testing.assert_array_equal(loaded.vectors, model.vectors)
         assert loaded.config == V2VConfig()
 
+    def test_load_file_with_supervision_keys(self, fitted, tmp_path):
+        """Model files saved while V2VConfig still carried the worker
+        supervision fields embed them in ``config_json``; they load, and
+        the two retired keys are dropped."""
+        import io
+        import json
+
+        from repro.resilience.checkpoint import integrity_record
+
+        _g, model = fitted
+        result = model.result
+        config = {
+            **model.config.to_dict(),
+            "worker_deadline": 7.0,
+            "max_respawns": 1,
+        }
+        arrays = {
+            "vectors": np.asarray(result.vectors),
+            "loss_history": np.asarray(result.loss_history),
+            "epochs_run": np.asarray(result.epochs_run),
+            "converged": np.asarray(int(result.converged)),
+            "config_json": np.frombuffer(
+                json.dumps(config, sort_keys=True).encode(), np.uint8
+            ),
+        }
+        record = integrity_record(arrays)
+        buf = io.BytesIO()
+        np.savez_compressed(
+            buf,
+            **arrays,
+            __integrity__=np.frombuffer(json.dumps(record).encode(), np.uint8),
+        )
+        p = tmp_path / "supervised.npz"
+        p.write_bytes(buf.getvalue())
+        loaded = V2V.load(p)
+        np.testing.assert_array_equal(loaded.vectors, model.vectors)
+        assert loaded.config == model.config
+
 
 class TestConfigSerialization:
     def test_json_roundtrip(self):
@@ -178,10 +216,13 @@ class TestConfigSerialization:
         assert V2VConfig.from_json(cfg.to_json()) == cfg
 
     def test_to_dict_excludes_observability(self):
+        # Telemetry is runtime policy: it rides on ExecutionContext, and
+        # the config has no field for it.
         from repro.obs.recorder import ObsConfig
 
-        cfg = V2VConfig(observability=ObsConfig(enabled=True))
-        assert "observability" not in cfg.to_dict()
+        assert "observability" not in V2VConfig().to_dict()
+        with pytest.raises(TypeError, match="observability"):
+            V2VConfig(observability=ObsConfig(enabled=True))
 
     def test_walk_mode_serializes_as_string(self):
         data = V2VConfig(walk_mode=WalkMode.TEMPORAL, time_window=2.0).to_dict()

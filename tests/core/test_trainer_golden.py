@@ -3,8 +3,7 @@
 ``tests/pipeline/test_golden.py`` pins fused CBOW through ``V2V.fit``.
 This table pins ``train_embeddings`` itself on one fixed corpus, once
 per training path: each kernel and output layer, subsampling, no
-shuffle, early stop, the streaming source, warm start, and the
-``train_hogwild(workers=1)`` forwarder. A digest covers the trained
+shuffle, early stop, the streaming source and warm start. A digest covers the trained
 vectors and the per-epoch loss history, so any change to the RNG call
 order, the batch order, the LR schedule or the float ops fails here.
 
@@ -31,37 +30,32 @@ from repro.walks.engine import RandomWalkConfig, generate_walks
 
 BASE = dict(dim=8, epochs=3, batch_size=64, seed=7, early_stop=False)
 
-# name -> (TrainConfig overrides, warm start?, through train_hogwild?)
+# name -> (TrainConfig overrides, warm start?)
 CASES = {
-    "fused": ({}, False, False),
-    "reference": ({"kernel": "reference"}, False, False),
-    "skipgram": ({"objective": "skipgram"}, False, False),
-    "hierarchical": ({"output_layer": "hierarchical"}, False, False),
-    "subsample": ({"subsample": 1e-2}, False, False),
-    "no_shuffle": ({"shuffle": False}, False, False),
+    "fused": ({}, False),
+    "reference": ({"kernel": "reference"}, False),
+    "skipgram": ({"objective": "skipgram"}, False),
+    "hierarchical": ({"output_layer": "hierarchical"}, False),
+    "subsample": ({"subsample": 1e-2}, False),
+    "no_shuffle": ({"shuffle": False}, False),
     "early_stop": (
         {"epochs": 30, "early_stop": True, "tol": 0.2, "patience": 1},
         False,
-        False,
     ),
-    "streaming": ({"streaming": True, "stream_rows": 16}, False, False),
+    "streaming": ({"streaming": True, "stream_rows": 16}, False),
     "streaming_subsample": (
         {"streaming": True, "stream_rows": 16, "subsample": 1e-2},
-        False,
         False,
     ),
     "streaming_no_shuffle": (
         {"streaming": True, "stream_rows": 16, "shuffle": False},
         False,
-        False,
     ),
     "streaming_reference": (
         {"streaming": True, "stream_rows": 7, "kernel": "reference"},
         False,
-        False,
     ),
-    "warm_start": ({}, True, False),
-    "hogwild_workers1": ({"workers": 1}, False, True),
+    "warm_start": ({}, True),
 }
 
 GOLDEN = {
@@ -101,9 +95,6 @@ GOLDEN = {
     "warm_start": (
         "17da090ec1d5688e4f65b9ca35b38dd7965781f2e96023b08ea4bb5ae3e2a388"
     ),
-    "hogwild_workers1": (
-        "553ff2e156bb712cd05668810199bffdede9be763bb39f28eadbcf41c18ce93b"
-    ),
 }
 
 
@@ -116,17 +107,13 @@ def corpus():
 
 
 def _train(corpus, name):
-    overrides, warm, via_hogwild = CASES[name]
+    overrides, warm = CASES[name]
     config = TrainConfig(**{**BASE, **overrides})
     init = None
     if warm:
         init = np.random.default_rng(1).normal(
             scale=0.1, size=(corpus.num_vertices, config.dim)
         )
-    if via_hogwild:
-        from repro.parallel.hogwild import train_hogwild
-
-        return train_hogwild(corpus, config, init_vectors=init)
     return train_embeddings(corpus, config, init_vectors=init)
 
 

@@ -129,6 +129,58 @@ class TestEmbed:
         assert rc == 0
 
 
+class TestSupervisionFlags:
+    @pytest.mark.parametrize(
+        "flags, expected",
+        [
+            (
+                ["--worker-deadline", "7", "--max-respawns", "1"],
+                {"worker_deadline": 7.0, "max_respawns": 1},
+            ),
+            (["--max-respawns", "1"], {"max_respawns": 1}),
+            (["--worker-deadline", "7"], {"worker_deadline": 7.0}),
+        ],
+        ids=["both", "respawns_only", "deadline_only"],
+    )
+    def test_walk_and_hogwild_maps_get_one_policy(
+        self, small_edge_list, tmp_path, monkeypatch, flags, expected
+    ):
+        from repro.parallel import hogwild, pool
+        from repro.parallel.hogwild import hogwild_supported
+        from repro.resilience.supervisor import SupervisorConfig
+
+        if not hogwild_supported():
+            pytest.skip("platform has no shared memory")
+        seen = {"walks": [], "hogwild": []}
+        real_map = pool.parallel_map
+
+        def spy(name):
+            def parallel_map(fn, items, **kwargs):
+                seen[name].append(kwargs.get("supervisor"))
+                return real_map(fn, items, **kwargs)
+
+            return parallel_map
+
+        # The walk engine imports parallel_map at call time, the Hogwild
+        # module at import time: patch each where it is looked up.
+        monkeypatch.setattr(pool, "parallel_map", spy("walks"))
+        monkeypatch.setattr(hogwild, "parallel_map", spy("hogwild"))
+        graph_path, _ = small_edge_list
+        rc = main(
+            [
+                "embed", str(graph_path), "-o", str(tmp_path / "v.npz"),
+                "--dim", "4", "--walks", "2", "--length", "8",
+                "--epochs", "1", "--seed", "0",
+                "--walk-workers", "2", "--train-workers", "2",
+                *flags,
+            ]
+        )
+        assert rc == 0
+        policy = SupervisorConfig(**expected)
+        assert seen["walks"] and seen["hogwild"]
+        assert all(s == policy for s in seen["walks"] + seen["hogwild"])
+
+
 class TestDetect:
     @pytest.mark.parametrize("method", ["v2v", "cnm", "louvain"])
     def test_methods_write_tsv(self, small_edge_list, tmp_path, method):

@@ -6,16 +6,13 @@ import io
 import numpy as np
 import pytest
 
-from repro.core.trainer import TrainConfig
+from repro.core.trainer import TrainConfig, train_embeddings
 from repro.graph.generators import planted_partition
 from repro.obs.logging import parse_jsonl
 from repro.obs.manifest import load_manifest
 from repro.obs.recorder import ObsConfig, session
-from repro.parallel.hogwild import (
-    hogwild_epoch_task,
-    hogwild_supported,
-    train_hogwild,
-)
+from repro.parallel.hogwild import hogwild_supported
+from repro.pipeline import ExecutionContext
 from repro.resilience.chaos import FaultInjector, InjectedFault
 from repro.walks.engine import RandomWalkConfig, generate_walks
 
@@ -54,11 +51,13 @@ class TestKilledWorker:
         # The first epoch task to run inside a pool worker hard-exits
         # (os._exit, like an OOM kill); the once-marker lets the retried
         # pool pass succeed.
-        injector = FaultInjector(
-            hogwild_epoch_task,
-            exit_on_calls={1},
-            only_in_subprocess=True,
-            once_marker=tmp_path / "fired",
+        chaos = ExecutionContext(
+            fault_injector=lambda task: FaultInjector(
+                task,
+                exit_on_calls={1},
+                only_in_subprocess=True,
+                once_marker=tmp_path / "fired",
+            )
         )
         config = TrainConfig(
             dim=12, epochs=4, batch_size=128, seed=3, early_stop=False, workers=2
@@ -69,7 +68,7 @@ class TestKilledWorker:
             metrics_out=str(manifest_path),
         )
         with session(cfg, run_config={"chaos": "worker-kill"}, stream=io.StringIO()):
-            result = train_hogwild(corpus, config, task_fn=injector)
+            result = train_embeddings(corpus, config, context=chaos)
 
         assert (tmp_path / "fired").exists(), "fault never fired"
         assert result.epochs_run == config.epochs

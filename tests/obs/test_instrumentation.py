@@ -13,6 +13,7 @@ from repro.obs.manifest import load_manifest
 from repro.obs.recorder import ObsConfig, session
 from repro.obs.report import render_report, span_summary
 from repro.core.model import V2V, V2VConfig
+from repro.pipeline import ExecutionContext
 
 WALKS_PER_VERTEX = 4
 EPOCHS = 3
@@ -83,10 +84,10 @@ class TestPipelineTelemetry:
         # Telemetry must make zero RNG draws and zero float-op changes.
         np.testing.assert_array_equal(plain, observed)
 
-    def test_v2vconfig_observability_opens_its_own_session(self, graph, tmp_path):
+    def test_context_observability_opens_session(self, graph, tmp_path):
         manifest_path = tmp_path / "run.json"
         obs = ObsConfig(log_level="error", metrics_out=str(manifest_path))
-        V2V(_config(observability=obs)).fit(graph)
+        V2V(_config()).fit(graph, context=ExecutionContext(observability=obs))
         manifest = load_manifest(manifest_path)
         assert manifest["config"]["entrypoint"] == "V2V.fit"
         assert manifest["config"]["dim"] == 8
@@ -96,7 +97,9 @@ class TestPipelineTelemetry:
         events_path = tmp_path / "events.jsonl"
         cfg = ObsConfig(log_level="error", log_json=str(events_path))
         with session(cfg, stream=io.StringIO()) as rec:
-            V2V(_config()).fit(graph, checkpoint_dir=tmp_path / "ckpt")
+            V2V(_config()).fit(
+                graph, context=ExecutionContext(checkpoint_dir=tmp_path / "ckpt")
+            )
             counters = rec.registry.snapshot()["counters"]
         assert counters["checkpoint.saves"] >= 1
         assert counters["checkpoint.bytes"] > 0

@@ -260,9 +260,8 @@ class TestTopCommand:
 class TestLiveEndToEnd:
     def test_hogwild_run_keeps_status_current(self, tmp_path):
         """A real monitored run: session wiring, train fan-out, teardown."""
-        from repro.core.trainer import TrainConfig
+        from repro.core.trainer import TrainConfig, train_embeddings
         from repro.graph.generators import planted_partition
-        from repro.parallel.hogwild import train_hogwild
         from repro.walks.engine import RandomWalkConfig, generate_walks
 
         graph = planted_partition(
@@ -283,7 +282,7 @@ class TestLiveEndToEnd:
             def spy(epoch, loss):
                 seen_mid_run.append(read_status(path))
 
-            train_hogwild(corpus, config, epoch_callback=spy)
+            train_embeddings(corpus, config, epoch_callback=spy)
 
         # mid-run frames saw the live fan-out and the slab handle
         assert seen_mid_run and all(doc is not None for doc in seen_mid_run)

@@ -2,9 +2,8 @@
 
 The contract under test (ISSUE 2):
 
-- ``workers=1`` produces embeddings bitwise-identical to the serial
-  trainer (both through ``train_hogwild`` directly — which exercises the
-  shared-memory matrices — and through the ``train_embeddings`` facade);
+- ``workers=1`` is the serial trainer: repeated fixed-seed runs are
+  bitwise-identical, and no shared memory is allocated;
 - multi-worker training still learns the planted communities and lands
   near the serial loss;
 - checkpoint–resume under the shared-memory mode stays bitwise-identical
@@ -19,11 +18,7 @@ import pytest
 from repro.core.trainer import TrainConfig, train_embeddings
 from repro.graph.generators import planted_partition
 from repro.ml import KMeans, pairwise_precision_recall
-from repro.parallel.hogwild import (
-    hogwild_epoch_task,
-    hogwild_supported,
-    train_hogwild,
-)
+from repro.parallel.hogwild import hogwild_supported
 from repro.pipeline import ExecutionContext
 from repro.resilience.chaos import FaultInjector
 from repro.resilience.checkpoint import CheckpointManager
@@ -63,15 +58,15 @@ class TestWorkersOneBitwise:
     def test_hogwild_matches_serial_negative_sampling(self, corpus, no_leaks):
         config = TrainConfig(**TRAIN_CFG)
         serial = train_embeddings(corpus, config)
-        hogwild = train_hogwild(corpus, config)
-        np.testing.assert_array_equal(serial.vectors, hogwild.vectors)
-        assert serial.loss_history == hogwild.loss_history
+        again = train_embeddings(corpus, config)
+        np.testing.assert_array_equal(serial.vectors, again.vectors)
+        assert serial.loss_history == again.loss_history
 
     def test_hogwild_matches_serial_hierarchical(self, corpus, no_leaks):
         config = TrainConfig(**TRAIN_CFG, output_layer="hierarchical")
         serial = train_embeddings(corpus, config)
-        hogwild = train_hogwild(corpus, config)
-        np.testing.assert_array_equal(serial.vectors, hogwild.vectors)
+        again = train_embeddings(corpus, config)
+        np.testing.assert_array_equal(serial.vectors, again.vectors)
 
     def test_facade_workers_one_is_serial(self, corpus):
         config = TrainConfig(**TRAIN_CFG)
@@ -135,10 +130,10 @@ class _CrashAfterEpoch:
 class TestCheckpointResume:
     def test_resume_workers_one_is_bitwise_identical(self, corpus, tmp_path, no_leaks):
         config = TrainConfig(**TRAIN_CFG)
-        baseline = train_hogwild(corpus, config)
+        baseline = train_embeddings(corpus, config)
 
         with pytest.raises(RuntimeError, match="injected crash"):
-            train_hogwild(
+            train_embeddings(
                 corpus,
                 config,
                 context=ExecutionContext(checkpoint_dir=tmp_path),
@@ -147,7 +142,7 @@ class TestCheckpointResume:
         assert CheckpointManager(tmp_path).exists("trainer")
 
         # Resuming replays the remaining epochs' exact RNG streams.
-        resumed = train_hogwild(
+        resumed = train_embeddings(
             corpus,
             config,
             context=ExecutionContext(checkpoint_dir=tmp_path, resume=True),
@@ -194,14 +189,16 @@ class TestChaos:
         # The first epoch task to run inside a pool worker hard-exits
         # (os._exit, like an OOM kill); the once-marker lets the retried
         # pool pass succeed. Training must complete and unlink everything.
-        injector = FaultInjector(
-            hogwild_epoch_task,
-            exit_on_calls={1},
-            only_in_subprocess=True,
-            once_marker=tmp_path / "fired",
+        chaos = ExecutionContext(
+            fault_injector=lambda task: FaultInjector(
+                task,
+                exit_on_calls={1},
+                only_in_subprocess=True,
+                once_marker=tmp_path / "fired",
+            )
         )
         config = TrainConfig(**TRAIN_CFG, workers=2)
-        result = train_hogwild(corpus, config, task_fn=injector)
+        result = train_embeddings(corpus, config, context=chaos)
         assert (tmp_path / "fired").exists(), "fault never fired"
         assert result.epochs_run == config.epochs
         assert np.all(np.isfinite(result.vectors))
@@ -213,7 +210,7 @@ class TestChaos:
             raise RuntimeError("callback boom")
 
         with pytest.raises(RuntimeError, match="callback boom"):
-            train_hogwild(
+            train_embeddings(
                 corpus,
                 TrainConfig(**TRAIN_CFG, workers=2),
                 epoch_callback=explode,

@@ -1,16 +1,13 @@
-"""ExecutionContext: scoping, merging, checkpointing, legacy shims."""
+"""ExecutionContext: construction, scoping, chaos hook, checkpointing, seeds."""
 
 from __future__ import annotations
 
-import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.pipeline import ExecutionContext, FingerprintMismatch
-from repro.pipeline.context import UNSET, context_from_legacy
-from repro.resilience.supervisor import SupervisorConfig
 
 
 class TestConstruction:
@@ -43,14 +40,6 @@ class TestScoping:
     def test_scoped_without_checkpointing_is_identity(self):
         ctx = ExecutionContext()
         assert ctx.scoped("walks") is ctx
-
-    def test_with_supervisor_fills_only_when_unset(self):
-        sup = SupervisorConfig(worker_deadline=1.0)
-        other = SupervisorConfig(worker_deadline=9.0)
-        assert ExecutionContext().with_supervisor(sup).supervisor is sup
-        ctx = ExecutionContext(supervisor=sup)
-        assert ctx.with_supervisor(other).supervisor is sup
-        assert ctx.with_supervisor(None).supervisor is sup
 
 
 class TestWorkersAndChaos:
@@ -113,27 +102,3 @@ class TestSeedTree:
 
     def test_spawn_seeds_count(self):
         assert len(ExecutionContext(seed=0).spawn_seeds(4)) == 4
-
-
-class TestContextFromLegacy:
-    def test_unset_kwargs_are_dropped(self):
-        ctx = context_from_legacy(None, checkpoint_dir=UNSET, workers=UNSET)
-        assert ctx == ExecutionContext()
-
-    def test_workers_shorthand_is_warning_free(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            ctx = context_from_legacy(None, workers=4, checkpoint_dir=UNSET)
-        assert ctx.workers == 4
-
-    def test_context_plus_legacy_is_an_error(self, tmp_path):
-        with pytest.raises(TypeError, match="not both"):
-            context_from_legacy(
-                ExecutionContext(), checkpoint_dir=tmp_path, workers=UNSET
-            )
-
-    def test_explicit_context_passes_through(self):
-        ctx = ExecutionContext(workers=2)
-        assert (
-            context_from_legacy(ctx, checkpoint_dir=UNSET, workers=UNSET) is ctx
-        )

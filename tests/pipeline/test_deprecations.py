@@ -2,10 +2,11 @@
 
 * the call paths are completely warning-free (asserted under
   ``simplefilter("error")``);
-* ``workers=`` stays a silent, documented shorthand on ``generate_walks``;
+* ``workers=`` stays a silent, documented shorthand on ``generate_walks``
+  and ``V2V.fit``;
 * mixing ``context=`` with the shorthand is a ``TypeError``, and the
   removed per-function ``checkpoint_dir=``/``resume=``/``supervisor=``
-  keywords are refused.
+  keywords are refused, ``V2V.fit``'s and ``V2V.fit_corpus``'s included.
 """
 
 from __future__ import annotations
@@ -89,11 +90,18 @@ class TestConflictingSettings:
                 resume=True,
             )
 
-    def test_v2v_fit_context_plus_kwargs(self, graph, tmp_path):
+    def test_v2v_fit_context_plus_kwargs(self, graph, walk_config, tmp_path):
         from repro import V2V, V2VConfig
 
         cfg = V2VConfig(dim=4, epochs=1, walks_per_vertex=2, walk_length=6, seed=0)
         with pytest.raises(TypeError, match="not both"):
-            V2V(cfg).fit(
-                graph, context=ExecutionContext(), checkpoint_dir=tmp_path
-            )
+            V2V(cfg).fit(graph, context=ExecutionContext(), workers=2)
+        with pytest.raises(TypeError, match="checkpoint_dir"):
+            V2V(cfg).fit(graph, checkpoint_dir=tmp_path)
+        with pytest.raises(TypeError, match="resume"):
+            V2V(cfg).fit(graph, resume=True)
+        corpus = generate_walks(graph, walk_config)
+        with pytest.raises(TypeError, match="checkpoint_dir"):
+            V2V(cfg).fit_corpus(corpus, checkpoint_dir=tmp_path)
+        with pytest.raises(TypeError, match="resume"):
+            V2V(cfg).fit_corpus(corpus, resume=True)

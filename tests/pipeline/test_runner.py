@@ -144,3 +144,25 @@ class TestStageCache:
         Pipeline([stage]).run(np.arange(4), context=ExecutionContext(resume=True))
         Pipeline([stage]).run(np.arange(4), context=ExecutionContext(resume=True))
         assert stage.calls == 2
+
+
+class TestObservability:
+    def test_context_observability_opens_a_session(self, tmp_path):
+        from repro.graph.generators import planted_partition
+        from repro.obs.manifest import load_manifest
+        from repro.obs.recorder import ObsConfig
+        from repro.pipeline import WalkStage
+        from repro.walks.engine import RandomWalkConfig
+
+        graph = planted_partition(n=30, groups=3, alpha=0.7, inter_edges=4, seed=0)
+        manifest_path = tmp_path / "run.json"
+        ctx = ExecutionContext(
+            observability=ObsConfig(log_level="error", metrics_out=str(manifest_path))
+        )
+        stage = WalkStage(RandomWalkConfig(walks_per_vertex=2, walk_length=10, seed=0))
+        Pipeline([stage]).execute(graph, context=ctx)
+
+        manifest = load_manifest(manifest_path)
+        assert manifest["config"]["entrypoint"] == "Pipeline.execute"
+        assert [r["stage"] for r in manifest["stage_reports"]] == ["walks"]
+        assert manifest["metrics"]["counters"]["walks.total"] == 60

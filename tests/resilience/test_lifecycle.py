@@ -311,9 +311,7 @@ def _train_streaming(corpus, ctx, callback=None):
 
 
 def _train_hogwild1(corpus, ctx, callback=None):
-    from repro.parallel.hogwild import train_hogwild
-
-    return train_hogwild(
+    return train_embeddings(
         corpus,
         TrainConfig(**TRAIN_CFG, workers=1),
         context=ctx,

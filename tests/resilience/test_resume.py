@@ -300,14 +300,17 @@ class TestFacadeResume:
         config = V2VConfig(
             dim=8, walks_per_vertex=2, walk_length=12, epochs=3, seed=2
         )
-        uninterrupted = V2V(config).fit(graph, checkpoint_dir=tmp_path / "a")
+        uninterrupted = V2V(config).fit(
+            graph, context=ExecutionContext(checkpoint_dir=tmp_path / "a")
+        )
         generate_walks(
             graph,
             config.walk_config(),
             context=ExecutionContext(checkpoint_dir=tmp_path / "b" / "walks"),
         )  # walk stage completed; trainer checkpoint absent
         resumed = V2V(config).fit(
-            graph, checkpoint_dir=tmp_path / "b", resume=True
+            graph,
+            context=ExecutionContext(checkpoint_dir=tmp_path / "b", resume=True),
         )
         np.testing.assert_array_equal(uninterrupted.vectors, resumed.vectors)
 
@@ -315,8 +318,12 @@ class TestFacadeResume:
         config = V2VConfig(
             dim=8, walks_per_vertex=2, walk_length=12, epochs=3, seed=2
         )
-        first = V2V(config).fit(graph, checkpoint_dir=tmp_path)
-        resumed = V2V(config).fit(graph, checkpoint_dir=tmp_path, resume=True)
+        first = V2V(config).fit(
+            graph, context=ExecutionContext(checkpoint_dir=tmp_path)
+        )
+        resumed = V2V(config).fit(
+            graph, context=ExecutionContext(checkpoint_dir=tmp_path, resume=True)
+        )
         np.testing.assert_array_equal(first.vectors, resumed.vectors)
         mgr = CheckpointManager(tmp_path / "walks")
         assert mgr.names()  # walk chunks persisted under <dir>/walks

@@ -19,11 +19,7 @@ from repro.core.trainer import TrainConfig, train_embeddings
 from repro.graph.generators import planted_partition
 from repro.obs.manifest import load_manifest
 from repro.obs.recorder import ObsConfig, session
-from repro.parallel.hogwild import (
-    hogwild_epoch_task,
-    hogwild_supported,
-    train_hogwild,
-)
+from repro.parallel.hogwild import hogwild_supported
 from repro.pipeline import ExecutionContext
 from repro.resilience.chaos import FaultInjector
 from repro.resilience.supervisor import SupervisorConfig
@@ -72,10 +68,17 @@ def _train_config(**overrides):
         seed=3,
         early_stop=False,
         workers=2,
-        supervisor=SUPERVISED,
     )
     base.update(overrides)
     return TrainConfig(**base)
+
+
+def _chaos(**faults):
+    """A supervised context whose fault hook wraps each pooled task."""
+    return ExecutionContext(
+        supervisor=SUPERVISED,
+        fault_injector=lambda task: FaultInjector(task, **faults),
+    )
 
 
 class TestHogwildKilledWorker:
@@ -83,15 +86,14 @@ class TestHogwildKilledWorker:
         self, corpus, tmp_path, no_leaks
     ):
         manifest_path = tmp_path / "run.json"
-        injector = FaultInjector(
-            hogwild_epoch_task,
+        chaos = _chaos(
             exit_on_calls={1},
             only_in_subprocess=True,
             once_marker=tmp_path / "fired",
         )
         cfg = ObsConfig(log_level="error", metrics_out=str(manifest_path))
         with session(cfg, run_config={"chaos": "kill"}, stream=io.StringIO()):
-            result = train_hogwild(corpus, _train_config(), task_fn=injector)
+            result = train_embeddings(corpus, _train_config(), context=chaos)
 
         assert (tmp_path / "fired").exists(), "fault never fired"
         assert result.epochs_run == 3
@@ -109,8 +111,7 @@ class TestHogwildHungWorker:
         # mid-epoch is killed within the deadline budget and its shard
         # re-run — no indefinite stall.
         manifest_path = tmp_path / "run.json"
-        injector = FaultInjector(
-            hogwild_epoch_task,
+        chaos = _chaos(
             hang_on_calls={1},
             hang_seconds=3600.0,
             only_in_subprocess=True,
@@ -118,7 +119,7 @@ class TestHogwildHungWorker:
         )
         cfg = ObsConfig(log_level="error", metrics_out=str(manifest_path))
         with session(cfg, run_config={"chaos": "hang"}, stream=io.StringIO()):
-            result = train_hogwild(corpus, _train_config(), task_fn=injector)
+            result = train_embeddings(corpus, _train_config(), context=chaos)
 
         assert (tmp_path / "fired").exists(), "fault never fired"
         assert result.epochs_run == 3
@@ -214,18 +215,12 @@ class TestSupervisionDisabledIdentity:
     def test_workers_1_with_supervision_config_is_bitwise_serial(self, graph):
         # Acceptance criterion: supervision configured but inert
         # (workers=1, no faults) must not perturb the numerics.
-        plain = V2VConfig(
+        config = V2VConfig(
             dim=8, epochs=2, walks_per_vertex=2, walk_length=10, seed=0
         )
-        supervised = V2VConfig(
-            dim=8,
-            epochs=2,
-            walks_per_vertex=2,
-            walk_length=10,
-            seed=0,
-            worker_deadline=5.0,
-            max_respawns=2,
+        supervised = ExecutionContext(
+            supervisor=SupervisorConfig(worker_deadline=5.0, max_respawns=2)
         )
-        a = V2V(plain).fit(graph).vectors
-        b = V2V(supervised).fit(graph).vectors
+        a = V2V(config).fit(graph).vectors
+        b = V2V(config).fit(graph, context=supervised).vectors
         np.testing.assert_array_equal(a, b)
