@@ -220,6 +220,9 @@ def estimate_footprint(
         disk_extra = graph_bytes
     else:
         breakdown["graph"] = graph_bytes
+    from repro.walks.corpus import WALK_DTYPE
+
+    token_bytes = WALK_DTYPE.itemsize
     tokens = 0
     num_walks = 0
     walk_length = 0
@@ -233,12 +236,12 @@ def estimate_footprint(
             num_walks = n * int(cfg.walks_per_vertex)
             walk_length = int(cfg.walk_length)
             tokens = num_walks * walk_length
-            # int64 walk matrix, resident twice at the stage handoff
+            # The walk matrix, resident twice at the stage handoff
             # (engine result + chunk assembly buffers).
-            breakdown["walk_corpus"] = tokens * 8 * 2
+            breakdown["walk_corpus"] = tokens * token_bytes * 2
             # Checkpointed walk chunks mirror the corpus on disk, plus
             # one in-flight tmp file.
-            disk += tokens * 8 + max(tokens, 1) * 8 // 4
+            disk += tokens * token_bytes + max(tokens, 1) * token_bytes // 4
         if hasattr(cfg, "dim") and hasattr(cfg, "window"):
             dim = int(cfg.dim)
             window = int(cfg.window)
@@ -252,17 +255,18 @@ def estimate_footprint(
             weights = matrices + n * dim * 8
             # Examples are int64 positions into a window-padded copy of
             # the walk matrix: the positions and one epoch's shuffled
-            # copy, the padded copy, and one block of batches. At its
-            # peak a block's plan holds about four int64 copies of its
-            # gathered windows and a dozen of its negative-sampling
-            # targets (center + negatives); a batch step adds its
-            # gathered output rows, context means and gradients.
+            # copy, the padded copy (walk tokens), and one block of
+            # batches. At its peak a block's plan holds about four int64
+            # copies of its gathered windows and a dozen of its
+            # negative-sampling targets (center + negatives); a batch
+            # step adds its gathered output rows, context means and
+            # gradients.
             rows = batch * BLOCK_BATCHES
             block = rows * 8 * (4 * (1 + 2 * window) + 12 * (1 + negatives))
             step = batch * (3 + negatives) * dim * 8
             examples = (
                 2 * tokens * 8
-                + num_walks * (walk_length + 2 * window) * 8
+                + num_walks * (walk_length + 2 * window) * token_bytes
                 + block
                 + step
             )

@@ -1,10 +1,16 @@
 """Walk corpus: the "sentences" consumed by the CBOW/SkipGram trainers.
 
-A corpus is a dense int64 matrix (walks × walk_length) padded with ``-1``
-after a walk terminates. Training examples are positions into a
-window-padded copy of that matrix; :func:`gather_windows` turns a block
-of positions into the (center, padded contexts) rows the vectorized
-trainers consume, without ever materializing Python lists of tokens.
+A corpus is a dense int32 matrix (walks × walk_length) padded with ``-1``
+after a walk terminates. It is the largest array a run holds, and int32
+tokens take half the bytes of int64 ones. Training examples are int64
+positions into a window-padded copy of that matrix; :func:`gather_windows`
+turns a block of positions into the (center, padded contexts) rows the
+vectorized trainers consume, without ever materializing Python lists of
+tokens.
+
+A corpus built from a caller's array is validated (tokens in range,
+padding only as a row suffix) and narrowed to int32. The walk engine's
+matrices are correct by construction and skip that pass.
 """
 
 from __future__ import annotations
@@ -17,6 +23,9 @@ import numpy as np
 __all__ = ["WalkCorpus", "gather_windows"]
 
 PAD = -1
+#: The dtype of every walk matrix: vertex ids and ``PAD``.
+WALK_DTYPE = np.dtype(np.int32)
+_TOKEN_RANGE = np.iinfo(WALK_DTYPE)
 
 
 def gather_windows(
@@ -28,7 +37,8 @@ def gather_windows(
     ``positions`` flat indices into it (:meth:`WalkCorpus.example_positions`).
     Each context row holds the ``window`` tokens before the center, then
     the ``window`` after it; ``-1`` where the window ran off the walk.
-    Both arrays come out int64, as gathered.
+    Both arrays come out in ``padded``'s dtype (int32 for a corpus), as
+    gathered.
     """
     flat = padded.reshape(-1)
     offsets = np.concatenate([np.arange(-window, 0), np.arange(1, window + 1)])
@@ -41,8 +51,10 @@ class WalkCorpus:
     Parameters
     ----------
     walks:
-        2-D int64 array; row = walk; ``-1`` marks padding. Padding may
-        only appear as a suffix of a row.
+        2-D integer array; row = walk; ``-1`` marks padding. Padding may
+        only appear as a suffix of a row. Held as int32
+        (:data:`WALK_DTYPE`): other integer arrays are narrowed after a
+        range check, and a token that does not fit is refused.
     num_vertices:
         Size of the vertex universe (vocabulary size upper bound).
     shared:
@@ -56,12 +68,18 @@ class WalkCorpus:
     def __init__(
         self, walks: np.ndarray, *, num_vertices: int, shared=None
     ) -> None:
-        walks = np.asarray(walks, dtype=np.int64)
+        walks = np.asarray(walks)
         if walks.ndim != 2:
             raise ValueError("walks must be a 2-D array")
-        if walks.size and walks.max() >= num_vertices:
-            raise ValueError("walk token exceeds num_vertices")
-        self._walks = np.ascontiguousarray(walks)
+        if walks.size:
+            hi = walks.max()
+            if walks.dtype != WALK_DTYPE and (
+                hi > _TOKEN_RANGE.max or walks.min() < _TOKEN_RANGE.min
+            ):
+                raise ValueError("walk token does not fit in int32")
+            if hi >= num_vertices:
+                raise ValueError("walk token exceeds num_vertices")
+        self._walks = np.ascontiguousarray(walks, dtype=WALK_DTYPE)
         self._shared = shared if self._walks is walks else None
         if shared is not None and self._shared is None:
             # The caller's array was copied/relaid — the segment backs
@@ -73,6 +91,36 @@ class WalkCorpus:
         if walks.shape[1] > 1 and np.any(~valid[:, :-1] & valid[:, 1:]):
             raise ValueError("padding (-1) must only appear as a row suffix")
         self._lengths = valid.sum(axis=1).astype(np.int64)
+
+    @classmethod
+    def _trusted(
+        cls,
+        walks: np.ndarray,
+        *,
+        num_vertices: int,
+        lengths: np.ndarray | None = None,
+        shared=None,
+    ) -> "WalkCorpus":
+        """A corpus over a matrix that is valid by construction: the walk
+        engine's output, or rows of a corpus already checked.
+
+        ``walks`` must be C-contiguous :data:`WALK_DTYPE`, in range and
+        padded only as a row suffix; nothing is re-checked. Without
+        ``lengths`` (then ``walks`` has at least one column), a row whose
+        last token is not ``PAD`` has full length, and only the rows that
+        end in ``PAD`` are counted.
+        """
+        corpus = cls.__new__(cls)
+        corpus._walks = walks
+        corpus._shared = shared
+        corpus._num_vertices = int(num_vertices)
+        if lengths is None:
+            lengths = np.full(walks.shape[0], walks.shape[1], dtype=np.int64)
+            ended = np.flatnonzero(walks[:, -1] == PAD)
+            if ended.size:
+                lengths[ended] = (walks[ended] != PAD).sum(axis=1)
+        corpus._lengths = lengths
+        return corpus
 
     # ------------------------------------------------------------------
     @property
@@ -156,7 +204,9 @@ class WalkCorpus:
         if window < 1:
             raise ValueError("window must be >= 1")
         num_walks, max_len = self._walks.shape
-        padded = np.full((num_walks, max_len + 2 * window), PAD, dtype=np.int64)
+        padded = np.full(
+            (num_walks, max_len + 2 * window), PAD, dtype=self._walks.dtype
+        )
         padded[:, window : window + max_len] = self._walks
         return padded
 
@@ -190,9 +240,9 @@ class WalkCorpus:
         Returns
         -------
         centers:
-            int64 array of shape (num_examples,).
+            int32 array of shape (num_examples,).
         contexts:
-            int64 array of shape (num_examples, 2 * window); ``-1`` where
+            int32 array of shape (num_examples, 2 * window); ``-1`` where
             the window ran off the walk (mask it in the trainer).
 
         The paper's window is symmetric: ``n`` vertices before and after
@@ -218,9 +268,11 @@ class WalkCorpus:
         if rows_per_batch < 1:
             raise ValueError("rows_per_batch must be >= 1")
         for lo in range(0, self.num_walks, rows_per_batch):
-            chunk = WalkCorpus(
-                self._walks[lo : lo + rows_per_batch],
+            rows = slice(lo, lo + rows_per_batch)
+            chunk = WalkCorpus._trusted(
+                self._walks[rows],
                 num_vertices=self._num_vertices,
+                lengths=self._lengths[rows],
             )
             centers, contexts = chunk.context_arrays(window)
             if centers.shape[0]:
@@ -244,13 +296,15 @@ class WalkCorpus:
         def _pad(mat: np.ndarray) -> np.ndarray:
             if mat.shape[1] == width:
                 return mat
-            out = np.full((mat.shape[0], width), PAD, dtype=np.int64)
+            out = np.full((mat.shape[0], width), PAD, dtype=WALK_DTYPE)
             out[:, : mat.shape[1]] = mat
             return out
 
-        return WalkCorpus(
+        # Both halves were checked when they were built.
+        return WalkCorpus._trusted(
             np.vstack([_pad(self._walks), _pad(other._walks)]),
             num_vertices=self._num_vertices,
+            lengths=np.concatenate([self._lengths, other._lengths]),
         )
 
     # ------------------------------------------------------------------
@@ -290,7 +344,7 @@ class WalkCorpus:
                     rows.append([int(t) for t in tokens])
         if not rows:
             return cls(
-                np.empty((0, 1), dtype=np.int64),
+                np.empty((0, 1), dtype=WALK_DTYPE),
                 num_vertices=num_vertices or 0,
             )
         width = max(len(r) for r in rows)

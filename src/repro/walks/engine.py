@@ -57,7 +57,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.obs.recorder import current_recorder
-from repro.walks.corpus import WalkCorpus
+from repro.walks.corpus import WALK_DTYPE, WalkCorpus
 
 __all__ = ["WalkMode", "RandomWalkConfig", "generate_walks", "hash_uniform"]
 
@@ -565,9 +565,10 @@ def generate_walks(
 
     ``g`` is an in-memory :class:`~repro.graph.core.Graph` or a
     :class:`~repro.graph.store.GraphStore`. Returns a :class:`WalkCorpus`
-    whose ``walks`` matrix has one row per walk, in original vertex ids,
-    padded with ``-1`` after termination; row ``i`` starts at
-    ``starts[i % len(starts)]``. The corpus obeys the determinism
+    whose int32 ``walks`` matrix has one row per walk, in original vertex
+    ids, padded with ``-1`` after termination; row ``i`` starts at
+    ``starts[i % len(starts)]``. A graph of more than 2**31 - 1 vertices
+    is refused with ``ValueError``. The corpus obeys the determinism
     contract in this module's docstring.
 
     Runtime concerns travel in ``context``, a
@@ -607,6 +608,10 @@ def generate_walks(
     store = getattr(g, "mmap_backed", False) and hasattr(g, "shard")
     _validate_mode(g, mode, store)
     n = int(g.n)
+    if n > np.iinfo(WALK_DTYPE).max:
+        raise ValueError(
+            f"graph has {n} vertices; int32 walk tokens hold at most 2**31 - 1"
+        )
     starts = _resolve_starts(config, n)
     workers = ctx.resolve_workers()
     rec = current_recorder()
@@ -674,8 +679,8 @@ def _walk(
     num_walks = starts.shape[0]
     pooled = workers > 1 and num_walks > 1 and SHM_AVAILABLE
     shape = (num_walks, plan.walk_length)
-    shared = SharedArray.create(shape, np.int64) if pooled else None
-    walks = shared.array if pooled else np.empty(shape, dtype=np.int64)
+    shared = SharedArray.create(shape, WALK_DTYPE) if pooled else None
+    walks = shared.array if pooled else np.empty(shape, dtype=WALK_DTYPE)
     rec = current_recorder()
     try:
         with _task_view(view, pooled) as task_view:
@@ -717,13 +722,15 @@ def _walk(
         if shared is not None:
             shared.destroy()
         raise
+    # Every row was written by the stepper (or read back from its own
+    # checkpoint): in range and suffix-padded, so nothing is re-checked.
     if shared is None:
-        return WalkCorpus(walks, num_vertices=g.n)
+        return WalkCorpus._trusted(walks, num_vertices=g.n)
     if keep_shared:
-        return WalkCorpus(shared.array, num_vertices=g.n, shared=shared)
+        return WalkCorpus._trusted(shared.array, num_vertices=g.n, shared=shared)
     walks = shared.copy()
     shared.destroy()
-    return WalkCorpus(walks, num_vertices=g.n)
+    return WalkCorpus._trusted(walks, num_vertices=g.n)
 
 
 def _walk_fingerprint(g, config: RandomWalkConfig) -> dict:

@@ -34,6 +34,7 @@ from repro.resilience.guard import (
     preflight,
     reset_guard,
 )
+from repro.walks.corpus import WALK_DTYPE
 
 
 @pytest.fixture(autouse=True)
@@ -138,8 +139,11 @@ class TestEstimateFootprint:
     def test_walk_stage_adds_corpus_and_disk(self):
         fp = estimate_footprint([WALK_STAGE], _FakeGraph())
         tokens = 1000 * 10 * 80
-        assert fp.breakdown["walk_corpus"] == tokens * 8 * 2
-        assert fp.disk_bytes > 0
+        token_bytes = WALK_DTYPE.itemsize  # int32 tokens
+        assert token_bytes == 4
+        assert fp.breakdown["walk_corpus"] == tokens * token_bytes * 2
+        # The chunk checkpoints plus one in-flight tmp file.
+        assert fp.disk_bytes == tokens * token_bytes + tokens * token_bytes // 4
 
     def test_multi_worker_training_needs_shm(self):
         fp = estimate_footprint([WALK_STAGE, TRAIN_STAGE], _FakeGraph())

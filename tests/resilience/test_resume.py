@@ -107,6 +107,35 @@ class TestWalkResume:
             )
             np.testing.assert_array_equal(full.walks, resumed.walks)
 
+    def test_int64_chunks_resume_to_the_same_corpus(self, graph, tmp_path):
+        # Walk chunks were saved as int64 before tokens became int32; a
+        # run resumed from such chunks (all or some of them) must build
+        # the same corpus.
+        cfg = RandomWalkConfig(**WALK_CFG)
+        full = generate_walks(
+            graph,
+            cfg,
+            context=ExecutionContext(checkpoint_dir=tmp_path / "full"),
+            checkpoint_chunks=4,
+        )
+        mgr_full = CheckpointManager(tmp_path / "full")
+        for kept, ckpt_dir in ((4, tmp_path / "all"), (2, tmp_path / "some")):
+            mgr = CheckpointManager(ckpt_dir)
+            for name in mgr_full.names()[:kept]:
+                ckpt = mgr_full.load(name)
+                wide = ckpt.arrays["walks"].astype(np.int64)
+                mgr.save(name, {"walks": wide}, ckpt.meta)
+                assert mgr.load(name).arrays["walks"].dtype == np.int64
+            resumed = generate_walks(
+                graph,
+                cfg,
+                context=ExecutionContext(checkpoint_dir=ckpt_dir, resume=True),
+                checkpoint_chunks=4,
+            )
+            assert resumed.walks.dtype == full.walks.dtype
+            np.testing.assert_array_equal(full.walks, resumed.walks)
+            np.testing.assert_array_equal(full.lengths, resumed.lengths)
+
     def test_store_input_writes_and_resumes_checkpoints(self, graph, tmp_path):
         from repro.graph.store import GraphStore
         from repro.obs.metrics import MetricsRegistry

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.walks.corpus import PAD, WalkCorpus
+from repro.walks.corpus import PAD, WALK_DTYPE, WalkCorpus
 
 
 def corpus_of(rows, num_vertices=10):
@@ -34,6 +34,22 @@ class TestConstruction:
         c = WalkCorpus(np.empty((0, 5), dtype=np.int64), num_vertices=3)
         assert c.num_walks == 0
         assert c.num_tokens == 0
+
+    def test_narrows_to_int32(self):
+        c = corpus_of([[0, 1, 2], [3, PAD, PAD]])
+        assert c.walks.dtype == WALK_DTYPE == np.int32
+        assert c.walks.tolist() == [[0, 1, 2], [3, PAD, PAD]]
+
+    def test_rejects_token_beyond_int32(self):
+        # Inside the vertex universe, but not representable as an int32.
+        with pytest.raises(ValueError, match="int32"):
+            WalkCorpus(np.asarray([[0, 2**31]]), num_vertices=2**32)
+        with pytest.raises(ValueError, match="int32"):
+            WalkCorpus(np.asarray([[0, -(2**31) - 1]]), num_vertices=2)
+
+    def test_largest_int32_token_is_kept(self):
+        c = WalkCorpus(np.asarray([[2**31 - 1, PAD]]), num_vertices=2**31)
+        assert c.walks.tolist() == [[2**31 - 1, PAD]]
 
 
 class TestSentences:
@@ -120,6 +136,11 @@ class TestMerge:
         assert merged.max_length == 3
         assert merged.lengths.tolist() == [2, 3]
 
+    def test_merge_keeps_int32(self):
+        merged = corpus_of([[0, 1]]).merge(corpus_of([[2, 3, 4]]))
+        assert merged.walks.dtype == WALK_DTYPE
+        assert merged.walks.tolist() == [[0, 1, PAD], [2, 3, 4]]
+
     def test_merge_universe_mismatch(self):
         a = corpus_of([[0]], num_vertices=5)
         b = corpus_of([[0]], num_vertices=6)
@@ -136,6 +157,25 @@ class TestPersistence:
         np.testing.assert_array_equal(loaded.walks, c.walks)
         assert loaded.num_vertices == c.num_vertices
 
+    def test_loads_an_int64_npz(self, tmp_path):
+        # The format corpora were saved in when tokens were int64.
+        walks = np.asarray([[0, 1, 2], [3, PAD, PAD]], dtype=np.int64)
+        p = tmp_path / "c64.npz"
+        np.savez_compressed(p, walks=walks, num_vertices=10)
+        loaded = WalkCorpus.load(p)
+        assert loaded.walks.dtype == WALK_DTYPE
+        np.testing.assert_array_equal(loaded.walks, walks)
+        assert loaded.lengths.tolist() == [3, 1]
+        assert loaded.num_vertices == 10
+
+    def test_load_refuses_a_token_beyond_int32(self, tmp_path):
+        p = tmp_path / "big.npz"
+        np.savez_compressed(
+            p, walks=np.asarray([[2**31, PAD]], dtype=np.int64), num_vertices=2**32
+        )
+        with pytest.raises(ValueError, match="int32"):
+            WalkCorpus.load(p)
+
     def test_text_roundtrip(self, tmp_path):
         c = corpus_of([[0, 1, 2], [3, PAD, PAD]])
         p = tmp_path / "walks.txt"
@@ -151,6 +191,12 @@ class TestPersistence:
         loaded = WalkCorpus.from_text(p)
         assert loaded.num_vertices == 6
         assert loaded.lengths.tolist() == [2, 3]
+
+    def test_text_refuses_a_token_beyond_int32(self, tmp_path):
+        p = tmp_path / "walks.txt"
+        p.write_text(f"0 {2**31}\n")
+        with pytest.raises(ValueError, match="int32"):
+            WalkCorpus.from_text(p)
 
     def test_text_empty_file(self, tmp_path):
         p = tmp_path / "walks.txt"

@@ -95,6 +95,13 @@ class TestUniformWalks:
         corpus = generate_walks(Graph(0), RandomWalkConfig(seed=0))
         assert corpus.num_walks == 0
 
+    def test_refuses_more_vertices_than_int32_tokens_hold(self):
+        class Huge:  # only its size is read before the refusal
+            n = 2**31
+
+        with pytest.raises(ValueError, match="int32"):
+            generate_walks(Huge(), RandomWalkConfig(seed=0))
+
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("mode", [WalkMode.UNIFORM, WalkMode.WEIGHTED])
     def test_edgeless_graph_walks_stay_at_start(self, mode, workers):
