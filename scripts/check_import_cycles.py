@@ -35,6 +35,14 @@ Two rules keep start-up lean (see "Start-up" in docs/PERFORMANCE.md):
    that needs it imports it inside the function. A walk-only run then
    never loads scipy.
 
+One rule keeps the telemetry hub at the bottom of the stack:
+
+6. ``repro.obs`` imports no ``repro.resilience``, ``repro.pipeline``,
+   ``repro.core`` or ``repro.walks`` at module level. Those layers all
+   report through ``repro.obs``; the few upward calls the hub needs
+   (atomic writes of the manifest and the live status file, classifying
+   an interrupted run) import inside the function.
+
 Run from the repo root: ``python scripts/check_import_cycles.py``.
 Exits 1 with one line per violation.
 """
@@ -94,6 +102,26 @@ RULES = [
         "repro.community",
         "graph is the bottom layer; community algorithms build on it "
         "(partition's label-propagation hook is a function-local import)",
+    ),
+    (
+        "repro.obs",
+        "repro.resilience",
+        "telemetry sits below every layer that reports through it",
+    ),
+    (
+        "repro.obs",
+        "repro.pipeline",
+        "telemetry sits below every layer that reports through it",
+    ),
+    (
+        "repro.obs",
+        "repro.core",
+        "telemetry sits below every layer that reports through it",
+    ),
+    (
+        "repro.obs",
+        "repro.walks",
+        "telemetry sits below every layer that reports through it",
     ),
     (
         "repro",

@@ -113,11 +113,12 @@ def _npy_header(path: Path) -> tuple[str, tuple[int, ...]]:
 class GraphShard:
     """One shard of a store: a contiguous row range over shared mmaps.
 
-    A shard is bookkeeping, not a copy: ``indptr``/``indices`` (and the
-    optional weight/time arrays) are the store's memory-mapped arrays,
-    so advancing walks resident in ``[lo, hi)`` touches only that row
-    range's pages. ``alias_prob``/``alias_alias`` are present when the
-    store was built weighted (tables precomputed at build time).
+    A shard is bookkeeping, not a copy: it holds only the row range
+    ``[lo, hi)`` of the store's memory-mapped arrays (``indptr``,
+    ``indices``, and ``weights``/``cum_weights``/``times`` when present),
+    so advancing walks resident in the range touches only those rows'
+    pages. Weighted steps search the per-row ``cum_weights``; no alias
+    tables are built.
     """
 
     def __init__(self, store: "GraphStore", index: int, lo: int, hi: int) -> None:

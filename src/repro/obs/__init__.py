@@ -4,8 +4,8 @@ The observability subsystem every pipeline layer reports through:
 
 - :mod:`repro.obs.logging` — structured events, human + JSONL sinks.
 - :mod:`repro.obs.metrics` — counters / gauges / histograms / timers.
-- :mod:`repro.obs.tracing` — phase-scoped spans over the event stream.
-- :mod:`repro.obs.recorder` — the per-run hub and the no-op default.
+- :mod:`repro.obs.recorder` — the per-run hub: phase-scoped spans over
+  the event stream, the session lifecycle, and the no-op default.
 - :mod:`repro.obs.slab` — shared-memory per-worker metric rows.
 - :mod:`repro.obs.manifest` — the schema-versioned run manifest.
 - :mod:`repro.obs.report` — human rendering (``repro report``).
@@ -46,12 +46,10 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "Gauge",
             "Histogram",
             "MetricsRegistry",
-            "NullRegistry",
-            "NULL_REGISTRY",
         ),
-        "tracing": ("Span", "Tracer"),
         "recorder": (
             "ObsConfig",
+            "Span",
             "Recorder",
             "NullRecorder",
             "NULL_RECORDER",

@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Any, TextIO
 
 from repro.obs.slab import MetricsSlab, MetricsSlabSpec
-from repro.parallel.shm import SharedArraySpec
+from repro.parallel.shm import SharedArraySpec, pid_alive
 
 __all__ = [
     "LiveStatusFile",
@@ -113,16 +113,6 @@ def read_status(path: str | Path) -> dict[str, Any] | None:
     return doc
 
 
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:  # pragma: no cover - exists, not ours
-        return True
-    return True
-
-
 def _fmt_eta(seconds: float) -> str:
     if not math.isfinite(seconds) or seconds < 0:
         return "-"
@@ -163,7 +153,7 @@ def render_top(
     age = max(now - updated, 0.0)
     liveness = ""
     if run_status == "running":
-        if not _pid_alive(pid):
+        if not pid_alive(pid):
             liveness = " [pid gone]"
         elif age > STALE_AFTER:
             liveness = f" [stale {age:.0f}s]"
@@ -278,7 +268,7 @@ def top_command(
             out.write("\x1b[2J\x1b[H")
         print(frame, file=out, flush=True)
         first_frame = False
-        finished = status.get("status") != "running" or not _pid_alive(
+        finished = status.get("status") != "running" or not pid_alive(
             int(status.get("pid", 0))
         )
         if once or finished:

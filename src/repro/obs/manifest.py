@@ -28,7 +28,7 @@ import time
 from pathlib import Path
 from typing import Any
 
-from repro.obs.metrics import MetricsRegistry, NullRegistry
+from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -78,7 +78,7 @@ def config_fingerprint(config: dict) -> str:
 
 
 def build_manifest(
-    registry: MetricsRegistry | NullRegistry,
+    registry: MetricsRegistry,
     *,
     run_config: dict | None = None,
     events_path: str | Path | None = None,
@@ -117,19 +117,8 @@ def build_manifest(
     }
 
 
-def write_manifest(
-    path: str | Path,
-    *,
-    registry: MetricsRegistry | NullRegistry,
-    run_config: dict | None = None,
-    events_path: str | Path | None = None,
-    status: str = "completed",
-    interrupt_reason: str | None = None,
-    stage_reports: list[dict] | None = None,
-    profiles: dict[str, dict] | None = None,
-    pressure: list[dict] | None = None,
-) -> dict[str, Any]:
-    """Build and atomically write the manifest; returns the dict.
+def write_manifest(path: str | Path, manifest: dict[str, Any]) -> dict[str, Any]:
+    """Atomically write a :func:`build_manifest` dict; returns it.
 
     The write rides :func:`repro.resilience.checkpoint.atomic_write_bytes`,
     so a manifest on a full disk gets the same reclaim-and-retry and
@@ -137,16 +126,6 @@ def write_manifest(
     """
     from repro.resilience.checkpoint import atomic_write_bytes
 
-    manifest = build_manifest(
-        registry,
-        run_config=run_config,
-        events_path=events_path,
-        status=status,
-        interrupt_reason=interrupt_reason,
-        stage_reports=stage_reports,
-        profiles=profiles,
-        pressure=pressure,
-    )
     atomic_write_bytes(
         path, (json.dumps(manifest, indent=2, default=str) + "\n").encode()
     )

@@ -16,10 +16,10 @@ block's wall-clock seconds into the named histogram::
     with registry.time("walks.chunk_seconds"):
         chunk = compute()
 
-Disabled observability uses :data:`NULL_REGISTRY`: the same API where
-every method is a constant-folded no-op, so instrumented code pays one
-attribute call and nothing else (see benchmarks/test_perf_obs_overhead.py
-for the < 3% hot-loop guard).
+The disabled path has no registry: the null recorder's
+``inc``/``set``/``observe`` return at once and its ``time`` hands back
+the shared null span (see benchmarks/test_perf_obs_overhead.py for the
+< 3% hot-loop guard).
 """
 
 from __future__ import annotations
@@ -34,8 +34,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullRegistry",
-    "NULL_REGISTRY",
 ]
 
 # Histograms keep at most the first HISTOGRAM_SAMPLE_CAP raw observations
@@ -224,98 +222,3 @@ class MetricsRegistry:
             else:
                 out["histograms"][name] = metric.snapshot()
         return out
-
-
-class _NullTimer:
-    """Timer that measures nothing; shared singleton."""
-
-    __slots__ = ()
-    seconds = 0.0
-
-    def __enter__(self) -> "_NullTimer":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        return None
-
-
-class _NullCounter:
-    __slots__ = ()
-    value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        return None
-
-    def snapshot(self) -> float:
-        return 0.0
-
-
-class _NullGauge:
-    __slots__ = ()
-    value = math.nan
-
-    def set(self, value: float) -> None:
-        return None
-
-    def snapshot(self) -> float:
-        return math.nan
-
-
-class _NullHistogram:
-    __slots__ = ()
-    count = 0
-
-    def observe(self, value: float) -> None:
-        return None
-
-    def snapshot(self) -> dict[str, float]:
-        return {"count": 0}
-
-
-_NULL_TIMER = _NullTimer()
-_NULL_COUNTER = _NullCounter()
-_NULL_GAUGE = _NullGauge()
-_NULL_HISTOGRAM = _NullHistogram()
-
-
-class NullRegistry:
-    """No-op registry: every operation returns a shared inert object.
-
-    This is the disabled-observability fast path — no dict lookups, no
-    allocation, no branches beyond the method dispatch itself.
-    """
-
-    enabled = False
-
-    def counter(self, name: str) -> _NullCounter:
-        return _NULL_COUNTER
-
-    def gauge(self, name: str) -> _NullGauge:
-        return _NULL_GAUGE
-
-    def histogram(self, name: str) -> _NullHistogram:
-        return _NULL_HISTOGRAM
-
-    def inc(self, name: str, amount: float = 1.0) -> None:
-        return None
-
-    def set(self, name: str, value: float) -> None:
-        return None
-
-    def observe(self, name: str, value: float) -> None:
-        return None
-
-    def time(self, name: str) -> _NullTimer:
-        return _NULL_TIMER
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(())
-
-    def __len__(self) -> int:
-        return 0
-
-    def snapshot(self) -> dict[str, dict]:
-        return {"counters": {}, "gauges": {}, "histograms": {}}
-
-
-NULL_REGISTRY = NullRegistry()

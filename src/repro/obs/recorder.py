@@ -1,11 +1,21 @@
 """The pipeline's telemetry hub: one Recorder per run, or the no-op.
 
-A :class:`Recorder` bundles the three observability primitives —
-structured logger, metrics registry, tracer — behind a single handle
-that instrumented code fetches with :func:`current_recorder`. When no
+A :class:`Recorder` bundles the observability primitives — structured
+logger, metrics registry, phase spans — behind a single handle that
+instrumented code fetches with :func:`current_recorder`. When no
 recorder is installed (the default), the shared :data:`NULL_RECORDER`
 comes back and every call is a no-op; embedding quality and RNG streams
 are untouched either way (the bitwise-identity tests assert this).
+
+A :class:`Span` marks one pipeline phase — walk generation, a training
+epoch, a k-means fit — with a ``span.begin``/``span.end`` event pair in
+the JSONL stream and its duration observed into the
+``span.<name>.seconds`` histogram. Spans nest: the recorder keeps the
+open-span stack, and each span carries its parent's name path, so the
+stream reconstructs the phase tree (``pipeline.fit > walks.generate >
+...``) without any global collector. Span ids are process-local
+integers, deliberately not distributed trace ids: the pipeline is one
+process tree and the JSONL file is the single sink.
 
 Install scopes:
 
@@ -26,8 +36,10 @@ shared file handles (which would interleave torn JSONL lines).
 from __future__ import annotations
 
 import contextlib
+import itertools
 import logging as _stdlib_logging
 import os
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator
@@ -38,12 +50,13 @@ from repro.obs.logging import (
     get_logger,
     teardown_logging,
 )
-from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import DEFAULT_HZ, StackProfile
-from repro.obs.tracing import NULL_SPAN, Span, Tracer
 
 __all__ = [
     "ObsConfig",
+    "Span",
+    "NULL_SPAN",
     "Recorder",
     "NullRecorder",
     "NULL_RECORDER",
@@ -86,12 +99,90 @@ class ObsConfig:
             raise ValueError("profile_hz must be > 0")
 
 
-class Recorder:
-    """Live telemetry: logger + metrics + tracer, PID-pinned.
+class Span:
+    """Context manager for one phase; emits begin/end events.
 
-    ``trace=True`` lowers the span begin events from DEBUG to INFO so
-    they show on the human sink; the JSONL sink records at DEBUG always.
+    ``attrs`` ride on both events; anything set via :meth:`annotate`
+    inside the block rides on the end event only (e.g. a loss computed
+    mid-phase). An exception inside the block marks the end event with
+    ``status="error"`` and the exception repr, then propagates.
     """
+
+    __slots__ = ("recorder", "name", "attrs", "span_id", "parent", "_start", "seconds")
+
+    def __init__(
+        self, recorder: "Recorder", name: str, parent: "Span | None", attrs: dict
+    ) -> None:
+        self.recorder = recorder
+        self.name = name
+        self.attrs = attrs
+        self.parent = parent
+        self.span_id = next(recorder._span_ids)
+        self._start = 0.0
+        self.seconds = 0.0
+
+    @property
+    def path(self) -> str:
+        return f"{self.parent.path}>{self.name}" if self.parent else self.name
+
+    def annotate(self, **attrs: Any) -> None:
+        """Attach fields to the span's end event."""
+        self.attrs.update(attrs)
+
+    def __enter__(self) -> "Span":
+        self._start = time.perf_counter()
+        self.recorder._spans.append(self)
+        self.recorder.log.debug(
+            "span.begin",
+            span=self.name,
+            span_id=self.span_id,
+            parent_id=self.parent.span_id if self.parent else None,
+            path=self.path,
+            **self.attrs,
+        )
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.seconds = time.perf_counter() - self._start
+        stack = self.recorder._spans
+        if stack and stack[-1] is self:
+            stack.pop()
+        self.recorder.registry.observe(f"span.{self.name}.seconds", self.seconds)
+        fields: dict[str, Any] = {
+            "span": self.name,
+            "span_id": self.span_id,
+            "path": self.path,
+            "seconds": round(self.seconds, 6),
+            "status": "error" if exc is not None else "ok",
+            **self.attrs,
+        }
+        if exc is not None:
+            fields["exception"] = repr(exc)
+        self.recorder.log.info("span.end", **fields)
+
+
+class _NullSpan:
+    """Inert span and timer of the disabled path; shared singleton."""
+
+    __slots__ = ()
+    name = ""
+    seconds = 0.0
+
+    def annotate(self, **attrs: Any) -> None:
+        return None
+
+    def __enter__(self) -> "_NullSpan":
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        return None
+
+
+NULL_SPAN = _NullSpan()
+
+
+class Recorder:
+    """Live telemetry: logger + metrics + the open-span stack, PID-pinned."""
 
     enabled = True
 
@@ -100,13 +191,12 @@ class Recorder:
         registry: MetricsRegistry | None = None,
         *,
         logger: StructuredLogger | None = None,
-        trace: bool = False,
         profile_hz: float | None = None,
     ) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.log = logger if logger is not None else get_logger()
-        self.tracer = Tracer(self.log, self.registry)
-        self.trace = trace
+        self._spans: list[Span] = []
+        self._span_ids = itertools.count(1)
         self.pid = os.getpid()
         #: Sampling rate for the per-stage profiler; None = profiling off.
         self.profile_hz = profile_hz
@@ -129,7 +219,9 @@ class Recorder:
 
     # Spans ---------------------------------------------------------------
     def span(self, name: str, **attrs: Any) -> Span:
-        return self.tracer.span(name, **attrs)
+        """A span nested under the innermost open one, if any."""
+        parent = self._spans[-1] if self._spans else None
+        return Span(self, name, parent, attrs)
 
     # Metrics (delegation keeps call sites one-liner) ---------------------
     def inc(self, name: str, amount: float = 1.0) -> None:
@@ -166,11 +258,10 @@ class Recorder:
 
 
 class NullRecorder:
-    """Inert recorder: the disabled path. All methods are no-ops."""
+    """Inert recorder: the disabled path. All methods are no-ops;
+    :meth:`span` and :meth:`time` both hand back :data:`NULL_SPAN`."""
 
     enabled = False
-    registry = NULL_REGISTRY
-    trace = False
     pid = -1
     profile_hz = None
     live = None
@@ -178,7 +269,7 @@ class NullRecorder:
     def event(self, name: str, /, *, level: str = "info", **fields: Any) -> None:
         return None
 
-    def span(self, name: str, **attrs: Any):
+    def span(self, name: str, **attrs: Any) -> _NullSpan:
         return NULL_SPAN
 
     def inc(self, name: str, amount: float = 1.0) -> None:
@@ -190,8 +281,8 @@ class NullRecorder:
     def observe(self, name: str, value: float) -> None:
         return None
 
-    def time(self, name: str):
-        return NULL_REGISTRY.time(name)
+    def time(self, name: str) -> _NullSpan:
+        return NULL_SPAN
 
     def add_profile(self, name: str, profile: Any) -> None:
         return None
@@ -281,10 +372,7 @@ def session(
     handlers = configure_logging(
         config.log_level, json_path=config.log_json, stream=stream
     )
-    recorder = Recorder(
-        trace=config.trace,
-        profile_hz=config.profile_hz if config.profile else None,
-    )
+    recorder = Recorder(profile_hz=config.profile_hz if config.profile else None)
     if config.trace:
         # Mirror span events on the human sink too: drop its bar to DEBUG.
         for handler in handlers:
@@ -322,18 +410,20 @@ def session(
                     "run.end", status=status, **({"reason": reason} if reason else {})
                 )
                 if config.metrics_out is not None:
-                    from repro.obs.manifest import write_manifest
+                    from repro.obs.manifest import build_manifest, write_manifest
 
                     write_manifest(
                         Path(config.metrics_out),
-                        registry=recorder.registry,
-                        run_config=run_config or {},
-                        events_path=config.log_json,
-                        status=status,
-                        interrupt_reason=reason,
-                        stage_reports=recorder.stage_reports or None,
-                        profiles=recorder.profile_summaries() or None,
-                        pressure=recorder.pressure_records or None,
+                        build_manifest(
+                            recorder.registry,
+                            run_config=run_config,
+                            events_path=config.log_json,
+                            status=status,
+                            interrupt_reason=reason,
+                            stage_reports=recorder.stage_reports,
+                            profiles=recorder.profile_summaries(),
+                            pressure=recorder.pressure_records,
+                        ),
                     )
     finally:
         teardown_logging(handlers)

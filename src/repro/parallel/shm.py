@@ -57,6 +57,7 @@ __all__ = [
     "SharedArray",
     "SharedArraySpec",
     "attach_cached",
+    "pid_alive",
     "release_cached",
     "shared_arrays",
     "sweep_orphan_segments",
@@ -73,7 +74,8 @@ def _segment_name() -> str:
     return f"repro-{os.getpid()}-{secrets.token_hex(4)}"
 
 
-def _pid_alive(pid: int) -> bool:
+def pid_alive(pid: int) -> bool:
+    """Does process ``pid`` exist (signal 0 probe; another user's counts)?"""
     try:
         os.kill(pid, 0)
     except ProcessLookupError:
@@ -100,7 +102,7 @@ def sweep_orphan_segments() -> list[str]:
         return removed
     for entry in entries:
         match = SEGMENT_RE.match(entry.name)
-        if match is None or _pid_alive(int(match.group(1))):
+        if match is None or pid_alive(int(match.group(1))):
             continue
         # Direct unlink, not SharedMemory(name=...).unlink(): attaching
         # would register the segment with this process's resource

@@ -77,7 +77,7 @@ _META_KEY = "__meta__"
 _INTEGRITY_KEY = "__integrity__"
 _SUFFIX = ".ckpt.npz"
 
-_log = get_logger("repro.resilience.checkpoint")
+_log = get_logger("resilience.checkpoint")
 
 
 class DiskFull(OSError):

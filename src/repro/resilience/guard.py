@@ -69,7 +69,7 @@ __all__ = [
     "reset_guard",
 ]
 
-_log = get_logger("repro.resilience.guard")
+_log = get_logger("resilience.guard")
 
 SHM_DIR = "/dev/shm"
 
@@ -332,11 +332,6 @@ def preflight(
                 action="preflight_workers_to_1",
                 estimated_rss=footprint.rss_bytes,
                 memory_budget=budget.memory_bytes,
-            )
-            _log.warning(
-                "guard.preflight_degrade",
-                estimated_rss=footprint.rss_bytes,
-                budget=budget.memory_bytes,
                 workers_before=ctx.workers,
             )
             return replace(ctx, workers=1)
@@ -394,12 +389,6 @@ class GuardState:
         rec.event(
             "guard.degraded",
             level="warning",
-            rung=target,
-            action=_RUNG_NAMES.get(target, "?"),
-            reason=reason,
-        )
-        _log.warning(
-            "guard.degraded",
             rung=target,
             action=_RUNG_NAMES.get(target, "?"),
             reason=reason,

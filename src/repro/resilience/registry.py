@@ -48,17 +48,7 @@ JOURNAL_NAME = "runs.jsonl"
 #: ``orphaned`` is assigned by the sweeper, never self-reported.
 RUN_STATUSES = ("running", "completed", "interrupted", "failed", "orphaned")
 
-_log = get_logger("repro.resilience.registry")
-
-
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:  # pragma: no cover - other-user process
-        return True
-    return True
+_log = get_logger("resilience.registry")
 
 
 @dataclass(frozen=True)
@@ -226,9 +216,11 @@ class RunRegistry:
         checkpoint tree. Safe to call on every startup — live runs are
         untouched and a clean directory is a fast no-op.
         """
+        from repro.parallel.shm import pid_alive, sweep_orphan_segments
+
         orphaned: list[str] = []
         for run in self.runs():
-            if run.status == "running" and not _pid_alive(run.pid):
+            if run.status == "running" and not pid_alive(run.pid):
                 self._append(
                     {
                         "run_id": run.run_id,
@@ -239,8 +231,6 @@ class RunRegistry:
                     }
                 )
                 orphaned.append(run.run_id)
-        from repro.parallel.shm import sweep_orphan_segments
-
         segments = sweep_orphan_segments()
         tmp_files = self._sweep_tmp_files()
         summary = {
@@ -254,11 +244,12 @@ class RunRegistry:
             rec.inc("registry.shm_swept", len(segments))
             rec.inc("registry.tmp_swept", tmp_files)
             rec.event("registry.swept", level="warning", **summary)
-            _log.warning("registry.swept", **summary)
         return summary
 
     def _sweep_tmp_files(self) -> int:
         """Remove ``*.tmp.<pid>`` files of dead pids under the tree."""
+        from repro.parallel.shm import pid_alive
+
         if not self.directory.is_dir():
             return 0
         removed = 0
@@ -266,7 +257,7 @@ class RunRegistry:
             pid_part = path.name.rsplit(".tmp.", 1)[-1]
             if not pid_part.isdigit():
                 continue
-            if _pid_alive(int(pid_part)):
+            if pid_alive(int(pid_part)):
                 continue  # an in-flight write by a live concurrent run
             with contextlib.suppress(OSError):
                 path.unlink()

@@ -72,13 +72,15 @@ class WalkCorpus:
         if walks.ndim != 2:
             raise ValueError("walks must be a 2-D array")
         if walks.size:
-            hi = walks.max()
+            lo, hi = walks.min(), walks.max()
             if walks.dtype != WALK_DTYPE and (
-                hi > _TOKEN_RANGE.max or walks.min() < _TOKEN_RANGE.min
+                hi > _TOKEN_RANGE.max or lo < _TOKEN_RANGE.min
             ):
                 raise ValueError("walk token does not fit in int32")
             if hi >= num_vertices:
                 raise ValueError("walk token exceeds num_vertices")
+            if lo < PAD:
+                raise ValueError("walk token below -1 (the padding id)")
         self._walks = np.ascontiguousarray(walks, dtype=WALK_DTYPE)
         self._shared = shared if self._walks is walks else None
         if shared is not None and self._shared is None:

@@ -181,11 +181,11 @@ class TestCliTraceExport:
         assert validate_chrome_trace(trace, stage_names=stages) == []
 
     def test_trace_export_requires_events(self, tmp_path, capsys):
-        from repro.obs.manifest import write_manifest
+        from repro.obs.manifest import build_manifest, write_manifest
         from repro.obs.metrics import MetricsRegistry
 
         manifest_path = tmp_path / "m.json"
-        write_manifest(manifest_path, registry=MetricsRegistry())
+        write_manifest(manifest_path, build_manifest(MetricsRegistry()))
         rc = main(
             [
                 "report",

@@ -68,9 +68,11 @@ class TestWriteLoad:
         path = tmp_path / "run.json"
         written = write_manifest(
             path,
-            registry=_registry(),
-            run_config={"dim": 8},
-            events_path=tmp_path / "e.jsonl",
+            build_manifest(
+                _registry(),
+                run_config={"dim": 8},
+                events_path=tmp_path / "e.jsonl",
+            ),
         )
         loaded = load_manifest(path)
         assert loaded == json.loads(json.dumps(written, default=str))
@@ -78,7 +80,7 @@ class TestWriteLoad:
 
     def test_write_is_atomic_no_tmp_left_behind(self, tmp_path):
         path = tmp_path / "run.json"
-        write_manifest(path, registry=_registry())
+        write_manifest(path, build_manifest(_registry()))
         assert {p.name for p in tmp_path.iterdir()} == {"run.json"}
 
     def test_missing_file(self, tmp_path):

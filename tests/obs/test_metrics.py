@@ -1,16 +1,11 @@
-"""Metrics registry: instrument semantics, snapshots, and the null path."""
+"""Metrics registry: instrument semantics and snapshots."""
 
 import math
 import time
 
 import pytest
 
-from repro.obs.metrics import (
-    HISTOGRAM_SAMPLE_CAP,
-    NULL_REGISTRY,
-    MetricsRegistry,
-    NullRegistry,
-)
+from repro.obs.metrics import HISTOGRAM_SAMPLE_CAP, MetricsRegistry
 
 
 class TestCounter:
@@ -107,28 +102,3 @@ class TestRegistry:
         reg.inc("a")
         assert list(reg) == ["a", "b"]
         assert len(reg) == 2
-
-
-class TestNullRegistry:
-    def test_everything_is_inert(self):
-        reg = NullRegistry()
-        reg.inc("x", 5)
-        reg.set("y", 1.0)
-        reg.observe("z", 2.0)
-        assert reg.counter("x").snapshot() == 0.0
-        assert math.isnan(reg.gauge("y").snapshot())
-        assert reg.histogram("z").snapshot() == {"count": 0}
-        assert len(reg) == 0 and list(reg) == []
-        assert reg.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
-
-    def test_timer_context_works(self):
-        with NULL_REGISTRY.time("x") as t:
-            pass
-        assert t.seconds == 0.0
-
-    def test_shared_singletons(self):
-        # the disabled hot path must not allocate per call
-        reg = NullRegistry()
-        assert reg.counter("a") is reg.counter("b")
-        assert reg.time("a") is reg.time("b")
-        assert not reg.enabled

@@ -9,6 +9,7 @@ from repro.obs.logging import ROOT_LOGGER_NAME, parse_jsonl
 from repro.obs.manifest import load_manifest
 from repro.obs.recorder import (
     NULL_RECORDER,
+    NULL_SPAN,
     ObsConfig,
     Recorder,
     current_recorder,
@@ -79,11 +80,14 @@ class TestNullRecorder:
         with rec.time("t") as timer:
             pass
         assert timer.seconds == 0.0
-        assert rec.registry.snapshot() == {
-            "counters": {},
-            "gauges": {},
-            "histograms": {},
-        }
+        assert span.seconds == 0.0
+
+    def test_span_and_timer_are_one_shared_singleton(self):
+        # the disabled hot path must not allocate per call
+        rec = NULL_RECORDER
+        assert rec.span("a") is rec.span("b", n=1) is NULL_SPAN
+        assert rec.time("a") is rec.time("b") is NULL_SPAN
+        assert not rec.enabled
 
 
 class TestSession:

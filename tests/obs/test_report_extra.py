@@ -45,9 +45,9 @@ class TestWoundDownRuns:
         path = tmp_path / "m.json"
         write_manifest(
             path,
-            registry=_registry(),
-            status="interrupted",
-            interrupt_reason="deadline",
+            build_manifest(
+                _registry(), status="interrupted", interrupt_reason="deadline"
+            ),
         )
         assert main(["report", str(path)]) == 0
         assert "status: interrupted" in capsys.readouterr().out
@@ -88,7 +88,7 @@ class TestTruncatedEvents:
     def test_report_cli_with_torn_events(self, tmp_path, capsys):
         events = self._torn_stream(tmp_path)
         path = tmp_path / "m.json"
-        write_manifest(path, registry=_registry(), events_path=events)
+        write_manifest(path, build_manifest(_registry(), events_path=events))
         assert main(["report", str(path), "--events", str(events)]) == 0
         assert "pipeline.stage" in capsys.readouterr().out
 
@@ -169,10 +169,10 @@ class TestCompareCli:
         a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"
         reg = MetricsRegistry()
         reg.set("train.words_per_sec", 1000.0)
-        write_manifest(a_path, registry=reg)
+        write_manifest(a_path, build_manifest(reg))
         reg2 = MetricsRegistry()
         reg2.set("train.words_per_sec", 400.0)
-        write_manifest(b_path, registry=reg2)
+        write_manifest(b_path, build_manifest(reg2))
         assert main(["report", str(a_path), "--compare", str(b_path)]) == 0
         out = capsys.readouterr().out
         assert "manifest comparison" in out
@@ -180,7 +180,7 @@ class TestCompareCli:
 
     def test_compare_rejects_invalid_candidate(self, tmp_path, capsys):
         a_path = tmp_path / "a.json"
-        write_manifest(a_path, registry=MetricsRegistry())
+        write_manifest(a_path, build_manifest(MetricsRegistry()))
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
         assert main(["report", str(a_path), "--compare", str(bad)]) == 2

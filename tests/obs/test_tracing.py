@@ -10,24 +10,28 @@ from repro.obs.logging import (
     parse_jsonl,
     teardown_logging,
 )
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracing import NULL_SPAN, Tracer
+from repro.obs.recorder import NULL_SPAN, Recorder
 
 
 @pytest.fixture()
 def traced(tmp_path):
-    """A Tracer wired to a JSONL sink; yields (tracer, read_events)."""
+    """A Recorder wired to a JSONL sink; yields (recorder, read_events)."""
     path = tmp_path / "events.jsonl"
     handlers = configure_logging("error", json_path=path, stream=io.StringIO())
-    tracer = Tracer(get_logger("test"), MetricsRegistry())
-    yield tracer, lambda: parse_jsonl(path)
+    rec = Recorder(logger=get_logger("test"))
+    yield rec, lambda: parse_jsonl(path)
     teardown_logging(handlers)
+
+
+def _innermost(rec):
+    """The innermost open span of ``rec``, or None."""
+    return rec._spans[-1] if rec._spans else None
 
 
 class TestSpan:
     def test_begin_and_end_events(self, traced):
-        tracer, events = traced
-        with tracer.span("walks.generate", n=60):
+        rec, events = traced
+        with rec.span("walks.generate", n=60):
             pass
         begin, end = events()
         assert begin["event"] == "span.begin"
@@ -40,12 +44,12 @@ class TestSpan:
         assert end["seconds"] >= 0
 
     def test_nesting_builds_the_path(self, traced):
-        tracer, events = traced
-        with tracer.span("outer"):
-            assert tracer.current.name == "outer"
-            with tracer.span("inner"):
-                assert tracer.current.name == "inner"
-        assert tracer.current is None
+        rec, events = traced
+        with rec.span("outer"):
+            assert _innermost(rec).name == "outer"
+            with rec.span("inner"):
+                assert _innermost(rec).name == "inner"
+        assert _innermost(rec) is None
         by_key = {(e["event"], e["span"]): e for e in events()}
         outer_begin = by_key[("span.begin", "outer")]
         inner_begin = by_key[("span.begin", "inner")]
@@ -56,8 +60,8 @@ class TestSpan:
         assert names == ["inner", "outer"]
 
     def test_annotate_rides_the_end_event_only(self, traced):
-        tracer, events = traced
-        with tracer.span("train.epoch", epoch=0) as span:
+        rec, events = traced
+        with rec.span("train.epoch", epoch=0) as span:
             span.annotate(loss=0.5)
         begin, end = events()
         assert "loss" not in begin
@@ -65,29 +69,29 @@ class TestSpan:
         assert end["epoch"] == 0
 
     def test_exception_marks_error_and_propagates(self, traced):
-        tracer, events = traced
+        rec, events = traced
         with pytest.raises(RuntimeError, match="boom"):
-            with tracer.span("train.run"):
+            with rec.span("train.run"):
                 raise RuntimeError("boom")
         end = [e for e in events() if e["event"] == "span.end"][0]
         assert end["status"] == "error"
         assert "RuntimeError('boom')" in end["exception"]
-        assert tracer.current is None  # stack unwound
+        assert _innermost(rec) is None  # stack unwound
 
     def test_duration_lands_in_histogram(self, traced):
-        tracer, _ = traced
-        with tracer.span("phase"):
+        rec, _ = traced
+        with rec.span("phase"):
             pass
-        with tracer.span("phase"):
+        with rec.span("phase"):
             pass
-        snap = tracer.registry.histogram("span.phase.seconds").snapshot()
+        snap = rec.registry.histogram("span.phase.seconds").snapshot()
         assert snap["count"] == 2
 
     def test_span_ids_are_unique_and_increasing(self, traced):
-        tracer, _ = traced
-        with tracer.span("a") as a:
+        rec, _ = traced
+        with rec.span("a") as a:
             pass
-        with tracer.span("b") as b:
+        with rec.span("b") as b:
             pass
         assert b.span_id > a.span_id
 

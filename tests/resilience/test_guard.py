@@ -5,11 +5,13 @@ autouse fixture resets it around every test — level 0 is the invariant
 state the rest of the suite relies on.
 """
 
+import io
 import time
 import tracemalloc
 
 import pytest
 
+from repro.obs.logging import parse_jsonl
 from repro.obs.manifest import load_manifest
 from repro.obs.recorder import ObsConfig, Recorder, session, use
 from repro.pipeline import ExecutionContext, Pipeline
@@ -200,6 +202,15 @@ def _ctx(workers=4, **budget_kwargs):
 STAGES = [WALK_STAGE, TRAIN_STAGE]
 
 
+def _session_events(tmp_path, action) -> list[dict]:
+    """The JSONL events of one observed session that runs ``action``."""
+    path = tmp_path / "events.jsonl"
+    cfg = ObsConfig(log_level="error", log_json=str(path))
+    with session(cfg, stream=io.StringIO()):
+        action()
+    return parse_jsonl(path)
+
+
 class TestPreflight:
     def test_no_budget_is_a_passthrough(self):
         ctx = ExecutionContext(workers=4)
@@ -251,6 +262,22 @@ class TestPreflight:
             preflight(_ctx(memory_bytes=budget), STAGES, _FakeGraph())
             assert rec.registry.snapshot()["counters"]["guard.degradations"] == 1
 
+    def test_degradation_is_logged_once(self, tmp_path):
+        fp = estimate_footprint(STAGES, _FakeGraph(), workers=4)
+        budget = fp.rss_bytes - fp.shm_bytes // 2
+        events = _session_events(
+            tmp_path,
+            lambda: preflight(_ctx(memory_bytes=budget), STAGES, _FakeGraph()),
+        )
+        degradations = [
+            e for e in events
+            if e["event"] in ("guard.degraded", "guard.preflight_degrade")
+        ]
+        (degraded,) = degradations
+        assert degraded["event"] == "guard.degraded"
+        assert degraded["action"] == "preflight_workers_to_1"
+        assert degraded["workers_before"] == 4
+
 
 class TestLadder:
     def test_level_zero_is_transparent(self):
@@ -282,6 +309,12 @@ class TestLadder:
         guard_state().reset(on_cancel=lambda: fired.append(True))
         guard_state().escalate("test", to_level=LEVEL_CANCEL)
         assert fired == [True]
+
+    def test_one_escalation_logs_one_degraded_event(self, tmp_path):
+        events = _session_events(tmp_path, lambda: guard_state().escalate("test"))
+        (degraded,) = [e for e in events if e["event"] == "guard.degraded"]
+        assert degraded["rung"] == LEVEL_WAVE
+        assert degraded["reason"] == "test"
 
     def test_escalation_never_goes_backwards(self):
         guard_state().escalate("test", to_level=LEVEL_WORKERS)

@@ -460,16 +460,16 @@ class TestManifestStatus:
         assert manifest["interrupt_reason"] == reason
 
     def test_report_renders_status_line(self, tmp_path):
-        from repro.obs.manifest import write_manifest
+        from repro.obs.manifest import build_manifest, write_manifest
         from repro.obs.metrics import MetricsRegistry
         from repro.obs.report import render_report
 
         path = tmp_path / "m.json"
         manifest = write_manifest(
             path,
-            registry=MetricsRegistry(),
-            status="interrupted",
-            interrupt_reason="deadline",
+            build_manifest(
+                MetricsRegistry(), status="interrupted", interrupt_reason="deadline"
+            ),
         )
         assert "status: interrupted (reason: deadline)" in render_report(manifest)
 

@@ -1,5 +1,6 @@
 """Crash-safe run registry: journal folding, torn lines, orphan sweeping."""
 
+import io
 import json
 import os
 import subprocess
@@ -8,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs.recorder import Recorder, use
+from repro.obs.logging import parse_jsonl
+from repro.obs.recorder import ObsConfig, Recorder, session, use
 from repro.parallel.shm import SHM_MOUNT
 from repro.resilience.registry import JOURNAL_NAME, RunRegistry
 
@@ -158,6 +160,28 @@ class TestSweep:
         assert run.resumable
         counters = rec.registry.snapshot()["counters"]
         assert counters["registry.orphans_swept"] == 1
+
+    def test_sweep_is_logged_once(self, tmp_path, dead_pid):
+        registry = RunRegistry(tmp_path)
+        (tmp_path / JOURNAL_NAME).write_text(
+            json.dumps(
+                {"run_id": "gone", "pid": dead_pid, "status": "running",
+                 "time_unix": 100.0}
+            )
+            + "\n"
+        )
+        events = tmp_path / "events.jsonl"
+        cfg = ObsConfig(log_level="error", log_json=str(events))
+        with session(cfg, stream=io.StringIO()):
+            registry.sweep()
+        (swept,) = [e for e in parse_jsonl(events) if e["event"] == "registry.swept"]
+        assert swept["orphaned_runs"] == ["gone"]
+
+    def test_module_loggers_sit_under_repro_resilience(self):
+        from repro.resilience import checkpoint, guard, registry
+
+        for module in (checkpoint, guard, registry):
+            assert module._log.stdlib.name == module.__name__
 
     def test_live_running_pid_is_untouched(self, tmp_path):
         registry = RunRegistry(tmp_path)

@@ -118,11 +118,11 @@ def test_cli_help_loads_no_numpy():
 
 
 def test_cli_report_loads_no_numpy(tmp_path):
-    from repro.obs.manifest import write_manifest
+    from repro.obs.manifest import build_manifest, write_manifest
     from repro.obs.metrics import MetricsRegistry
 
     path = tmp_path / "manifest.json"
-    write_manifest(path, registry=MetricsRegistry(), status="completed")
+    write_manifest(path, build_manifest(MetricsRegistry(), status="completed"))
     code, loaded = cli_modules("report", str(path))
     assert code == 0
     assert "repro.obs.report" in loaded

@@ -47,6 +47,11 @@ class TestConstruction:
         with pytest.raises(ValueError, match="int32"):
             WalkCorpus(np.asarray([[0, -(2**31) - 1]]), num_vertices=2)
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    def test_rejects_token_below_pad(self, dtype):
+        with pytest.raises(ValueError, match="below -1"):
+            WalkCorpus(np.asarray([[0, -5, 1]], dtype=dtype), num_vertices=3)
+
     def test_largest_int32_token_is_kept(self):
         c = WalkCorpus(np.asarray([[2**31 - 1, PAD]]), num_vertices=2**31)
         assert c.walks.tolist() == [[2**31 - 1, PAD]]
@@ -176,6 +181,14 @@ class TestPersistence:
         with pytest.raises(ValueError, match="int32"):
             WalkCorpus.load(p)
 
+    def test_load_refuses_a_token_below_pad(self, tmp_path):
+        p = tmp_path / "neg.npz"
+        np.savez_compressed(
+            p, walks=np.asarray([[0, -5, 1]], dtype=WALK_DTYPE), num_vertices=3
+        )
+        with pytest.raises(ValueError, match="below -1"):
+            WalkCorpus.load(p)
+
     def test_text_roundtrip(self, tmp_path):
         c = corpus_of([[0, 1, 2], [3, PAD, PAD]])
         p = tmp_path / "walks.txt"
@@ -208,3 +221,9 @@ class TestPersistence:
         p = tmp_path / "walks.txt"
         p.write_text("0 1\n\n2 3\n")
         assert WalkCorpus.from_text(p).num_walks == 2
+
+    def test_text_refuses_a_token_below_pad(self, tmp_path):
+        p = tmp_path / "walks.txt"
+        p.write_text("0 -5 1\n")
+        with pytest.raises(ValueError, match="below -1"):
+            WalkCorpus.from_text(p, num_vertices=3)
