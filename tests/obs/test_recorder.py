@@ -77,10 +77,12 @@ class TestNullRecorder:
         rec.observe("h", 2.0)
         with rec.span("phase", n=3) as span:
             span.annotate(loss=0.1)
-        with rec.time("t") as timer:
+        assert span.seconds == 0.0
+
+    def test_timer_context_works(self):
+        with NULL_RECORDER.time("x") as timer:
             pass
         assert timer.seconds == 0.0
-        assert span.seconds == 0.0
 
     def test_span_and_timer_are_one_shared_singleton(self):
         # the disabled hot path must not allocate per call
