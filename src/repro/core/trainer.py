@@ -667,8 +667,6 @@ def _run_epochs(
         if scope.cancelled():
             # Clean epoch boundary: weights/RNG match the last completed
             # epoch exactly, so this final snapshot is resume-safe.
-            # check() also cancels the token on deadline expiry, which a
-            # pooled body relays to its workers.
             if save is not None:
                 save(final=True)
             scope.check()

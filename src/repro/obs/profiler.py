@@ -16,13 +16,12 @@ self-time by leaf frame. Profiles merge (across workers, across epochs)
 and round-trip through a JSON-ready ``summary()`` dict that the run
 manifest stores.
 
-Worker processes are profiled through the environment
-(:func:`worker_profile_env` / :func:`maybe_profile_worker`): the
-observability session exports ``REPRO_PROFILE_DIR``/``REPRO_PROFILE_HZ``
-before any worker forks, each pooled worker runs its own sampler and
-dumps its cumulative profile into the directory after every task, and
-the session merges the dumps into the manifest on exit (see
-:mod:`repro.obs.recorder`).
+Pooled worker processes are profiled over the pool's own pipe (see
+:mod:`repro.parallel.persistent`): each task message carries the
+recorder's ``profile_hz``, a worker given a rate runs an all-threads
+sampler, and each result brings back :meth:`SamplingProfiler.drain` —
+the samples since that worker's previous result — which the parent
+merges into the recorder's ``workers`` profile.
 
 Disabled cost: nothing in this module runs unless a profiler is
 started; the disabled-path surface in the pipeline is one attribute
@@ -31,31 +30,19 @@ read per *stage* (see ``benchmarks/test_perf_obs_overhead.py``).
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import threading
 import time
-from pathlib import Path
 from typing import Any
 
-__all__ = [
-    "DEFAULT_HZ",
-    "SamplingProfiler",
-    "StackProfile",
-    "collect_worker_profiles",
-    "maybe_profile_worker",
-    "worker_profile_env",
-]
+__all__ = ["DEFAULT_HZ", "SamplingProfiler", "StackProfile"]
 
 DEFAULT_HZ = 97.0  # off-round so the sampler never beats with timers
 MAX_STACK_DEPTH = 64
 #: ``summary()`` keeps at most this many distinct stacks (by count) so a
 #: manifest stays small even for long runs; total sample counts are exact.
 SUMMARY_STACK_CAP = 200
-
-PROFILE_DIR_ENV = "REPRO_PROFILE_DIR"
-PROFILE_HZ_ENV = "REPRO_PROFILE_HZ"
 
 
 def _frame_label(frame) -> str:
@@ -166,13 +153,14 @@ class SamplingProfiler:
         self._target = threading.get_ident()
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
-        self._started = 0.0
+        self._mark = 0.0  # start of the samples in self.profile
+        self._swap = threading.Lock()  # drain() vs the sampler's record()
 
     # ------------------------------------------------------------------
     def start(self) -> "SamplingProfiler":
         if self._thread is not None:
             raise RuntimeError("profiler already started")
-        self._started = time.perf_counter()
+        self._mark = time.perf_counter()
         self._thread = threading.Thread(
             target=self._sample_loop, name="repro-profiler", daemon=True
         )
@@ -185,8 +173,20 @@ class SamplingProfiler:
         self._stop.set()
         self._thread.join(timeout=2.0)
         self._thread = None
-        self.profile.duration += time.perf_counter() - self._started
+        self.profile.duration += time.perf_counter() - self._mark
         return self.profile
+
+    def drain(self) -> StackProfile:
+        """Hand over the samples since the last drain (or start).
+
+        Sampling carries on into a fresh profile.
+        """
+        now = time.perf_counter()
+        with self._swap:
+            drained, self.profile = self.profile, StackProfile(hz=self.hz)
+        drained.duration += now - self._mark
+        self._mark = now
+        return drained
 
     def __enter__(self) -> "SamplingProfiler":
         return self.start()
@@ -205,7 +205,9 @@ class SamplingProfiler:
                     continue
                 if not self.all_threads and tid != self._target:
                     continue
-                self.profile.record(self._collapse(frame))
+                collapsed = self._collapse(frame)
+                with self._swap:
+                    self.profile.record(collapsed)
 
     def _collapse(self, frame) -> str:
         labels: list[str] = []
@@ -217,73 +219,3 @@ class SamplingProfiler:
         labels.reverse()
         return ";".join(labels)
 
-
-# ----------------------------------------------------------------------
-# Worker-side profiling through the environment
-# ----------------------------------------------------------------------
-def worker_profile_env(directory: str | Path, hz: float = DEFAULT_HZ) -> dict[str, str]:
-    """Environment exports that arm :func:`maybe_profile_worker`."""
-    return {PROFILE_DIR_ENV: str(directory), PROFILE_HZ_ENV: str(hz)}
-
-
-def maybe_profile_worker() -> SamplingProfiler | None:
-    """Start an all-threads sampler if the profile env vars are set.
-
-    Called once from a pooled worker's main loop; returns ``None`` when
-    profiling is off (the default). The caller is responsible for
-    periodic :func:`dump_worker_profile` calls.
-    """
-    directory = os.environ.get(PROFILE_DIR_ENV)
-    if not directory or not Path(directory).is_dir():
-        return None
-    try:
-        hz = float(os.environ.get(PROFILE_HZ_ENV, DEFAULT_HZ))
-    except ValueError:
-        hz = DEFAULT_HZ
-    return SamplingProfiler(hz, all_threads=True).start()
-
-
-def dump_worker_profile(profiler: SamplingProfiler) -> None:
-    """Write this worker's cumulative profile into the profile dir.
-
-    One file per PID (single writer), rewritten after every task so the
-    parent sees a complete profile whenever it collects — pooled workers
-    outlive the observability session, so there is no end-of-run hook to
-    dump from. Write-then-rename keeps a concurrent collector from ever
-    reading a torn file. Failures are swallowed: profiling must never
-    take a worker down.
-    """
-    directory = os.environ.get(PROFILE_DIR_ENV)
-    if not directory:
-        return
-    snapshot = StackProfile(
-        hz=profiler.hz,
-        samples=profiler.profile.samples,
-        duration=time.perf_counter() - profiler._started,
-        stacks=profiler.profile.stacks,
-    )
-    path = Path(directory) / f"worker.{os.getpid()}.json"
-    tmp = path.with_suffix(f".tmp.{os.getpid()}")
-    try:
-        tmp.write_text(json.dumps(snapshot.summary(), sort_keys=True))
-        tmp.replace(path)
-    except OSError:
-        pass
-
-
-def collect_worker_profiles(directory: str | Path) -> StackProfile | None:
-    """Merge every ``worker.*.json`` dump under ``directory``.
-
-    Returns ``None`` when no worker dumped anything (serial run, or
-    profiling started after the pool forked). Unreadable files are
-    skipped — a worker may be mid-rename.
-    """
-    merged: StackProfile | None = None
-    for path in sorted(Path(directory).glob("worker.*.json")):
-        try:
-            summary = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            continue
-        profile = StackProfile.from_summary(summary)
-        merged = profile if merged is None else merged.merge(profile)
-    return merged

@@ -29,8 +29,9 @@ Fork safety: worker processes inherit the parent's module globals, so a
 recorder pins its creating PID and :func:`current_recorder` returns the
 no-op in any other process. Cross-process telemetry therefore flows
 through explicit channels only — the :mod:`repro.obs.slab` metrics slab
-and values returned from worker tasks — never through accidentally
-shared file handles (which would interleave torn JSONL lines).
+and what comes back with worker results (values, sampled profiles) —
+never through accidentally shared file handles (which would interleave
+torn JSONL lines).
 """
 
 from __future__ import annotations
@@ -77,8 +78,8 @@ class ObsConfig:
     ``metrics_out`` is where :func:`session` writes the run manifest.
     ``profile=True`` arms the sampling profiler
     (:mod:`repro.obs.profiler`) at ``profile_hz``: per-stage collapsed
-    stacks in the parent plus per-pooled-worker profiles collected
-    through the environment, all landing in the manifest's ``profiles``
+    stacks in the parent plus the pooled workers' profiles, which come
+    back with their results, all landing in the manifest's ``profiles``
     section. ``status_path`` keeps a live status document
     (:mod:`repro.obs.live`) up to date for ``repro top``.
     """
@@ -377,7 +378,6 @@ def session(
         # Mirror span events on the human sink too: drop its bar to DEBUG.
         for handler in handlers:
             handler.setLevel(_stdlib_logging.DEBUG)
-    profile_scope = _worker_profiling(config) if config.profile else None
     if config.status_path is not None:
         from repro.obs.live import LiveStatusFile
 
@@ -402,8 +402,6 @@ def session(
                 status, reason = _classify_exit(exc)
                 raise
             finally:
-                if profile_scope is not None:
-                    profile_scope.collect(recorder)
                 if recorder.live is not None:
                     recorder.live.update(status=status, interrupt_reason=reason)
                 recorder.event(
@@ -428,52 +426,3 @@ def session(
     finally:
         teardown_logging(handlers)
 
-
-class _WorkerProfileScope:
-    """Environment-armed worker profiling for one observability session.
-
-    Exports ``REPRO_PROFILE_DIR``/``REPRO_PROFILE_HZ`` into a fresh
-    temporary directory *before* worker processes fork (persistent pools
-    are shut down so the next map pays a re-fork and inherits the env),
-    then merges every worker dump into the recorder on exit.
-    """
-
-    def __init__(self, config: ObsConfig) -> None:
-        import tempfile
-
-        from repro.obs.profiler import worker_profile_env
-
-        self.tmpdir = tempfile.TemporaryDirectory(prefix="repro_profile_")
-        self._saved: dict[str, str | None] = {}
-        for key, value in worker_profile_env(
-            self.tmpdir.name, config.profile_hz
-        ).items():
-            self._saved[key] = os.environ.get(key)
-            os.environ[key] = value
-        # Existing pooled workers predate the env export; refork them so
-        # every worker of this run samples itself.
-        from repro.parallel.persistent import shutdown_pools
-
-        shutdown_pools()
-
-    def collect(self, recorder: Recorder) -> None:
-        from repro.obs.profiler import collect_worker_profiles
-
-        try:
-            merged = collect_worker_profiles(self.tmpdir.name)
-            if merged is not None:
-                recorder.add_profile("workers", merged)
-        finally:
-            for key, value in self._saved.items():
-                if value is None:
-                    os.environ.pop(key, None)
-                else:  # pragma: no cover - nested profiled sessions
-                    os.environ[key] = value
-            self.tmpdir.cleanup()
-
-
-def _worker_profiling(config: ObsConfig) -> "_WorkerProfileScope | None":
-    try:
-        return _WorkerProfileScope(config)
-    except OSError:  # pragma: no cover - tmpdir creation failed
-        return None

@@ -1,18 +1,22 @@
-"""Cross-process metrics slab over a shared-memory segment.
+"""Cross-process metrics slab: one float64 row per worker.
 
-The Hogwild trainer and the parallel walk engine run their hot loops in
-worker processes, where the parent's :class:`~repro.obs.recorder.Recorder`
-is deliberately inert (fork guard). Their telemetry travels through this
-slab instead: a ``(workers × slots)`` float64 matrix in a
-:class:`repro.parallel.shm.SharedArray`. Each worker owns one row and
-writes it lock-free (same benign-race regime as Hogwild itself — a row
-has a single writer, so there is no race at all); the parent reads the
-whole slab whenever it wants a progress snapshot.
+Pooled workers run their hot loops in other processes, where the
+parent's :class:`~repro.obs.recorder.Recorder` is deliberately inert
+(fork guard). Their live state travels through a ``(workers × slots)``
+float64 matrix instead. Each worker owns one row and writes it lock-free
+(a row has a single writer, so there is no race at all); the parent
+reads the whole slab whenever it wants a snapshot.
 
-The slab rides an *existing* shared segment (usually one registered in
-the trainer's ``shared_arrays()`` scope) so its lifetime — including
-unlink-on-crash — is governed by the same machinery the /dev/shm leak
-tests already cover.
+Two slabs exist, one per slot layout:
+
+- the persistent pool's :data:`SUPERVISOR_SLOTS` rows, in anonymous
+  shared memory that forked workers inherit (:meth:`MetricsSlab.anonymous`):
+  each worker's heartbeat, and the ``cancel`` word, the one value the
+  parent writes into a worker's row;
+- the Hogwild trainer's :data:`HOGWILD_SLOTS` progress rows, over a
+  segment of the trainer's ``shared_arrays()`` scope
+  (:meth:`MetricsSlab.over`), so its unlink-on-crash is covered by the
+  same machinery as the weights and ``repro top`` can attach it by name.
 """
 
 from __future__ import annotations
@@ -26,18 +30,18 @@ from repro.parallel.shm import SharedArray, SharedArraySpec
 
 __all__ = ["MetricsSlab", "MetricsSlabSpec", "HOGWILD_SLOTS", "SUPERVISOR_SLOTS"]
 
-# Slot layout used by the Hogwild trainer's per-worker progress rows.
-# "cancel" is the lifecycle flag word: the parent broadcasts 1.0 into it
-# when cancellation is requested and each worker polls its own row per
-# batch — the lock-free path by which a SIGTERM in the parent reaches
-# loops running in other processes. "updated" is the worker's heartbeat:
-# a wall-clock stamp refreshed per batch so an external monitor
-# (``repro top``) can age each row without any extra IPC.
-HOGWILD_SLOTS = ("batches", "examples", "loss_sum", "epoch", "cancel", "updated")
+# Slot layout used by the Hogwild trainer's per-worker progress rows,
+# which `repro top` reads live. "updated" is a wall-clock stamp refreshed
+# per batch so an external monitor can age each row without any extra IPC.
+HOGWILD_SLOTS = ("batches", "examples", "loss_sum", "epoch", "updated")
 
 # Slot layout used by the worker supervisor's liveness rows: the last
-# heartbeat timestamp (time.monotonic), items completed, total beats.
-SUPERVISOR_SLOTS = ("heartbeat", "items_done", "beats")
+# heartbeat timestamp (time.monotonic), items completed, total beats, and
+# the cancel flag word. The pool clears "cancel" at the start of every map
+# and sets it on every row once the run is cancelled; task code polls its
+# own row (``current_heartbeat().cancelled()``) — the lock-free path by
+# which a signal or deadline in the parent reaches loops in other processes.
+SUPERVISOR_SLOTS = ("heartbeat", "items_done", "beats", "cancel")
 
 
 @dataclass(frozen=True)
@@ -120,9 +124,7 @@ class MetricsSlab:
     def broadcast(self, slot: str, value: float) -> None:
         """Write ``value`` into ``slot`` for every worker row at once.
 
-        Used by the parent to flip the lifecycle ``cancel`` flag. A
-        whole-column numpy store with no allocation beyond the scalar,
-        so it is safe to call from a signal-handler-driven callback.
+        Used by the pool to set and clear the ``cancel`` flag word.
         """
         self._array[:, self._slot_index[slot]] = value
 

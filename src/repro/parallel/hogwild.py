@@ -85,8 +85,7 @@ class _EpochTask:
     config: "object"  # TrainConfig (imported lazily to avoid a cycle)
     vocab_counts: np.ndarray
     # Shared-memory metrics row set; workers report live progress through
-    # it because the parent's Recorder is inert across fork, and read the
-    # parent's cancel flag from it.
+    # it because the parent's Recorder is inert across fork.
     slab: MetricsSlabSpec
 
 
@@ -134,11 +133,12 @@ def hogwild_epoch_task(task: _EpochTask) -> tuple[float, int]:
     crosses a process pool; also runnable in-process (the pool's last
     degrade rung inside :func:`parallel_map`, and the chaos tests, rely
     on that). Steps through :func:`repro.core.trainer.step_batches`, the
-    same batch step as the in-process trainer, and beats the worker's
-    heartbeat once per batch for the pool's watchdog. Attachments and
-    the rebuilt objective are cached per process (see
-    :data:`_WORKER_STATE`), so on the persistent pool only the first
-    epoch of a run pays the setup cost.
+    same batch step as the in-process trainer; once per batch it beats
+    the worker's heartbeat for the pool's watchdog and polls the
+    heartbeat's cancel word, handing back a partial shard once it is
+    set. Attachments and the rebuilt objective are cached per process
+    (see :data:`_WORKER_STATE`), so on the persistent pool only the
+    first epoch of a run pays the setup cost.
     """
     from repro.core.trainer import step_batches
     from repro.resilience.supervisor import current_heartbeat
@@ -155,13 +155,6 @@ def hogwild_epoch_task(task: _EpochTask) -> tuple[float, int]:
             run = run.copy()
             rng.shuffle(run)
         slab.put(task.worker, "epoch", task.epoch)
-
-        def cancelled() -> bool:
-            # Lifecycle flag word: the parent broadcasts 1.0 here when
-            # cancellation is requested (signal or deadline). Returning
-            # early hands back a partial shard; the parent detects the
-            # short epoch and discards it rather than recording it.
-            return bool(slab.get(task.worker, "cancel"))
 
         def on_batch(loss: float, examples: int) -> None:
             heartbeat.beat()  # liveness signal for the supervisor watchdog
@@ -180,7 +173,7 @@ def hogwild_epoch_task(task: _EpochTask) -> tuple[float, int]:
             rng,
             task.batch_offset,
             task.total_batches,
-            cancelled=cancelled,
+            cancelled=heartbeat.cancelled,
             on_batch=on_batch,
         )
     finally:
@@ -192,13 +185,12 @@ def hogwild_epochs(objective, walks, positions, vocab, config, ctx, state):
     """The ``workers > 1`` epoch body: fan shards out, barrier per epoch.
 
     Owns the shared segments (weights, the padded walk matrix, example
-    positions, metrics slab), the slab's cancel subscription and the
-    live-status updates; yields ``(run_epoch, total_batches)`` to the
-    trainer's epoch loop. A partial epoch (workers bailed out via the
-    slab's cancel flag) is *discarded*: the shared weights then hold an
-    incomplete update pass, which is not a valid resume point, so
-    ``run_epoch`` raises before the epoch is recorded or checkpointed —
-    resume replays it from the last boundary.
+    positions, metrics slab) and the live-status updates; yields
+    ``(run_epoch, total_batches)`` to the trainer's epoch loop. A partial
+    epoch (workers bailed out on the pool's cancel word) is *discarded*:
+    the shared weights then hold an incomplete update pass, which is not
+    a valid resume point, so ``run_epoch`` raises before the epoch is
+    recorded or checkpointed — resume replays it from the last boundary.
     """
     rec = current_recorder()
     lifecycle = current_cancel_scope()
@@ -215,18 +207,11 @@ def hogwild_epochs(objective, walks, positions, vocab, config, ctx, state):
         objective.w_out = shared[1].array
         segments = tuple(sh.spec for sh in shared)
         # Per-worker progress rows live in the same shared scope as the
-        # weights, so crash cleanup (unlink) is covered by the scope. The
-        # slab is created unconditionally (not just when telemetry is on)
-        # because its "cancel" column is the lifecycle channel by which the
-        # parent's cancellation reaches worker processes lock-free.
+        # weights, so crash cleanup (unlink) is covered by the scope.
         sh_slab = scope.from_array(
             np.zeros((config.workers, len(HOGWILD_SLOTS)), dtype=np.float64)
         )
         slab = MetricsSlab.over(sh_slab, HOGWILD_SLOTS)
-        if lifecycle.token is not None:
-            cleanup.callback(
-                lifecycle.token.on_cancel(lambda: slab.broadcast("cancel", 1.0))
-            )
 
         shards = chunk_bounds(positions.shape[0], config.workers)
         shard_batches = [

@@ -8,24 +8,26 @@ uses ``min(workers, len(items))`` of its slots.
 
 Design notes:
 
-- Each worker is a fork child in a loop, ``recv (fn, item) -> send (ok,
-  payload)``, over its own duplex pipe — never a queue shared between
-  workers, because a SIGKILLed reader of a shared queue can die holding
-  its feed lock and deadlock every sibling. Functions cross the pipe by
+- Each worker is a fork child in a loop, ``recv (fn, item, profile_hz)
+  -> send (ok, payload, profile)``, over its own duplex pipe — never a
+  queue shared between workers, because a SIGKILLed reader of a shared
+  queue can die holding its feed lock and deadlock every sibling. Functions cross the pipe by
   reference (module-level callables); items must be picklable.
 - Scheduling is dynamic: the parent hands each idle worker one item at a
   time and collects completions with ``multiprocessing.connection.wait``,
   so an uneven item mix load-balances itself. A function that cannot be
   pickled (say, a task monkeypatched in place) is handed over at fork
   instead: the map re-forks its workers holding it.
-- **Supervision.** Each worker owns one row of a
+- **Two channels.** The pipe and one row of a
   :class:`repro.obs.slab.MetricsSlab` in anonymous shared memory (forked
-  children inherit it, so there is no /dev/shm name to leak) and installs
-  that row as its :func:`~repro.resilience.supervisor.current_heartbeat`.
-  At every wait tick the parent sweeps the workers. One that died has its
-  in-flight item reassigned to a respawned worker; one holding an item
-  whose heartbeat is older than ``worker_deadline``, or that runs past
-  ``straggler_timeout``, is SIGKILLed and handled the same way.
+  children inherit it, so there is no /dev/shm name to leak) are the only
+  ways a worker and the parent talk. The worker installs its row as its
+  :func:`~repro.resilience.supervisor.current_heartbeat`.
+- **Supervision.** At every wait tick the parent sweeps the workers.
+  One that died has its in-flight item reassigned to a respawned worker;
+  one holding an item whose heartbeat is older than ``worker_deadline``,
+  or that runs past ``straggler_timeout``, is SIGKILLed and handled the
+  same way.
 - **Degrade ladder.** Respawns are budgeted by ``max_respawns`` per rung.
   When the budget runs out the map halves its slots; at one slot the
   remaining items run in-process. Completed items are never recomputed.
@@ -38,10 +40,19 @@ Design notes:
   pressure watchdog) only sets the closed flag while a map is active; the
   map sees it at its next wait tick, tears the workers down and finishes
   its remaining items in-process.
-- **Cancellation.** When the ambient cancel scope fires, the map stops
-  dispatching, gives in-flight items one second to return (Hogwild
-  workers see the slab ``cancel`` flag), kills stragglers and raises
-  through ``scope.check()``.
+- **Cancellation.** Each map clears the rows' ``cancel`` word. At the
+  first wait tick that sees the ambient cancel scope fired (a signal, a
+  deadline), the map sets it on every row, stops dispatching and gives
+  in-flight items one second to return — task code polls
+  ``current_heartbeat().cancelled()`` and hands back what it has (Hogwild
+  shards do, per batch). Stragglers past the grace are killed; the map
+  raises through ``scope.check()``.
+- **Profiles.** Every task message carries the current recorder's
+  ``profile_hz`` (``None`` when profiling is off). A worker given a rate
+  runs an all-threads :class:`~repro.obs.profiler.SamplingProfiler`, and
+  each result brings back the samples taken since its previous result,
+  which the parent merges into the recorder's ``workers`` profile. A
+  ``None`` rate stops the sampler.
 - **Pressure.** At guard level 2 (:func:`repro.resilience.guard.pool_allowed`
   is False) the workers are torn down at the end of every map, so no idle
   forks are kept.
@@ -72,6 +83,7 @@ from multiprocessing.connection import wait as _connection_wait
 from multiprocessing.reduction import ForkingPickler
 from typing import Callable, Sequence
 
+from repro.obs.profiler import SamplingProfiler
 from repro.obs.recorder import current_recorder
 from repro.obs.slab import SUPERVISOR_SLOTS, MetricsSlab
 from repro.parallel.pool import default_workers
@@ -137,16 +149,7 @@ def _worker_main(  # pragma: no cover - runs in child processes
         pass
     heartbeat = Heartbeat(slab, row)
     _install_heartbeat(heartbeat)
-    # Env-armed sampling profiler (REPRO_PROFILE_DIR/_HZ, exported by a
-    # profiled obs session before this process forked). The cumulative
-    # profile is dumped after every completed task — pooled workers
-    # outlive the session, so an exit-time dump would never be collected.
-    try:
-        from repro.obs.profiler import dump_worker_profile, maybe_profile_worker
-
-        profiler = maybe_profile_worker()
-    except Exception:
-        profiler = None
+    profiler: SamplingProfiler | None = None
     heartbeat.beat()
     while True:
         try:
@@ -155,20 +158,25 @@ def _worker_main(  # pragma: no cover - runs in child processes
             break
         if message is None:
             break
-        fn, item = message
+        fn, item, profile_hz = message
         if fn is None:
             fn = fork_fn
+        if profiler is not None and profiler.hz != profile_hz:
+            profiler.stop()  # the run that asked for it is over
+            profiler = None
+        if profiler is None and profile_hz is not None:
+            with contextlib.suppress(RuntimeError):  # no thread: unprofiled
+                profiler = SamplingProfiler(profile_hz, all_threads=True).start()
         heartbeat.beat()
         try:
-            payload = (True, fn(item))
+            outcome = (True, fn(item))
         except BaseException as exc:  # noqa: BLE001 - shipped to the parent
-            payload = (False, _RemoteError(exc))
+            outcome = (False, _RemoteError(exc))
         heartbeat.beat()
         slab.add(row, "items_done", 1)
-        if profiler is not None:
-            dump_worker_profile(profiler)
+        profile = profiler.drain() if profiler is not None else None
         try:
-            conn.send(payload)
+            conn.send((*outcome, profile))
         except (BrokenPipeError, OSError):
             break
     conn.close()
@@ -331,6 +339,7 @@ class PersistentPool:
             # worker of this map must be forked holding fn instead.
             self._teardown()
             by_fork = True
+        self._slab.broadcast("cancel", 0.0)
         rec.set("supervisor.workers", slots)
         rec.event(
             "supervisor.start",
@@ -349,11 +358,7 @@ class PersistentPool:
                 grace_end = now + _CANCEL_GRACE
                 rec.inc("supervisor.cancelled")
                 rec.event("supervisor.cancelled", level="warning", label=label)
-                if scope.token is not None:
-                    # As scope.check() does for an expired deadline, so the
-                    # token's observers (the Hogwild slab broadcast) fire;
-                    # a no-op when the token is what fired.
-                    scope.token.cancel("deadline")
+                self._slab.broadcast("cancel", 1.0)
             # Liveness sweep: reap the dead, kill the hung and stragglers.
             for slot, worker in enumerate(self._workers):
                 if worker is None:
@@ -395,7 +400,7 @@ class PersistentPool:
             dispatching = rung > 1 and not failures and grace_end is None
             if dispatching:
                 respawns += self._dispatch(
-                    fn, by_fork, items, todo, rung, now, label
+                    fn, by_fork, items, todo, rung, now, label, rec.profile_hz
                 )
             busy = [w for w in self._workers if w is not None and w.item is not None]
             if not busy:
@@ -407,12 +412,14 @@ class PersistentPool:
             for conn in _connection_wait(list(live), timeout=config.poll_interval):
                 worker = live[conn]
                 try:
-                    ok, payload = conn.recv()
+                    ok, payload, profile = conn.recv()
                 except (EOFError, OSError):
                     worker.broken = True
                     continue
                 idx, worker.item = worker.item, None
                 rec.observe("supervisor.item_seconds", time.monotonic() - worker.since)
+                if profile is not None:
+                    rec.add_profile("workers", profile)
                 if ok:
                     results[idx] = payload
                 else:
@@ -429,11 +436,13 @@ class PersistentPool:
         rung: int,
         now: float,
         label: str,
+        profile_hz: float | None,
     ) -> int:
         """Hand one item to each idle slot below ``rung``, spawning as needed.
 
         ``by_fork`` sends ``None`` for ``fn``, which the workers then
-        hold from their fork. Returns the number of failed spawns, which
+        hold from their fork; ``profile_hz`` rides along to arm or stop
+        each worker's sampler. Returns the number of failed spawns, which
         the caller charges to the rung's respawn budget.
         """
         failed = 0
@@ -461,7 +470,9 @@ class PersistentPool:
                 continue
             worker.item, worker.since = todo.popleft(), now
             try:
-                worker.conn.send((None if by_fork else fn, items[worker.item]))
+                worker.conn.send(
+                    (None if by_fork else fn, items[worker.item], profile_hz)
+                )
             except (OSError, ValueError):
                 worker.broken = True  # reaped and reassigned by the sweep
         return failed

@@ -257,7 +257,10 @@ class Pipeline:
         return output, False
 
     def _stage_cache(self, stage: Stage, ctx: ExecutionContext, value: Any):
-        """The stage's fingerprinted output cache, or None when inapplicable."""
+        """The stage's fingerprinted output cache; None (and no fingerprint
+        taken) without a checkpoint dir or for a stage that does not cache."""
+        if ctx.checkpoint_dir is None:
+            return None
         if not getattr(stage, "cache_output", False):
             return None
         fingerprint = stage.fingerprint(ctx, value)

@@ -81,11 +81,9 @@ class WalkStage(PipelineStage):
         self,
         config: RandomWalkConfig | None = None,
         *,
-        keep_shared: bool = False,
         checkpoint_chunks: int | None = None,
     ) -> None:
         self.config = config or RandomWalkConfig()
-        self.keep_shared = keep_shared
         self.checkpoint_chunks = checkpoint_chunks
 
     def run(self, ctx: ExecutionContext, graph: Graph) -> WalkCorpus:
@@ -93,7 +91,6 @@ class WalkStage(PipelineStage):
             graph,
             self.config,
             context=ctx.scoped(WALKS_SCOPE),
-            keep_shared=self.keep_shared,
             checkpoint_chunks=self.checkpoint_chunks,
         )
 

@@ -25,14 +25,17 @@ The ambient-scope pattern mirrors ``current_heartbeat`` in
 :func:`current_cancel_scope` — no threading of the token through every
 signature. Scopes are inherited by forked workers (module globals and
 the monotonic deadline survive ``fork``), so a chunk task running in a
-pool worker observes the same deadline the parent armed.
+pool worker observes the same deadline the parent armed. A token flipped
+after the fork is not seen there: the pool relays it instead, setting the
+``cancel`` word of each worker's heartbeat row
+(:meth:`repro.resilience.supervisor.Heartbeat.cancelled`) once its wait
+loop sees the scope fire.
 
 Signal semantics (:func:`signal_guard`): the *first* SIGTERM/SIGINT
 requests cancellation; a *second* signal hard-exits with ``128+signum``
 immediately — the escape hatch when cooperative shutdown is stuck. The
-handler body only flips the token and runs registered callbacks (e.g.
-broadcasting a cancel flag into a Hogwild metrics slab); it never logs
-or allocates, keeping it safe at any interruption point.
+handler body only flips the token; it never logs or allocates, keeping
+it safe at any interruption point.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import os
 import signal
 import threading
 import time
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 __all__ = [
     "CancellationToken",
@@ -91,20 +94,16 @@ class CancellationToken:
     """A one-way latch requesting cooperative shutdown.
 
     Thread- and signal-safe: :meth:`cancel` may run inside a signal
-    handler, so it does nothing but flip the flag and invoke registered
-    callbacks (which must themselves be async-signal-tolerant — the
-    Hogwild slab broadcast is a single numpy store). The first
-    ``cancel`` call wins; later calls are no-ops.
+    handler, so it does nothing but flip the flag. The first ``cancel``
+    call wins; later calls are no-ops.
     """
 
-    __slots__ = ("_cancelled", "_reason", "_detail", "_callbacks", "_lock")
+    __slots__ = ("_cancelled", "_reason", "_detail")
 
     def __init__(self) -> None:
         self._cancelled = False
         self._reason: str | None = None
         self._detail: str | None = None
-        self._callbacks: list[Callable[[], None]] = []
-        self._lock = threading.Lock()
 
     @property
     def cancelled(self) -> bool:
@@ -125,28 +124,7 @@ class CancellationToken:
         self._cancelled = True
         self._reason = reason
         self._detail = detail
-        for callback in tuple(self._callbacks):
-            try:
-                callback()
-            except Exception:
-                pass  # a broken observer must not mask the cancellation
         return True
-
-    def on_cancel(self, callback: Callable[[], None]) -> Callable[[], None]:
-        """Register ``callback`` to run at cancellation; returns an
-        unsubscribe callable. If the token is already cancelled the
-        callback fires immediately (late subscribers still observe)."""
-        with self._lock:
-            self._callbacks.append(callback)
-        if self._cancelled:
-            callback()
-
-        def unsubscribe() -> None:
-            with self._lock:
-                with contextlib.suppress(ValueError):
-                    self._callbacks.remove(callback)
-
-        return unsubscribe
 
 
 class Deadline:
@@ -208,9 +186,9 @@ class CancelScope:
     def check(self) -> None:
         """Raise :class:`RunInterrupted` if shutdown was requested.
 
-        Deadline expiry discovered here also cancels the token (when
-        one is present) so ``on_cancel`` observers — e.g. the Hogwild
-        slab broadcast that stops workers — fire for deadlines too.
+        Deadline expiry discovered here also latches the token (when
+        one is present), so its :attr:`~CancellationToken.reason` reads
+        ``"deadline"`` from then on.
         """
         token = self.token
         if token is not None and token.cancelled:

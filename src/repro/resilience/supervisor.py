@@ -7,20 +7,23 @@ the pieces callers and task code see:
 - :class:`SupervisorConfig` — the watchdog's policy: heartbeat deadline,
   straggler cap, respawn budget per rung of the degrade ladder, and the
   poll period.
-- :class:`Heartbeat` — a pool worker's liveness beacon. Each worker owns
-  one row of a :class:`repro.obs.slab.MetricsSlab` and writes
+- :class:`Heartbeat` — a pool worker's row of the pool's
+  :class:`repro.obs.slab.MetricsSlab`. The worker writes
   ``time.monotonic()`` into it lock-free (single writer per row, the same
-  benign-race regime as Hogwild).
+  benign-race regime as Hogwild) and reads back the ``cancel`` word the
+  pool sets when the run is cancelled.
 - :func:`current_heartbeat` — what instrumented loops call inside long
   items (the Hogwild batch loop, the walk stepping loop, shard tasks):
   the worker's beacon in a pool worker, :data:`NULL_HEARTBEAT` anywhere
-  else.
+  else, whose ``cancelled()`` reads the ambient cancel scope instead.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+
+from repro.resilience.lifecycle import current_cancel_scope
 
 __all__ = [
     "SupervisorConfig",
@@ -80,12 +83,21 @@ class Heartbeat:
         self._slab.put(self._row, "heartbeat", time.monotonic())
         self._slab.add(self._row, "beats", 1)
 
+    def cancelled(self) -> bool:
+        """Whether the pool has asked this worker's item to wind down."""
+        return bool(self._slab.get(self._row, "cancel"))
+
 
 class _NullHeartbeat:
     """The no-op beacon outside pool workers."""
 
     def beat(self) -> None:
         return None
+
+    def cancelled(self) -> bool:
+        # In-process (the pool's last degrade rung, a serial map): the
+        # ambient scope is this process's own.
+        return current_cancel_scope().cancelled()
 
 
 NULL_HEARTBEAT = _NullHeartbeat()

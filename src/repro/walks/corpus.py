@@ -57,17 +57,9 @@ class WalkCorpus:
         range check, and a token that does not fit is refused.
     num_vertices:
         Size of the vertex universe (vocabulary size upper bound).
-    shared:
-        Optional owning :class:`repro.parallel.shm.SharedArray` whose
-        view ``walks`` is — the zero-copy handoff from a parallel walk
-        engine. The corpus owns the segment: :meth:`release` (or garbage
-        collection of the corpus) unlinks it; the walks survive as a
-        private copy only if :meth:`release` was called explicitly.
     """
 
-    def __init__(
-        self, walks: np.ndarray, *, num_vertices: int, shared=None
-    ) -> None:
+    def __init__(self, walks: np.ndarray, *, num_vertices: int) -> None:
         walks = np.asarray(walks)
         if walks.ndim != 2:
             raise ValueError("walks must be a 2-D array")
@@ -82,11 +74,6 @@ class WalkCorpus:
             if lo < PAD:
                 raise ValueError("walk token below -1 (the padding id)")
         self._walks = np.ascontiguousarray(walks, dtype=WALK_DTYPE)
-        self._shared = shared if self._walks is walks else None
-        if shared is not None and self._shared is None:
-            # The caller's array was copied/relaid — the segment backs
-            # nothing we hold, so drop it now rather than leak.
-            shared.destroy()
         self._num_vertices = int(num_vertices)
         valid = self._walks != PAD
         # Padding must be a suffix: a valid token may not follow a pad.
@@ -101,7 +88,6 @@ class WalkCorpus:
         *,
         num_vertices: int,
         lengths: np.ndarray | None = None,
-        shared=None,
     ) -> "WalkCorpus":
         """A corpus over a matrix that is valid by construction: the walk
         engine's output, or rows of a corpus already checked.
@@ -114,7 +100,6 @@ class WalkCorpus:
         """
         corpus = cls.__new__(cls)
         corpus._walks = walks
-        corpus._shared = shared
         corpus._num_vertices = int(num_vertices)
         if lengths is None:
             lengths = np.full(walks.shape[0], walks.shape[1], dtype=np.int64)
@@ -128,24 +113,6 @@ class WalkCorpus:
     @property
     def walks(self) -> np.ndarray:
         return self._walks
-
-    @property
-    def is_shared(self) -> bool:
-        """Whether the walk matrix is backed by a shared-memory segment."""
-        return self._shared is not None
-
-    def release(self) -> None:
-        """Detach from shared memory (no-op for ordinary corpora).
-
-        The walk data is first copied to a private heap array, so the
-        corpus stays fully usable; the underlying segment is then
-        unlinked. Idempotent.
-        """
-        if self._shared is None:
-            return
-        shared, self._shared = self._shared, None
-        self._walks = self._walks.copy()
-        shared.destroy()
 
     @property
     def lengths(self) -> np.ndarray:
@@ -256,29 +223,6 @@ class WalkCorpus:
         return gather_windows(
             self.padded_walks(window), self.example_positions(window), window
         )
-
-    def context_batches(
-        self, window: int, *, rows_per_batch: int = 1024
-    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Stream (centers, contexts) example blocks, one walk-row chunk
-        at a time.
-
-        Memory stays O(rows_per_batch × walk_length × window) regardless
-        of corpus size. Semantics match :meth:`context_arrays`: the
-        concatenation of all batches equals the full example set.
-        """
-        if rows_per_batch < 1:
-            raise ValueError("rows_per_batch must be >= 1")
-        for lo in range(0, self.num_walks, rows_per_batch):
-            rows = slice(lo, lo + rows_per_batch)
-            chunk = WalkCorpus._trusted(
-                self._walks[rows],
-                num_vertices=self._num_vertices,
-                lengths=self._lengths[rows],
-            )
-            centers, contexts = chunk.context_arrays(window)
-            if centers.shape[0]:
-                yield centers, contexts
 
     def num_examples(self, window: int) -> int:
         """Number of (center, context) training examples at this window,

@@ -558,7 +558,6 @@ def generate_walks(
     *,
     context=None,
     workers: "int | None" = 1,
-    keep_shared: bool = False,
     checkpoint_chunks: int | None = None,
 ) -> WalkCorpus:
     """Generate ``t`` walks from every vertex (or from ``start_vertices``).
@@ -577,10 +576,8 @@ def generate_walks(
     combined with ``context=``):
 
     * ``context.workers > 1`` splits the walk rows across the worker
-      pool. The rows land in one shared-memory block, and
-      ``keep_shared=True`` hands that block to the returned corpus
-      zero-copy (call :meth:`WalkCorpus.release` when done, or let GC
-      unlink it). ``None``/< 1 means auto via
+      pool. The rows land in one shared-memory block, copied out into
+      the returned corpus. ``None``/< 1 means auto via
       :func:`repro.parallel.pool.resolve_workers`.
     * ``context.checkpoint_dir`` makes the run durable: the rows are
       split into ``checkpoint_chunks`` chunks (default
@@ -649,7 +646,6 @@ def generate_walks(
                 np.tile(starts, config.walks_per_vertex),
                 ctx,
                 workers,
-                keep_shared=keep_shared,
                 chunks=checkpoint_chunks or workers,
             )
         if rec.enabled:
@@ -668,9 +664,7 @@ def generate_walks(
         return corpus
 
 
-def _walk(
-    g, config, plan, view, starts, ctx, workers, *, keep_shared, chunks
-) -> WalkCorpus:
+def _walk(g, config, plan, view, starts, ctx, workers, *, chunks) -> WalkCorpus:
     """Walk every row, in one process or across the pool, checkpointed
     or not; every path runs the same row task."""
     from repro.parallel.pool import chunk_bounds, parallel_map
@@ -718,19 +712,14 @@ def _walk(
                 run(bounds if pooled else [(0, num_walks)])
             else:
                 _run_checkpointed(g, config, ctx, workers, bounds, walks, run)
-    except BaseException:
+        # Every row was written by the stepper (or read back from its own
+        # checkpoint): in range and suffix-padded, so nothing is re-checked.
+        return WalkCorpus._trusted(
+            shared.copy() if pooled else walks, num_vertices=g.n
+        )
+    finally:
         if shared is not None:
             shared.destroy()
-        raise
-    # Every row was written by the stepper (or read back from its own
-    # checkpoint): in range and suffix-padded, so nothing is re-checked.
-    if shared is None:
-        return WalkCorpus._trusted(walks, num_vertices=g.n)
-    if keep_shared:
-        return WalkCorpus._trusted(shared.array, num_vertices=g.n, shared=shared)
-    walks = shared.copy()
-    shared.destroy()
-    return WalkCorpus._trusted(walks, num_vertices=g.n)
 
 
 def _walk_fingerprint(g, config: RandomWalkConfig) -> dict:

@@ -18,27 +18,6 @@ def corpus():
 
 
 class TestContextBatches:
-    def test_batches_union_equals_full(self, corpus):
-        full_centers, full_contexts = corpus.context_arrays(3)
-        got_centers, got_contexts = [], []
-        for c, ctx in corpus.context_batches(3, rows_per_batch=7):
-            got_centers.append(c)
-            got_contexts.append(ctx)
-        centers = np.concatenate(got_centers)
-        contexts = np.vstack(got_contexts)
-        np.testing.assert_array_equal(centers, full_centers)
-        np.testing.assert_array_equal(contexts, full_contexts)
-
-    def test_single_row_batches(self, corpus):
-        total = sum(
-            c.shape[0] for c, _ in corpus.context_batches(2, rows_per_batch=1)
-        )
-        assert total == corpus.context_arrays(2)[0].shape[0]
-
-    def test_invalid_rows_per_batch(self, corpus):
-        with pytest.raises(ValueError):
-            list(corpus.context_batches(2, rows_per_batch=0))
-
     def test_num_examples_exact(self, corpus):
         assert corpus.num_examples(5) == corpus.context_arrays(5)[0].shape[0]
 

@@ -142,7 +142,6 @@ class TestRenderTop:
                 "examples": 400.0,
                 "loss_sum": 10.0,
                 "epoch": 1.0,
-                "cancel": 0.0,
                 "updated": now - 0.5,
             },
             {
@@ -150,7 +149,6 @@ class TestRenderTop:
                 "examples": 0.0,
                 "loss_sum": 0.0,
                 "epoch": 0.0,
-                "cancel": 0.0,
                 "updated": 0.0,
             },
         ]

@@ -1,23 +1,17 @@
-"""Sampling profiler: stack aggregation, merging, and worker dumps."""
+"""Sampling profiler: stack aggregation, merging, and pooled workers."""
 
+import io
 import json
+import os
 import threading
 import time
 
 import pytest
 
-from repro.obs.profiler import (
-    DEFAULT_HZ,
-    PROFILE_DIR_ENV,
-    PROFILE_HZ_ENV,
-    SUMMARY_STACK_CAP,
-    SamplingProfiler,
-    StackProfile,
-    collect_worker_profiles,
-    dump_worker_profile,
-    maybe_profile_worker,
-    worker_profile_env,
-)
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.profiler import SUMMARY_STACK_CAP, SamplingProfiler, StackProfile
+from repro.obs.recorder import ObsConfig, Recorder, session, use
+from repro.parallel.pool import parallel_map
 
 
 def _busy(seconds: float) -> None:
@@ -113,43 +107,52 @@ class TestSamplingProfiler:
         assert prof.stop() is prof.profile
 
 
-class TestWorkerProfiles:
-    def test_env_arming_roundtrip(self, tmp_path, monkeypatch):
-        env = worker_profile_env(tmp_path, hz=150.0)
-        assert env[PROFILE_DIR_ENV] == str(tmp_path)
-        for key, value in env.items():
-            monkeypatch.setenv(key, value)
-        prof = maybe_profile_worker()
-        assert prof is not None
+def _pid_after_sleep(seconds: float) -> int:
+    time.sleep(seconds)  # long enough for a sampler to take samples
+    return os.getpid()
+
+
+def _thread_count(_) -> int:
+    return threading.active_count()
+
+
+class TestDrain:
+    def test_hands_over_samples_and_restarts_the_tally(self):
+        prof = SamplingProfiler(hz=200.0).start()
         try:
-            _busy(0.1)
-            dump_worker_profile(prof)
+            _busy(0.15)
+            first = prof.drain()
+            assert first.samples > 0
+            assert first.duration >= 0.1
+            assert prof.profile is not first
+            _busy(0.15)
+            second = prof.drain()
         finally:
             prof.stop()
-        merged = collect_worker_profiles(tmp_path)
-        assert merged is not None
-        assert merged.hz == 150.0
-        assert merged.duration > 0
+        assert second.samples > 0
+        assert second.duration < first.duration + 0.15
+        assert second.hz == first.hz == 200.0
 
-    def test_disarmed_when_env_missing(self, monkeypatch):
-        monkeypatch.delenv(PROFILE_DIR_ENV, raising=False)
-        assert maybe_profile_worker() is None
 
-    def test_bad_hz_falls_back_to_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(PROFILE_DIR_ENV, str(tmp_path))
-        monkeypatch.setenv(PROFILE_HZ_ENV, "not-a-number")
-        prof = maybe_profile_worker()
-        assert prof is not None
-        assert prof.hz == DEFAULT_HZ
-        prof.stop()
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="pool requires fork")
+class TestWorkerProfiles:
+    """Pooled workers are profiled over the pool's pipe, not the env."""
 
-    def test_collect_skips_unreadable_dumps(self, tmp_path):
-        (tmp_path / "worker.1.json").write_text("{torn")
-        (tmp_path / "worker.2.json").write_text(
-            json.dumps(StackProfile(stacks={"a": 1}, samples=1).summary())
-        )
-        merged = collect_worker_profiles(tmp_path)
-        assert merged is not None and merged.samples == 1
+    def test_profiled_session_reuses_workers_and_collects_samples(self):
+        before = set(parallel_map(_pid_after_sleep, [0.0, 0.0], workers=2))
+        config = ObsConfig(profile=True, log_level="error")
+        with session(config, stream=io.StringIO()) as rec:
+            inside = set(parallel_map(_pid_after_sleep, [0.2, 0.2], workers=2))
+        assert inside == before  # no re-fork on entering the session
+        assert rec.profiles["workers"].samples > 0
 
-    def test_collect_empty_dir_is_none(self, tmp_path):
-        assert collect_worker_profiles(tmp_path) is None
+    def test_sampler_stops_once_the_session_ends(self):
+        with session(ObsConfig(profile=True, log_level="error"), stream=io.StringIO()):
+            parallel_map(_pid_after_sleep, [0.05, 0.05], workers=2)
+        assert parallel_map(_thread_count, [0, 1], workers=2) == [1, 1]
+
+    def test_unprofiled_map_returns_no_profile(self):
+        registry = MetricsRegistry()
+        with use(Recorder(registry)) as rec:
+            parallel_map(_pid_after_sleep, [0.05, 0.05], workers=2)
+        assert "workers" not in rec.profiles

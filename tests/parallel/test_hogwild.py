@@ -12,16 +12,25 @@ The contract under test (ISSUE 2):
   an injected worker death (``os._exit`` inside the pool).
 """
 
+import os
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from repro.core.trainer import TrainConfig, train_embeddings
 from repro.graph.generators import planted_partition
 from repro.ml import KMeans, pairwise_precision_recall
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.recorder import Recorder, use
 from repro.parallel.hogwild import hogwild_supported
+from repro.parallel.persistent import _CANCEL_GRACE
+from repro.parallel.pool import parallel_map
 from repro.pipeline import ExecutionContext
 from repro.resilience.chaos import FaultInjector
 from repro.resilience.checkpoint import CheckpointManager
+from repro.resilience.lifecycle import CancellationToken, RunInterrupted, cancel_scope
 from repro.walks.engine import RandomWalkConfig, generate_walks
 
 from tests.parallel.test_shm import shm_entries
@@ -110,6 +119,48 @@ class TestMultiWorker:
             TrainConfig(streaming=True, workers=2)
         with pytest.raises(ValueError, match="workers"):
             TrainConfig(workers=0)
+
+
+def _pid(_):
+    return os.getpid()
+
+
+class TestCooperativeCancel:
+    def test_pooled_workers_return_mid_epoch_without_a_kill(self, graph, no_leaks):
+        """A cancel mid-epoch reaches the pooled workers, which hand back
+        their partial shards: the run raises well inside the pool's
+        cancel grace with that epoch unrecorded, nothing is respawned,
+        and the workers that trained serve the next map (the grace path
+        would have SIGKILLed them)."""
+        # Epochs of ~1.5 s on two workers, so a cancel 0.2 s into epoch 1
+        # lands while both shards are stepping batches.
+        corpus = generate_walks(
+            graph, RandomWalkConfig(walks_per_vertex=60, walk_length=60, seed=5)
+        )
+        config = TrainConfig(**dict(TRAIN_CFG, epochs=20, batch_size=8), workers=2)
+        token = CancellationToken()
+        cancelled_at: list[float] = []
+
+        def cancel() -> None:
+            cancelled_at.append(time.monotonic())
+            token.cancel("signal")
+
+        def after_epoch(epoch: int, loss: float) -> None:
+            if epoch == 0:
+                threading.Timer(0.2, cancel).start()
+
+        trainers = set(parallel_map(_pid, [0, 1], workers=2))
+        registry = MetricsRegistry()
+        with use(Recorder(registry)), cancel_scope(token):
+            with pytest.raises(RunInterrupted):
+                train_embeddings(corpus, config, epoch_callback=after_epoch)
+            raised_at = time.monotonic()
+        counters = registry.snapshot()["counters"]
+        assert counters["supervisor.cancelled"] == 1  # landed inside a map
+        assert counters["train.epochs_run"] == 1  # epoch 1 was cut short
+        assert raised_at - cancelled_at[0] < _CANCEL_GRACE
+        assert counters.get("supervisor.respawns", 0) == 0
+        assert set(parallel_map(_pid, [0, 1], workers=2)) == trainers
 
 
 class _CrashAfterEpoch:

@@ -109,6 +109,16 @@ class TestErrorTransparency:
 
 
 class TestStageCache:
+    def test_no_checkpoint_dir_skips_the_fingerprint(self):
+        class Unfingerprintable(CachedDouble):
+            def fingerprint(self, ctx, value):
+                raise AssertionError("fingerprinted with nowhere to cache")
+
+        stage = Unfingerprintable()
+        result = Pipeline([stage]).execute(np.arange(3))
+        assert np.array_equal(result.value, np.arange(3) * 2)
+        assert stage.calls == 1
+
     def test_resume_skips_cached_stage(self, tmp_path):
         stage = CachedDouble()
         ctx = ExecutionContext(checkpoint_dir=tmp_path)
