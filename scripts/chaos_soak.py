@@ -36,7 +36,8 @@ In-process scenarios (fault injection inside this interpreter):
   ``checkpoint.enospc`` recorded.
 
 Manifests and event streams land in ``--output-dir`` for CI upload and
-``repro report`` validation.
+``repro report`` validation. A subprocess run that leaves no valid
+manifest fails its scenario; the soak goes on to the next one.
 
 Usage:
     PYTHONPATH=src python scripts/chaos_soak.py --seeds 3 --output-dir soak_artifacts
@@ -58,7 +59,7 @@ import numpy as np
 from repro.core.trainer import TrainConfig, train_embeddings
 from repro.graph.generators import planted_partition
 from repro.graph.io import write_edge_list
-from repro.obs.manifest import load_manifest
+from repro.obs.manifest import ManifestError, load_manifest
 from repro.obs.recorder import ObsConfig, session
 from repro.parallel.hogwild import hogwild_supported
 from repro.pipeline import ExecutionContext
@@ -159,6 +160,16 @@ def _assert_bitwise(ref_out, out, label, failures):
         failures.append(f"{label}: unreadable output ({exc!r})")
 
 
+def _read_manifest(manifest, label, failures):
+    """The run's manifest, or ``{}`` with the missing or invalid manifest
+    recorded as a failure of the scenario."""
+    try:
+        return load_manifest(manifest)
+    except ManifestError as exc:
+        failures.append(f"{label}: {exc}")
+        return {}
+
+
 def _check_no_debris(label, ckpt, shm_before, failures):
     leaked = _shm_names() - shm_before
     if leaked:
@@ -221,8 +232,8 @@ def _signal_scenario(seed, edges, ref_out, scratch, out_dir, rng):
         return [f"{label}: {err}"]
     if proc.returncode != 130:
         failures.append(f"{label}: expected exit 130, got {proc.returncode}")
-    recorded = load_manifest(manifest)
-    if recorded["status"] != "interrupted":
+    recorded = _read_manifest(manifest, label, failures)
+    if recorded and recorded["status"] != "interrupted":
         failures.append(f"{label}: manifest status {recorded['status']!r}")
     rc = _run(["runs", "resume", str(ckpt), "--latest"]).returncode
     if rc != 0:
@@ -249,8 +260,8 @@ def _deadline_scenario(seed, edges, ref_out, scratch, out_dir, rng):
     ).returncode
     if rc != 124:
         failures.append(f"{label}: expected exit 124, got {rc}")
-    recorded = load_manifest(manifest)
-    if recorded.get("interrupt_reason") != "deadline":
+    recorded = _read_manifest(manifest, label, failures)
+    if recorded and recorded.get("interrupt_reason") != "deadline":
         failures.append(
             f"{label}: interrupt_reason {recorded.get('interrupt_reason')!r}"
         )
@@ -285,16 +296,16 @@ def _mem_pressure_scenario(
     ).returncode
     if rc != 130:
         failures.append(f"{label}: expected exit 130, got {rc}")
-    recorded = load_manifest(manifest)
-    if recorded.get("interrupt_reason") != "resource_pressure":
-        failures.append(
-            f"{label}: interrupt_reason {recorded.get('interrupt_reason')!r}"
-        )
-    if not recorded.get("pressure"):
-        failures.append(f"{label}: no pressure timeline in manifest")
-    counters = recorded["metrics"]["counters"]
-    if counters.get("guard.breaches", 0) < 1:
-        failures.append(f"{label}: guard.breaches never incremented")
+    recorded = _read_manifest(manifest, label, failures)
+    if recorded:
+        if recorded.get("interrupt_reason") != "resource_pressure":
+            failures.append(
+                f"{label}: interrupt_reason {recorded.get('interrupt_reason')!r}"
+            )
+        if not recorded.get("pressure"):
+            failures.append(f"{label}: no pressure timeline in manifest")
+        if recorded["metrics"]["counters"].get("guard.breaches", 0) < 1:
+            failures.append(f"{label}: guard.breaches never incremented")
     rc = _run(
         [
             "runs", "resume", str(ckpt), "--latest",

@@ -4,9 +4,30 @@ The paper clusters V2V vectors with Lloyd's algorithm repeated 100 times,
 keeping the solution with the lowest within-cluster sum of squares
 (Section III). ``KMeans(n_init=100)`` reproduces that protocol exactly.
 
-Assignment is vectorized with the ||x - c||² = ||x||² - 2 x·c + ||c||²
-expansion, so each Lloyd iteration is one (n × k) GEMM — the dominant
-cost — rather than an n × k Python loop.
+Every restart's initial centers are drawn first, in restart order, from
+one generator. Lloyd draws nothing, so that is the stream a loop running
+one restart at a time would draw. Lloyd then runs on blocks of restarts:
+a block of ``b`` restarts is a ``(b, k, d)`` stack of centers, and one
+iteration costs the same dozen numpy calls whatever ``b`` is:
+
+- one stacked matmul for the ``(b, n, k)`` squared distances, through
+  ||x - c||² = ||x||² - 2 x·c + ||c||², clipped at 0;
+- one argmin over the k centers (the first minimum wins);
+- the center sums as one sparse ``(b·k × n)`` assignment matrix times x,
+  and the counts as one ``bincount``;
+- the farthest-point reseed, on the restarts that emptied a cluster;
+- the relative center-shift test, per restart.
+
+A restart leaves the stack once it converges. A block holds at most
+``_SCORE_BYTES`` of distances (or one restart's, when that is more), so
+its working set stays in cache.
+
+Blocking changes no arithmetic. Each restart's distances come from the
+same BLAS call a lone restart makes, its center sums accumulate in point
+order (as ``np.add.at`` does), and its shift norms are the same BLAS dot
+products as ``np.linalg.norm``'s. The clustering is therefore bitwise the
+one a loop over restarts gives; ``tests/ml/test_kmeans.py`` keeps that
+loop as the oracle.
 """
 
 from __future__ import annotations
@@ -18,6 +39,10 @@ import numpy as np
 from repro.obs.recorder import current_recorder
 
 __all__ = ["KMeans", "KMeansResult"]
+
+#: Bytes of squared distances one Lloyd block holds: ``(b, n, k)`` float64
+#: for ``b = max(1, _SCORE_BYTES // (8 n k))`` restarts.
+_SCORE_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -35,13 +60,30 @@ class KMeansResult:
         return int(self.centers.shape[0])
 
 
-def _squared_distances(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """(n × k) squared euclidean distances, clipped at 0 for float drift."""
-    x_sq = np.einsum("ij,ij->i", x, x)[:, None]
-    c_sq = np.einsum("ij,ij->i", centers, centers)[None, :]
-    d2 = x_sq - 2.0 * (x @ centers.T) + c_sq
+def _block_distances(
+    x: np.ndarray, x_sq: np.ndarray, centers: np.ndarray
+) -> np.ndarray:
+    """(b × n × k) squared distances of ``x`` to a (b, k, d) center stack.
+
+    ``x_sq`` holds the rows' squared norms, repeated k times per row as an
+    (n, k) array. Clipped at 0 for float drift.
+    """
+    b, k, d = centers.shape
+    flat = centers.reshape(b * k, d)
+    # Batch r is x @ centers[r].T, the very BLAS call of a lone restart.
+    d2 = x @ centers.transpose(0, 2, 1)
+    d2 *= -2.0
+    d2 += x_sq
+    d2 += np.einsum("ij,ij->i", flat, flat).reshape(b, 1, k)
     np.maximum(d2, 0.0, out=d2)
     return d2
+
+
+def _norms(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each (k, d) slice, as ``np.linalg.norm`` takes it:
+    the square root of one BLAS dot product of the raveled slice."""
+    flat = stack.reshape(stack.shape[0], -1)
+    return np.sqrt(np.matmul(flat[:, None, :], flat[:, :, None])[:, 0, 0])
 
 
 def _kmeanspp_init(
@@ -52,7 +94,8 @@ def _kmeanspp_init(
     centers = np.empty((k, x.shape[1]))
     first = int(rng.integers(0, n))
     centers[0] = x[first]
-    d2 = np.einsum("ij,ij->i", x - centers[0], x - centers[0])
+    diff = x - centers[0]
+    d2 = np.einsum("ij,ij->i", diff, diff)
     for i in range(1, k):
         total = d2.sum()
         if total <= 0:
@@ -62,9 +105,72 @@ def _kmeanspp_init(
             choice = int(np.searchsorted(np.cumsum(d2), rng.random() * total))
             choice = min(choice, n - 1)
         centers[i] = x[choice]
-        new_d2 = np.einsum("ij,ij->i", x - centers[i], x - centers[i])
-        np.minimum(d2, new_d2, out=d2)
+        np.subtract(x, centers[i], out=diff)
+        np.minimum(d2, np.einsum("ij,ij->i", diff, diff), out=d2)
     return centers
+
+
+def _lloyd(
+    x: np.ndarray,
+    x_sq: np.ndarray,
+    centers: np.ndarray,
+    max_iter: int,
+    tol: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Lloyd on a (b, k, d) stack of initial centers.
+
+    ``x_sq`` is as :func:`_block_distances` takes it. Returns each
+    restart's final centers (b, k, d), iteration count (b,), labels (b, n)
+    and inertia (b,).
+    """
+    from scipy import sparse
+
+    b, k, d = centers.shape
+    n = x.shape[0]
+    final = np.empty_like(centers)
+    iterations = np.full(b, max_iter)
+    live = np.arange(b)
+    offsets = k * live[:, None]
+    ones = np.ones(b * n)
+    for iteration in range(1, max_iter + 1):
+        a = live.size
+        d2 = _block_distances(x, x_sq, centers)
+        labels = d2.argmin(axis=2)
+        rows = labels + offsets[:a]
+        counts = np.bincount(rows.ravel(), minlength=a * k).astype(np.float64)
+        # Column j holds point j's center in each restart, and the product
+        # visits columns in order: every center sums its points in order.
+        assign = sparse.csc_array(
+            (ones[: a * n], rows.T.ravel(), np.arange(0, a * n + 1, a)),
+            shape=(a * k, n),
+        )
+        new = (assign @ x).reshape(a, k, d)
+        counts = counts.reshape(a, k)
+        for r in np.flatnonzero((counts == 0).any(axis=1)):
+            # Re-seed the restart's empty clusters at the points farthest
+            # from their center, the standard fix that keeps k clusters.
+            far = np.argsort(-d2[r][np.arange(n), labels[r]])
+            for j, c in enumerate(np.flatnonzero(counts[r] == 0)):
+                new[r, c] = x[far[j % n]]
+                counts[r, c] = 1.0
+        new /= counts[:, :, None]
+        shift = _norms(new - centers)
+        scale = _norms(centers)
+        scale[scale == 0.0] = 1.0
+        converged = shift / scale < tol
+        centers = new
+        if converged.any():
+            final[live[converged]] = centers[converged]
+            iterations[live[converged]] = iteration
+            live, centers = live[~converged], centers[~converged]
+            if not live.size:
+                break
+    final[live] = centers
+    d2 = _block_distances(x, x_sq, final)
+    labels = d2.argmin(axis=2)
+    # (b, n) contiguous: each row sums pairwise, as a lone restart's does.
+    inertia = np.take_along_axis(d2, labels[:, :, None], axis=2)[:, :, 0].sum(axis=1)
+    return final, iterations, labels, inertia
 
 
 class KMeans:
@@ -121,63 +227,46 @@ class KMeans:
             raise ValueError(f"need at least k={self.k} samples, got {n}")
         rng = np.random.default_rng(self.seed)
         rec = current_recorder()
-        best: KMeansResult | None = None
         with rec.span("kmeans.fit", k=self.k, n=n, n_init=self.n_init) as span:
-            for _restart in range(self.n_init):
-                labels, centers, inertia, iters = self._lloyd(x, rng)
-                if rec.enabled:
-                    rec.inc("kmeans.restarts")
-                    rec.observe("kmeans.restart_inertia", inertia)
-                    rec.observe("kmeans.restart_iterations", iters)
-                if best is None or inertia < best.inertia:
-                    best = KMeansResult(
-                        labels=labels,
-                        centers=centers,
-                        inertia=inertia,
-                        iterations=iters,
-                        restarts=self.n_init,
+            with rec.span("kmeans.init"):
+                starts = np.stack([self._init(x, rng) for _ in range(self.n_init)])
+            with rec.span("kmeans.lloyd"):
+                x_sq = np.einsum("ij,ij->i", x, x)[:, None].repeat(self.k, axis=1)
+                block = max(1, _SCORE_BYTES // (8 * n * self.k))
+                best = None
+                for lo in range(0, self.n_init, block):
+                    centers, iterations, labels, inertia = _lloyd(
+                        x, x_sq, starts[lo : lo + block], self.max_iter, self.tol
                     )
+                    for r in range(centers.shape[0]):
+                        if rec.enabled:
+                            rec.inc("kmeans.restarts")
+                            rec.observe("kmeans.restart_inertia", float(inertia[r]))
+                            rec.observe(
+                                "kmeans.restart_iterations", int(iterations[r])
+                            )
+                        if best is None or inertia[r] < best[2]:
+                            best = (labels[r], centers[r], inertia[r], iterations[r])
             assert best is not None
+            result = KMeansResult(
+                labels=best[0].copy(),
+                centers=best[1].copy(),
+                inertia=float(best[2]),
+                iterations=int(best[3]),
+                restarts=self.n_init,
+            )
             if rec.enabled:
-                rec.set("kmeans.best_inertia", best.inertia)
+                rec.set("kmeans.best_inertia", result.inertia)
                 span.annotate(
-                    inertia=round(best.inertia, 6), iterations=best.iterations
+                    inertia=round(result.inertia, 6), iterations=result.iterations
                 )
-        return best
+        return result
 
-    def _lloyd(
-        self, x: np.ndarray, rng: np.random.Generator
-    ) -> tuple[np.ndarray, np.ndarray, float, int]:
-        n = x.shape[0]
+    def _init(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """One restart's initial (k, d) centers."""
         if self.init == "k-means++":
-            centers = _kmeanspp_init(x, self.k, rng)
-        else:
-            centers = x[rng.choice(n, size=self.k, replace=False)].copy()
-        labels = np.zeros(n, dtype=np.int64)
-        for iteration in range(1, self.max_iter + 1):
-            d2 = _squared_distances(x, centers)
-            labels = d2.argmin(axis=1)
-            new_centers = np.zeros_like(centers)
-            counts = np.bincount(labels, minlength=self.k).astype(np.float64)
-            np.add.at(new_centers, labels, x)
-            empty = counts == 0
-            if np.any(empty):
-                # Re-seed empty clusters at the points farthest from their
-                # center — standard fix that keeps k clusters alive.
-                far = np.argsort(-d2[np.arange(n), labels])
-                for j, c in enumerate(np.flatnonzero(empty)):
-                    new_centers[c] = x[far[j % n]]
-                    counts[c] = 1.0
-            new_centers /= counts[:, None]
-            shift = float(np.linalg.norm(new_centers - centers))
-            scale = float(np.linalg.norm(centers)) or 1.0
-            centers = new_centers
-            if shift / scale < self.tol:
-                break
-        d2 = _squared_distances(x, centers)
-        labels = d2.argmin(axis=1)
-        inertia = float(d2[np.arange(n), labels].sum())
-        return labels, centers, inertia, iteration
+            return _kmeanspp_init(x, self.k, rng)
+        return x[rng.choice(x.shape[0], size=self.k, replace=False)]
 
     def fit_predict(self, x: np.ndarray) -> np.ndarray:
         return self.fit(x).labels

@@ -45,8 +45,9 @@ Design notes:
   deadline), the map sets it on every row, stops dispatching and gives
   in-flight items one second to return — task code polls
   ``current_heartbeat().cancelled()`` and hands back what it has (Hogwild
-  shards do, per batch). Stragglers past the grace are killed; the map
-  raises through ``scope.check()``.
+  shards do, per batch) or raises (walk tasks do, per hop). Stragglers
+  past the grace are killed; the map raises through ``scope.check()``,
+  ahead of any item's exception.
 - **Profiles.** Every task message carries the current recorder's
   ``profile_hz`` (``None`` when profiling is off). A worker given a rate
   runs an all-threads :class:`~repro.obs.profiler.SamplingProfiler`, and
@@ -425,6 +426,10 @@ class PersistentPool:
                 else:
                     failures[idx] = payload.exception
         if failures:
+            if grace_end is not None:
+                # Items that wound down on the cancel word raised; the
+                # map raises the run's own reason instead.
+                scope.check()
             raise failures[min(failures)]
 
     def _dispatch(

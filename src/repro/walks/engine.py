@@ -343,7 +343,7 @@ def _advance(arrays: dict, plan: _Plan, walks: _Walks, out: np.ndarray) -> None:
     temporaries then stay small enough to be recycled by the allocator
     instead of being page-faulted in afresh on every step.
     """
-    from repro.resilience.lifecycle import current_cancel_scope
+    from repro.resilience.lifecycle import RunInterrupted, current_cancel_scope
     from repro.resilience.supervisor import current_heartbeat
 
     heartbeat = current_heartbeat()
@@ -354,6 +354,12 @@ def _advance(arrays: dict, plan: _Plan, walks: _Walks, out: np.ndarray) -> None:
         for step in range(1, plan.walk_length):
             heartbeat.beat()  # liveness signal for the supervisor watchdog
             scope.check()  # cooperative cancel: one poll per vectorized hop
+            if heartbeat.cancelled():
+                # A pooled task's scope is the copy taken at fork, which a
+                # signal to the parent never reaches: the pool's cancel
+                # word does. In-process, the check raises the run's reason.
+                scope.check()
+                raise RunInterrupted("cancelled", detail="the pool cancelled the task")
             nxt, last = _draw(arrays, plan, batch, step)
             # perm_ext[PAD] == PAD: a walk that dies writes PAD.
             tokens = nxt if perm_ext is None else perm_ext[nxt]

@@ -1,12 +1,16 @@
 """Property-based tests for k-means and PCA."""
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.ml import kmeans as kmeans_module
 from repro.ml.kmeans import KMeans
 from repro.ml.pca import PCA
+from tests.ml.test_kmeans import assert_fit_matches_oracle
 
 finite = st.floats(
     min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False
@@ -39,6 +43,23 @@ def test_kmeans_labels_are_nearest_centers(x, k, seed):
     d2 = ((x[:, None, :] - result.centers[None, :, :]) ** 2).sum(axis=2)
     own = d2[np.arange(x.shape[0]), result.labels]
     assert np.all(own <= d2.min(axis=1) + 1e-9)
+
+
+@given(
+    datasets(),
+    st.integers(1, 3),
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.sampled_from(["k-means++", "random"]),
+    st.integers(0, 99),
+)
+@settings(max_examples=60, deadline=None)
+def test_kmeans_fit_matches_sequential_oracle(x, k, n_init, block, init, seed):
+    """Batched restarts equal one-at-a-time restarts bit for bit, at any
+    block size (``block`` restarts per Lloyd stack)."""
+    score_bytes = 8 * x.shape[0] * k * block
+    with mock.patch.object(kmeans_module, "_SCORE_BYTES", score_bytes):
+        assert_fit_matches_oracle(KMeans(k, n_init=n_init, init=init, seed=seed), x)
 
 
 @given(datasets(), st.integers(0, 99))

@@ -1,10 +1,21 @@
 """Tests for multi-process walk generation."""
 
+import os
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from repro.graph.generators import planted_partition
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.recorder import Recorder, use
+from repro.parallel.persistent import _CANCEL_GRACE
+from repro.parallel.pool import parallel_map
+from repro.parallel.shm import SHM_AVAILABLE
+from repro.resilience.lifecycle import CancellationToken, RunInterrupted, cancel_scope
 from repro.walks.engine import RandomWalkConfig, WalkMode, generate_walks
+from tests.parallel.test_shm import shm_entries
 
 
 @pytest.fixture(scope="module")
@@ -115,3 +126,51 @@ def test_pooled_out_of_range_start_raises_before_any_task(graph):
     cfg = RandomWalkConfig(seed=0, start_vertices=np.asarray([0, graph.n]))
     with pytest.raises(ValueError, match="out of range"):
         generate_walks(graph, cfg, workers=2)
+
+
+def _pid(_):
+    return os.getpid()
+
+
+@pytest.mark.skipif(not SHM_AVAILABLE, reason="platform has no shared memory")
+class TestCooperativeCancel:
+    def test_pooled_walk_tasks_return_mid_map_without_a_kill(self, graph):
+        """A cancel mid-map reaches the pooled walk tasks, which stop at
+        their next hop: the map raises the run's reason well inside the
+        pool's cancel grace, nothing is respawned, and the workers that
+        walked serve the next map (the grace path would have SIGKILLed
+        them)."""
+        # Two tasks of 20 walks × 100k hops, seconds apiece (the hops are
+        # overhead-bound), so a cancel 0.3 s in lands while both step.
+        config = RandomWalkConfig(
+            walks_per_vertex=1,
+            walk_length=100_000,
+            seed=5,
+            start_vertices=np.arange(40) % graph.n,
+        )
+        token = CancellationToken()
+        cancelled_at: list[float] = []
+
+        def cancel() -> None:
+            cancelled_at.append(time.monotonic())
+            token.cancel("signal")
+
+        shm_before = shm_entries()
+        walkers = set(parallel_map(_pid, [0, 1], workers=2))
+        registry = MetricsRegistry()
+        timer = threading.Timer(0.3, cancel)
+        with use(Recorder(registry)), cancel_scope(token):
+            timer.start()
+            try:
+                with pytest.raises(RunInterrupted) as raised:
+                    generate_walks(graph, config, workers=2)
+                raised_at = time.monotonic()
+            finally:
+                timer.cancel()
+        counters = registry.snapshot()["counters"]
+        assert raised.value.reason == "signal"
+        assert counters["supervisor.cancelled"] == 1  # landed inside the map
+        assert raised_at - cancelled_at[0] < _CANCEL_GRACE
+        assert counters.get("supervisor.respawns", 0) == 0
+        assert set(parallel_map(_pid, [0, 1], workers=2)) == walkers
+        assert shm_entries() == shm_before
