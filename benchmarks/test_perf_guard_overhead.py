@@ -4,8 +4,8 @@ The pressure guard touches a run in exactly two places: one
 :func:`~repro.resilience.guard.preflight` footprint estimate before the
 first stage, and one watchdog ``poll_once()`` (a /proc read + two
 ``statvfs`` calls) every ``interval`` seconds on a daemon thread. The
-hot loops only read a plain int (``_STATE.level``), which the PR 7
-bench already prices at nothing.
+hot loops read nothing of it; the worker pool reads its own slot cap
+once per wait tick.
 
 The guard mirrors ``test_perf_lifecycle_overhead``: measure the real
 per-epoch wall time of a dense run, microbench both guard entry points,
@@ -29,12 +29,7 @@ from repro.core.trainer import TrainConfig, train_embeddings
 from repro.datasets.synthetic import community_benchmark
 from repro.obs.recorder import Recorder, use
 from repro.pipeline import ExecutionContext
-from repro.resilience.guard import (
-    PressureWatchdog,
-    ResourceBudget,
-    preflight,
-    reset_guard,
-)
+from repro.resilience.guard import PressureWatchdog, ResourceBudget, preflight
 from repro.walks.engine import RandomWalkConfig, generate_walks
 
 OVERHEAD_BUDGET = 0.01  # the ISSUE's < 1% guard
@@ -73,28 +68,22 @@ def run(scale, results_dir) -> tuple[list[ExperimentRecord], float]:
 
     # Same run under a live watchdog sampling aggressively but never
     # breaching: identical bits, and the wall time for the record.
-    reset_guard()
-    try:
-        fast = ResourceBudget(
-            memory_bytes=1 << 50, disk_bytes=1 << 50, interval=0.02
-        )
-        with use(Recorder()):
-            with PressureWatchdog(fast, checkpoint_dir=results_dir):
-                with Timer() as t:
-                    guarded_vectors = train_embeddings(corpus, config).vectors
-        guarded_seconds = t.seconds
-        np.testing.assert_array_equal(plain_vectors, guarded_vectors)
+    fast = ResourceBudget(memory_bytes=1 << 50, disk_bytes=1 << 50, interval=0.02)
+    with use(Recorder()):
+        with PressureWatchdog(fast, checkpoint_dir=results_dir):
+            with Timer() as t:
+                guarded_vectors = train_embeddings(corpus, config).vectors
+    guarded_seconds = t.seconds
+    np.testing.assert_array_equal(plain_vectors, guarded_vectors)
 
-        # Microbench one watchdog tick: /proc RSS read, two statvfs
-        # calls, gauge updates, pressure-record append.
-        dog = PressureWatchdog(HUGE, checkpoint_dir=results_dir)
-        with use(Recorder()):
-            start = time.perf_counter()
-            for _ in range(POLL_ITERS):
-                dog.poll_once()
-            poll_seconds = (time.perf_counter() - start) / POLL_ITERS
-    finally:
-        reset_guard()
+    # Microbench one watchdog tick: /proc RSS read, the slot-cap read,
+    # two statvfs calls, gauge updates, pressure-record append.
+    dog = PressureWatchdog(HUGE, checkpoint_dir=results_dir)
+    with use(Recorder()):
+        start = time.perf_counter()
+        for _ in range(POLL_ITERS):
+            dog.poll_once()
+        poll_seconds = (time.perf_counter() - start) / POLL_ITERS
 
     # Microbench the one-shot preflight estimate over the real configs.
     ctx = ExecutionContext(workers=1, budget=HUGE)

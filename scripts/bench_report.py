@@ -335,25 +335,16 @@ def _guard_overhead(
 
     from repro.obs.recorder import Recorder, use
     from repro.pipeline import ExecutionContext
-    from repro.resilience.guard import (
-        PressureWatchdog,
-        ResourceBudget,
-        preflight,
-        reset_guard,
-    )
+    from repro.resilience.guard import PressureWatchdog, ResourceBudget, preflight
 
     iters = 2_000
     budget = ResourceBudget(memory_bytes=1 << 50, disk_bytes=1 << 50)
-    reset_guard()
-    try:
-        dog = PressureWatchdog(budget, checkpoint_dir=manifest_dir)
-        with use(Recorder()):
-            start = time.perf_counter()
-            for _ in range(iters):
-                dog.poll_once()
-            poll_seconds = (time.perf_counter() - start) / iters
-    finally:
-        reset_guard()
+    dog = PressureWatchdog(budget, checkpoint_dir=manifest_dir)
+    with use(Recorder()):
+        start = time.perf_counter()
+        for _ in range(iters):
+            dog.poll_once()
+        poll_seconds = (time.perf_counter() - start) / iters
     ctx = ExecutionContext(workers=1, budget=budget)
     stages = [
         SimpleNamespace(config=walk_cfg), SimpleNamespace(config=train_cfg)

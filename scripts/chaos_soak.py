@@ -19,11 +19,10 @@ Subprocess scenarios (a real ``python -m repro embed`` per run):
   ``interrupt_reason: deadline``; an explicit ``--resume`` run (without
   the deadline) finishes bitwise.
 - **mem_pressure** — the run is given a memory budget *below its own
-  baseline RSS*: the pressure watchdog hard-breaches, walks the
-  degradation ladder to the cancel rung, and the run exits 130 with
-  ``interrupt_reason: resource_pressure``. ``repro runs resume --latest
-  --memory-budget <bigger>`` — the raised-ceiling override — recovers
-  it bitwise.
+  baseline RSS*: the pressure watchdog hard-breaches and cancels at
+  once; the run exits 130 with ``interrupt_reason: resource_pressure``.
+  ``repro runs resume --latest --memory-budget <bigger>`` — the
+  raised-ceiling override — recovers it bitwise.
 
 In-process scenarios (fault injection inside this interpreter):
 

@@ -123,7 +123,7 @@ def add_runtime_flags(
         default=None,
         metavar="SIZE",
         help="peak-RSS ceiling (e.g. 2G): estimated overruns fail fast or "
-        "auto-degrade; runtime breaches drive the degradation ladder",
+        "auto-degrade; runtime breaches halve the worker slots, then cancel",
     )
     b.add_argument(
         "--disk-budget",

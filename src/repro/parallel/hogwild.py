@@ -50,7 +50,6 @@ import numpy as np
 from repro.obs.recorder import current_recorder
 from repro.obs.slab import HOGWILD_SLOTS, MetricsSlab, MetricsSlabSpec
 from repro.parallel.pool import chunk_bounds, parallel_map
-from repro.resilience.guard import effective_workers
 from repro.parallel.seeding import worker_seed_sequence
 from repro.resilience.lifecycle import current_cancel_scope
 from repro.parallel.shm import SHM_AVAILABLE, SharedArraySpec, shared_arrays
@@ -270,15 +269,13 @@ def hogwild_epochs(objective, walks, positions, vocab, config, ctx, state):
                 )
                 for w, (lo, hi) in enumerate(shards)
             ]
-            # Pressure degradation shrinks only the *map concurrency*: task
-            # structure (shards, per-(epoch, worker) seeds) stays pinned to
-            # config.workers, so the trained model is the one the config
-            # names — it just arrives on fewer live processes.
+            # The pool's slot cap (pressure) shrinks only the *map
+            # concurrency*: task structure (shards, per-(epoch, worker)
+            # seeds) stays pinned to config.workers, so the trained model
+            # is the one the config names — it just arrives on fewer
+            # live processes.
             results = parallel_map(
-                task,
-                tasks,
-                workers=effective_workers(config.workers),
-                supervisor=ctx.supervisor,
+                task, tasks, workers=config.workers, supervisor=ctx.supervisor
             )
             loss_sum = sum(loss for loss, _ in results)
             batches_run = sum(n for _, n in results)

@@ -4,7 +4,7 @@ Every multi-worker :func:`repro.parallel.pool.parallel_map` — Hogwild
 epochs, walk chunk batches, shard rounds — runs here. Workers are forked
 once and reused across maps, so only the first map of a run pays the
 fork cost. There is one pool per process; it grows on demand and a map
-uses ``min(workers, len(items))`` of its slots.
+uses ``min(workers, len(items))`` of its slots, or fewer under pressure.
 
 Design notes:
 
@@ -32,14 +32,20 @@ Design notes:
   When the budget runs out the map halves its slots; at one slot the
   remaining items run in-process. Completed items are never recomputed.
   Everything is reported as ``supervisor.*`` counters and events.
+- **Pressure.** :meth:`PersistentPool.degrade` (the pressure watchdog's
+  one lever, from its own thread) halves a slot cap through the same
+  halving as the respawn rung. A map runs on ``min(rung, cap)`` slots and
+  re-reads the cap at every wait tick: busy workers above it finish their
+  item and get no more. At cap 1 maps run in-process and no worker is
+  kept. The cap holds until :meth:`PersistentPool.uncap`.
 - Work-function exceptions are pickled back. Dispatch then stops, the
   in-flight items settle, and the smallest-index exception is raised —
   the serial path's semantics.
 - **Threads.** Only the thread running :meth:`PersistentPool.map` touches
-  the pipes. :meth:`PersistentPool.shutdown` from another thread (the
-  pressure watchdog) only sets the closed flag while a map is active; the
-  map sees it at its next wait tick, tears the workers down and finishes
-  its remaining items in-process.
+  the pipes of a map's workers. :meth:`PersistentPool.shutdown` and
+  :meth:`PersistentPool.degrade` from another thread only set the closed
+  flag or the cap while a map is active; the map sees it at its next
+  wait tick. Idle, they stop the workers they retire at once.
 - **Cancellation.** Each map clears the rows' ``cancel`` word. At the
   first wait tick that sees the ambient cancel scope fired (a signal, a
   deadline), the map sets it on every row, stops dispatching and gives
@@ -54,9 +60,6 @@ Design notes:
   each result brings back the samples taken since its previous result,
   which the parent merges into the recorder's ``workers`` profile. A
   ``None`` rate stops the sampler.
-- **Pressure.** At guard level 2 (:func:`repro.resilience.guard.pool_allowed`
-  is False) the workers are torn down at the end of every map, so no idle
-  forks are kept.
 
 Items may run more than once (a killed worker's item is reassigned), so
 work functions must tolerate re-execution. Every built-in task does: walk
@@ -88,7 +91,7 @@ from repro.obs.profiler import SamplingProfiler
 from repro.obs.recorder import current_recorder
 from repro.obs.slab import SUPERVISOR_SLOTS, MetricsSlab
 from repro.parallel.pool import default_workers
-from repro.resilience.guard import pool_allowed
+from repro.resilience import lifecycle
 from repro.resilience.lifecycle import current_cancel_scope
 from repro.resilience.supervisor import (
     Heartbeat,
@@ -96,7 +99,7 @@ from repro.resilience.supervisor import (
     _install_heartbeat,
 )
 
-__all__ = ["PersistentPool", "get_pool", "shutdown_pools"]
+__all__ = ["PersistentPool", "get_pool", "shutdown_pools", "slot_cap"]
 
 # Placeholder for a result slot whose item has not come back yet.
 _PENDING = object()
@@ -148,6 +151,10 @@ def _worker_main(  # pragma: no cover - runs in child processes
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):
         pass
+    # The ambient cancel scope came along with the fork, from whichever
+    # run was active then; later maps of other runs reuse this worker, so
+    # the pool's cancel word is a task's only cancellation channel.
+    lifecycle._active_scope = lifecycle.NULL_SCOPE
     heartbeat = Heartbeat(slab, row)
     _install_heartbeat(heartbeat)
     profiler: SamplingProfiler | None = None
@@ -228,6 +235,8 @@ class PersistentPool:
         self._lock = threading.Lock()
         self._closed = False
         self._active = False  # a map owns the pipes
+        self._slots = default_workers()  # slots of the latest map
+        self.cap: int | None = None  # pressure slot cap (None: uncapped)
 
     @property
     def alive(self) -> bool:
@@ -246,11 +255,49 @@ class PersistentPool:
         if os.getpid() == self._parent_pid:  # never reap a parent's workers
             self._teardown()
 
-    def _teardown(self) -> None:
-        """Stop every worker: sentinel to the idle, SIGKILL to the busy."""
+    def degrade(self) -> bool:
+        """One pressure step: halve the slot cap (callable from any thread).
+
+        The first step halves the latest map's slot count. Returns False,
+        taking no step, once maps already run in-process. While a map is
+        active only the cap changes: the map reads it at its next wait
+        tick. Otherwise the workers above the cap stop now.
+        """
         with self._lock:
-            workers = [w for w in self._workers if w is not None]
-            self._workers = [None] * len(self._workers)
+            if self.cap == 1:
+                return False
+            self.cap = _halved(min(self._slots, self.cap or self._slots))
+            retired = [] if self._active else self._detach(self._kept())
+        if os.getpid() == self._parent_pid:
+            self._stop(retired)
+        return True
+
+    def uncap(self) -> None:
+        """Lift the pressure cap: the next map gets its full slots."""
+        with self._lock:
+            self.cap = None
+
+    def _kept(self) -> int:
+        """Slots whose idle workers outlive a map: none at cap 1."""
+        if self.cap is None:
+            return len(self._workers)
+        return self.cap if self.cap > 1 else 0
+
+    def _detach(self, keep: int) -> list[_Worker]:
+        """Take the workers in slots ``keep`` and up out of the pool."""
+        workers = [w for w in self._workers[keep:] if w is not None]
+        self._workers[keep:] = [None] * max(len(self._workers) - keep, 0)
+        return workers
+
+    def _teardown(self, keep: int = 0) -> None:
+        """Stop the workers in slots ``keep`` and up."""
+        with self._lock:
+            workers = self._detach(keep)
+        self._stop(workers)
+
+    @staticmethod
+    def _stop(workers: list[_Worker]) -> None:
+        """Sentinel to the idle, SIGKILL to the busy; then reap."""
         for worker in workers:
             with contextlib.suppress(OSError, ValueError):
                 if worker.item is None:
@@ -276,8 +323,8 @@ class PersistentPool:
         Raises the smallest-index work-function exception, or
         :class:`~repro.resilience.lifecycle.RunInterrupted` when the
         ambient cancel scope fires with items left. Items the workers
-        could not finish (degrade ladder exhausted, pool shut down) run
-        in-process.
+        could not finish (degrade ladder exhausted, pool shut down or
+        capped to one slot) run in-process.
         """
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -286,17 +333,19 @@ class PersistentPool:
         with self._lock:
             if self._active:
                 raise RuntimeError("a map is already running on this pool")
-            self._active = run = self.alive and n > 0
+            slots = min(workers, n, self.cap or n)
+            self._active = run = self.alive and slots > 1
+            if run:
+                self._slots = slots
         if run:
             try:
-                self._supervise(fn, items, results, min(workers, n), config)
+                self._supervise(fn, items, results, slots, config)
             finally:
                 self._kill_busy()  # left mid-item by an exception
                 with self._lock:
                     self._active = False
-                    closed = self._closed
-                if closed or not pool_allowed():
-                    self._teardown()
+                    keep = 0 if self._closed else self._kept()
+                self._teardown(keep)
         remaining = [i for i in range(n) if results[i] is _PENDING]
         if remaining:
             scope = current_cancel_scope()
@@ -392,16 +441,19 @@ class PersistentPool:
                     level="warning",
                     label=label,
                     from_workers=rung,
-                    to_workers=max(rung // 2, 1),
+                    to_workers=_halved(rung),
                 )
-                rung, respawns = max(rung // 2, 1), 0
+                rung, respawns = _halved(rung), 0
             if grace_end is not None and now >= grace_end:
                 self._kill_busy()  # stragglers past the cancel grace
                 break
-            dispatching = rung > 1 and not failures and grace_end is None
+            # Pressure caps the rung from the watchdog's thread.
+            live_slots = min(rung, self.cap or rung)
+            dispatching = live_slots > 1 and not failures and grace_end is None
             if dispatching:
                 respawns += self._dispatch(
-                    fn, by_fork, items, todo, rung, now, label, rec.profile_hz
+                    fn, by_fork, items, todo, live_slots, now, label,
+                    rec.profile_hz,
                 )
             busy = [w for w in self._workers if w is not None and w.item is not None]
             if not busy:
@@ -510,9 +562,14 @@ def _label(fn: Callable) -> str:
     return getattr(fn, "__name__", type(fn).__name__)
 
 
+def _halved(slots: int) -> int:
+    """One rung down the ladder, for respawns and pressure alike."""
+    return max(slots // 2, 1)
+
+
 # ----------------------------------------------------------------------
 # The process-wide pool: created on first use, shut down at exit (or
-# explicitly between pipeline runs and by the pressure ladder).
+# explicitly by the benchmark's child between workloads).
 # ----------------------------------------------------------------------
 _POOL: PersistentPool | None = None
 _REGISTRY_LOCK = threading.Lock()
@@ -535,6 +592,17 @@ def get_pool() -> PersistentPool | None:
             except ValueError:
                 return None
         return _POOL
+
+
+def slot_cap() -> int | None:
+    """The shared pool's pressure cap; None when uncapped or no pool exists.
+
+    Reads without creating a pool.
+    """
+    pool = _POOL
+    if pool is None or os.getpid() != pool._parent_pid:
+        return None
+    return pool.cap
 
 
 def shutdown_pools() -> None:

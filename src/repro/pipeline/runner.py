@@ -116,9 +116,9 @@ class Pipeline:
         :class:`~repro.resilience.guard.BudgetExceeded`, or degrading
         workers under ``auto_degrade``) and a
         :class:`~repro.resilience.guard.PressureWatchdog` samples
-        RSS/shm/disk for the duration, driving the degradation ladder on
-        breach — whose last rung cancels the run through the same
-        cooperative machinery as a SIGTERM.
+        RSS/shm/disk for the duration, halving the worker pool's slots on
+        breach — and, once maps run in-process, cancelling the run
+        through the same cooperative machinery as a SIGTERM.
 
         With ``context.observability`` set and no session already open
         (the CLI's, or ``V2V.fit``'s), the run gets its own
@@ -190,11 +190,11 @@ class Pipeline:
     def _guarded(self, ctx: ExecutionContext):
         """Run the block under a pressure watchdog when a budget is armed.
 
-        Entered inside ``ctx.lifecycle()`` so the ladder's cancel rung
-        can reach the run's ambient cancellation token; without a token
-        (pure library call, no CLI lifecycle) the ladder still applies
-        every non-terminal mitigation. The ladder is reset on entry —
-        degradation is per-run state, not process history.
+        Entered inside ``ctx.lifecycle()`` so the watchdog's cancel can
+        reach the run's ambient cancellation token; without a token (pure
+        library call, no CLI lifecycle) it still halves the worker pool's
+        slots. The slot cap is lifted on exit: degradation is per-run
+        state, not process history.
         """
         budget = ctx.budget
         if budget is None or not budget.armed:
@@ -202,7 +202,7 @@ class Pipeline:
             return
         token = current_cancel_scope().token
         cancel = (
-            (lambda: token.cancel("resource_pressure", detail="guard ladder"))
+            (lambda: token.cancel("resource_pressure", detail="pressure watchdog"))
             if token is not None
             else None
         )

@@ -26,9 +26,9 @@ above uses to survive partial failure:
 - :mod:`repro.resilience.guard` — resource-pressure guardrails:
   :class:`ResourceBudget` (``--memory-budget`` / ``--disk-budget``),
   preflight footprint estimation with typed :class:`BudgetExceeded`,
-  the :class:`PressureWatchdog` daemon, and the pressure degradation
-  ladder (shrink waves → keep no idle pool workers → halve workers →
-  emergency checkpoint).
+  and the :class:`PressureWatchdog` daemon, which halves the worker
+  pool's slots on pressure (down to in-process maps) and then cancels
+  the run.
 - :mod:`repro.resilience.registry` — the crash-safe run journal
   (``runs.jsonl``) behind ``repro runs list`` / ``repro runs resume``,
   plus the startup sweeper that reclaims /dev/shm segments and torn
@@ -64,11 +64,10 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "PressureWatchdog",
             "ResourceBudget",
             "RunFootprint",
+            "effective_workers",
             "estimate_footprint",
-            "guard_state",
             "parse_size",
             "preflight",
-            "reset_guard",
         ),
         "registry": ("RunRecord", "RunRegistry"),
         "lifecycle": (

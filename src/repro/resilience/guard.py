@@ -1,42 +1,36 @@
-"""Resource-pressure guardrails: budgets, preflight, watchdog, ladder.
+"""Resource-pressure guardrails: budgets, preflight, watchdog.
 
 PRs 1/4/6 hardened the pipeline against dying *workers* and *signals*;
 this module defends against a dying *host* — the machine running out of
-RAM, /dev/shm, or disk mid-job. Three layers:
+RAM, /dev/shm, or disk mid-job. Two layers:
 
 **Preflight** (:func:`preflight`). Before ``Pipeline.execute`` runs a
 single stage, :func:`estimate_footprint` predicts the run's peak RSS
-(embedding matrices, walk corpus, example positions, Hogwild slabs), /dev/shm
-need, and checkpoint-dir disk need from the stage configs plus the
-input graph size. Against a :class:`ResourceBudget` the run then either
-fails fast with the typed :class:`BudgetExceeded` (``auto_degrade=False``)
-or degrades itself — fewer effective workers means no shared-memory
-slabs — before any expensive allocation happens.
+(embedding matrices, walk corpus, example positions, shared-memory
+buffers), /dev/shm need, and checkpoint-dir disk need from the stage
+configs plus the input graph size. Against a :class:`ResourceBudget` the
+run then either fails fast with the typed :class:`BudgetExceeded`
+(``auto_degrade=False``, or a run that does not fit even with one
+worker) or drops to one worker — no pooled walk matrix in /dev/shm —
+before any expensive allocation happens.
 
 **Watchdog** (:class:`PressureWatchdog`). A daemon thread samples VmRSS,
 /dev/shm free space, and checkpoint-dir free space every ``interval``
 seconds, publishing ``guard.*`` gauges and events through ``repro.obs``
-and appending ``pressure`` records to the run manifest. On a threshold
-breach it drives the **degradation ladder**:
+and appending ``pressure`` records to the run manifest. The worker
+pool's own degrade ladder is its one lever:
 
-    level 1  shrink walk frontier waves to one chunk at a time
-    level 2  tear the worker pool down after every map (no idle forks)
-    level 3  halve effective Hogwild map concurrency
-    level 4  cancel the run: ``RunInterrupted(reason="resource_pressure")``
+    soft breach   halve the shared pool's slot cap (next breach: again)
+    cap 1         maps run in-process, no worker forked or kept
+    soft breach   cancel the run: ``RunInterrupted(reason="resource_pressure")``
+    hard breach   cancel at once
 
-Level 4 rides the PR 6 cooperative-cancel machinery: the engines save
+The cancel rides the cooperative-cancel machinery: the engines save
 their epoch/wave-boundary checkpoints on the way down, so the run is
-resumable bitwise-identically — exactly like a SIGTERM. Crucially, no
-rung changes *model identity*: wave size and map concurrency are
-scheduling knobs outside every resume fingerprint, and Hogwild task
-structure (shards, per-worker seeds) always follows ``config.workers``.
-
-**Ladder state** (:class:`GuardState`). A process-wide singleton the hot
-paths poll cheaply: the walk engine clamps its wave via
-:func:`clamp_wave`, the worker pool consults :func:`pool_allowed` at the
-end of every map, the Hogwild trainer maps with
-:func:`effective_workers`. All no-ops at level 0, which is the only
-state tests and normal runs ever see unless a budget is armed.
+resumable bitwise-identically — exactly like a SIGTERM. No step changes
+*model identity*: map concurrency is a scheduling knob outside every
+resume fingerprint, and Hogwild task structure (shards, per-worker
+seeds) always follows ``config.workers``.
 """
 
 from __future__ import annotations
@@ -55,18 +49,13 @@ from repro.obs.resources import _proc_rss_kb
 
 __all__ = [
     "BudgetExceeded",
-    "GuardState",
     "PressureWatchdog",
     "ResourceBudget",
     "RunFootprint",
-    "clamp_wave",
     "effective_workers",
     "estimate_footprint",
-    "guard_state",
     "parse_size",
-    "pool_allowed",
     "preflight",
-    "reset_guard",
 ]
 
 _log = get_logger("resilience.guard")
@@ -78,11 +67,6 @@ DEGRADE_FRACTION = 0.85
 #: Minimum free space (bytes) the watchdog tolerates on /dev/shm or the
 #: checkpoint filesystem before treating it as pressure.
 MIN_FREE_BYTES = 32 * 1024 * 1024
-#: Ladder levels (level 0 = healthy).
-LEVEL_WAVE = 1
-LEVEL_POOL = 2
-LEVEL_WORKERS = 3
-LEVEL_CANCEL = 4
 
 _SIZE_RE = re.compile(r"^\s*(\d+(?:\.\d+)?)\s*([KMGT]?)I?B?\s*$", re.IGNORECASE)
 _SIZE_UNITS = {"": 1, "K": 1024, "M": 1024**2, "G": 1024**3, "T": 1024**4}
@@ -143,8 +127,8 @@ class ResourceBudget:
     ``memory_bytes`` bounds peak RSS (and, transitively, the /dev/shm
     slabs, which live in RAM); ``disk_bytes`` bounds what the checkpoint
     directory may grow to. ``auto_degrade=True`` lets preflight shrink
-    workers to fit instead of raising; the runtime ladder always
-    degrades (that is its purpose). ``interval`` is the watchdog sample
+    workers to fit instead of raising; the watchdog always degrades
+    (that is its purpose). ``interval`` is the watchdog sample
     period.
     """
 
@@ -196,7 +180,9 @@ def estimate_footprint(
 ) -> RunFootprint:
     """Predict peak RSS / shm / checkpoint-disk needs for a stage chain.
 
-    Sniffs stage configs structurally (a walk config has
+    ``workers`` is the context's worker count, which pools the walk
+    stage; the trainer's own ``workers`` decides Hogwild. Each charges
+    the /dev/shm it allocates. Sniffs stage configs structurally (a walk config has
     ``walks_per_vertex``; a train config has ``dim`` and ``window``) so
     the estimator needs no import of the stage classes. Estimates are
     deliberately slightly conservative — float64 reference-kernel sizes,
@@ -242,6 +228,10 @@ def estimate_footprint(
             # Checkpointed walk chunks mirror the corpus on disk, plus
             # one in-flight tmp file.
             disk += tokens * token_bytes + max(tokens, 1) * token_bytes // 4
+            if workers > 1:
+                # Pooled walks write one shared matrix in /dev/shm.
+                shm += tokens * token_bytes
+                breakdown["walk_shm"] = tokens * token_bytes
         if hasattr(cfg, "dim") and hasattr(cfg, "window"):
             dim = int(cfg.dim)
             window = int(cfg.window)
@@ -272,7 +262,7 @@ def estimate_footprint(
             )
             breakdown["train_weights"] = weights
             breakdown["train_examples"] = examples
-            if max(cfg_workers, workers) > 1:
+            if cfg_workers > 1:
                 # Hogwild maps weights, padded walks and positions into
                 # /dev/shm slabs; charging all of ``examples`` again
                 # over-counts only the per-process working set.
@@ -289,11 +279,6 @@ def estimate_footprint(
     )
 
 
-def _degraded_stages_fit(footprint: RunFootprint, budget: int) -> bool:
-    """Would dropping the shm slabs (workers→1) fit the memory budget?"""
-    return footprint.rss_bytes - footprint.shm_bytes <= budget
-
-
 def preflight(
     ctx: Any, stages: list[Any], value: Any
 ) -> Any:
@@ -301,11 +286,11 @@ def preflight(
 
     No-op (returns ``ctx`` unchanged) when the context carries no armed
     budget. With ``auto_degrade`` the only lever preflight pulls is
-    ``workers → 1`` — dropping the Hogwild shm slabs — because that is
-    the one degradation that provably reduces the footprint without
-    touching model identity for a fresh run. If even the degraded
-    footprint does not fit, or ``auto_degrade`` is off, raises
-    :class:`BudgetExceeded`.
+    ``ctx.workers → 1`` — no pooled walk matrix — because that never
+    touches model identity. The trainer's Hogwild slabs follow
+    ``TrainConfig.workers``, which is identity, so they stay charged. If
+    the one-worker footprint does not fit either, or ``auto_degrade`` is
+    off, raises :class:`BudgetExceeded`.
     """
     budget: ResourceBudget | None = getattr(ctx, "budget", None)
     if budget is None or not budget.armed:
@@ -322,8 +307,9 @@ def preflight(
     if budget.memory_bytes is not None and (
         footprint.rss_bytes > budget.memory_bytes
     ):
-        if budget.auto_degrade and ctx.workers != 1 and _degraded_stages_fit(
-            footprint, budget.memory_bytes
+        if budget.auto_degrade and (
+            estimate_footprint(stages, value, workers=1).rss_bytes
+            <= budget.memory_bytes
         ):
             rec.inc("guard.degradations")
             rec.event(
@@ -351,109 +337,16 @@ def preflight(
     return ctx
 
 
-# ---------------------------------------------------------------------------
-# Degradation-ladder state (process-wide, polled by the hot paths)
-
-
-class GuardState:
-    """Current degradation level plus the knobs each rung controls."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.level = 0
-        self._on_cancel: Callable[[], None] | None = None
-
-    def reset(self, *, on_cancel: Callable[[], None] | None = None) -> None:
-        with self._lock:
-            self.level = 0
-            self._on_cancel = on_cancel
-
-    def escalate(self, reason: str, *, to_level: int | None = None) -> int:
-        """Raise the degradation level by one rung (or jump to ``to_level``).
-
-        Returns the new level. Emits ``guard.degraded`` naming the rung
-        so manifests show exactly which mitigations fired, in order.
-        """
-        with self._lock:
-            target = self.level + 1 if to_level is None else max(
-                to_level, self.level
-            )
-            target = min(target, LEVEL_CANCEL)
-            if target == self.level:
-                return self.level
-            self.level = target
-            on_cancel = self._on_cancel if target >= LEVEL_CANCEL else None
-        rec = current_recorder()
-        rec.inc("guard.degradations")
-        rec.set("guard.level", float(target))
-        rec.event(
-            "guard.degraded",
-            level="warning",
-            rung=target,
-            action=_RUNG_NAMES.get(target, "?"),
-            reason=reason,
-        )
-        if target >= LEVEL_POOL:
-            # Frees idle forked workers and their inherited pages now,
-            # not at the next map.
-            from repro.parallel.persistent import shutdown_pools
-
-            shutdown_pools()
-        if on_cancel is not None:
-            on_cancel()
-        return target
-
-
-_RUNG_NAMES = {
-    LEVEL_WAVE: "shrink_walk_waves",
-    LEVEL_POOL: "disable_persistent_pool",
-    LEVEL_WORKERS: "halve_workers",
-    LEVEL_CANCEL: "emergency_checkpoint",
-}
-
-_STATE = GuardState()
-
-
-def guard_state() -> GuardState:
-    """The process-wide ladder state."""
-    return _STATE
-
-
-def reset_guard() -> None:
-    """Return the ladder to level 0 (tests; start of every guarded run)."""
-    _STATE.reset()
-
-
-def clamp_wave(wave: int) -> int:
-    """Walk-engine hook: chunks per frontier wave under pressure.
-
-    Level ≥ 1 serializes chunk scheduling to one chunk per wave, halving
-    the live walk buffers. Wave size is pure scheduling — a chunk's
-    bytes depend only on its rows — so this never perturbs resumability.
-    """
-    if _STATE.level >= LEVEL_WAVE:
-        return 1
-    return wave
-
-
-def pool_allowed() -> bool:
-    """Worker-pool hook: False once the ladder reached level 2.
-
-    The pool then tears its workers down at the end of every map.
-    """
-    return _STATE.level < LEVEL_POOL
-
-
 def effective_workers(workers: int) -> int:
-    """Hogwild hook: map concurrency under pressure (identity preserved).
+    """Map concurrency a ``workers``-wide map gets under the pressure cap.
 
-    Level ≥ 3 halves the *pool size* only; task structure (shards,
-    per-(epoch, worker) seeds) still follows ``config.workers``, so the
-    trained model is the one the config names — it just arrives slower.
+    ``min(workers, cap)`` of the shared worker pool; reads the cap
+    without creating a pool. Task structure is unaffected: Hogwild still
+    builds ``config.workers`` shards, only fewer run at once.
     """
-    if _STATE.level >= LEVEL_WORKERS and workers > 1:
-        return max(1, workers // 2)
-    return workers
+    from repro.parallel.persistent import slot_cap
+
+    return min(workers, slot_cap() or workers)
 
 
 # ---------------------------------------------------------------------------
@@ -474,11 +367,13 @@ def _rss_bytes() -> int | None:
 
 
 class PressureWatchdog:
-    """Daemon thread sampling RSS / shm / disk and driving the ladder.
+    """Daemon thread sampling RSS / shm / disk and degrading on breach.
 
-    One watchdog per guarded ``Pipeline.execute``; it owns the process
-    ladder state for the duration (``reset`` on start, and the cancel
-    rung is wired to the run's cancellation token). Samples publish
+    One watchdog per guarded ``Pipeline.execute``. A soft breach asks the
+    shared worker pool to halve its slot cap
+    (:meth:`repro.parallel.persistent.PersistentPool.degrade`); once maps
+    already run in-process, or on a hard breach, it calls ``cancel``.
+    :meth:`stop` lifts the cap and detaches ``cancel``. Samples publish
     ``guard.rss_bytes`` / ``guard.shm_free_bytes`` /
     ``guard.disk_free_bytes`` gauges and append ``pressure`` records to
     the recorder so the manifest carries the pressure timeline.
@@ -500,12 +395,12 @@ class PressureWatchdog:
         self.cooldown = float(cooldown)
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
-        self._last_escalation = 0.0
+        self._last_step = 0.0
+        self._cancelled = False
         self.samples = 0
 
     # -- lifecycle ------------------------------------------------------
     def start(self) -> "PressureWatchdog":
-        _STATE.reset(on_cancel=self._cancel)
         self._stop.clear()
         self._thread = threading.Thread(
             target=self._run, name="repro-guard", daemon=True
@@ -514,14 +409,17 @@ class PressureWatchdog:
         return self
 
     def stop(self) -> None:
+        from repro.parallel.persistent import get_pool, slot_cap
+
         self._stop.set()
         if self._thread is not None:
             self._thread.join(timeout=max(self.budget.interval * 4, 2.0))
             self._thread = None
-        # The run is over; leave the ladder as-is for inspection but
-        # detach the cancel hook so a stale escalation cannot cancel a
-        # *later* run's token.
-        _STATE._on_cancel = None
+        # The run is over: the next one starts with full slots, and a
+        # stale poll cannot cancel a later run's token.
+        self._cancel = None
+        if slot_cap() is not None:
+            get_pool().uncap()
 
     def __enter__(self) -> "PressureWatchdog":
         return self.start()
@@ -532,9 +430,11 @@ class PressureWatchdog:
     # -- sampling -------------------------------------------------------
     def sample(self) -> dict[str, Any]:
         """One pressure sample (also the unit tests' entry point)."""
+        from repro.parallel.persistent import slot_cap
+
         record: dict[str, Any] = {
             "t": round(time.monotonic(), 3),
-            "level": _STATE.level,
+            "slot_cap": slot_cap(),
         }
         rec = current_recorder()
         rss = _rss_bytes()
@@ -575,39 +475,55 @@ class PressureWatchdog:
         return None
 
     def poll_once(self) -> dict[str, Any]:
-        """Sample, record, and escalate if breached (honoring cooldown)."""
+        """Sample, record, and take one step if breached (honoring cooldown).
+
+        A soft breach halves the pool's slot cap; a hard one (RSS at or
+        past the budget), or a soft one with maps already in-process,
+        cancels the run.
+        """
         record = self.sample()
         reason = self.evaluate(record)
         rec = current_recorder()
         if reason is not None:
             rec.inc("guard.breaches")
-            # The record's "level" is the *ladder* level; keep it out of
-            # the event call's severity keyword.
-            payload = {k: v for k, v in record.items() if k != "level"}
-            rec.event(
-                "guard.pressure",
-                level="warning",
-                reason=reason,
-                ladder=record["level"],
-                **payload,
-            )
+            rec.event("guard.pressure", level="warning", reason=reason, **record)
             record["breach"] = reason
             now = time.monotonic()
-            if now - self._last_escalation >= self.cooldown:
-                self._last_escalation = now
-                # A hard overrun (rss past 100% of budget) goes straight
-                # to the cancel rung; soft pressure climbs one rung.
-                rss = record.get("rss_bytes")
-                hard = (
-                    self.budget.memory_bytes is not None
-                    and rss is not None
-                    and rss >= self.budget.memory_bytes
-                )
-                record["level"] = _STATE.escalate(
-                    reason, to_level=LEVEL_CANCEL if hard else None
-                )
+            if not self._cancelled and now - self._last_step >= self.cooldown:
+                self._last_step = now
+                self._step(record, reason)
         rec.add_pressure_record(record)
         return record
+
+    def _step(self, record: dict[str, Any], reason: str) -> None:
+        """Halve the pool's slots, or cancel when nothing is left to cut."""
+        from repro.parallel.persistent import get_pool, slot_cap
+
+        rss = record.get("rss_bytes")
+        hard = (
+            self.budget.memory_bytes is not None
+            and rss is not None
+            and rss >= self.budget.memory_bytes
+        )
+        pool = None if hard else get_pool()
+        halved = pool is not None and pool.degrade()
+        record["action"] = "halve_slots" if halved else "cancel"
+        record["slot_cap"] = slot_cap()
+        rec = current_recorder()
+        rec.inc("guard.degradations")
+        if record["slot_cap"] is not None:
+            rec.set("guard.slot_cap", float(record["slot_cap"]))
+        rec.event(
+            "guard.degraded",
+            level="warning",
+            action=record["action"],
+            slot_cap=record["slot_cap"],
+            reason=reason,
+        )
+        if not halved:
+            self._cancelled = True
+            if self._cancel is not None:
+                self._cancel()
 
     def _run(self) -> None:
         while not self._stop.wait(self.budget.interval):

@@ -130,9 +130,10 @@ class CancellationToken:
 class Deadline:
     """A wall-clock budget measured on the monotonic clock.
 
-    The expiry instant is fixed at construction, so copies inherited by
-    forked workers expire at the same real moment as the parent's.
-    :meth:`force_expire` lets chaos tests trip the budget on demand.
+    The expiry instant is fixed at construction. Pool workers drop the
+    copy they inherit at fork: the pool's cancel word reaches them
+    instead. :meth:`force_expire` lets chaos tests trip the budget on
+    demand.
     """
 
     __slots__ = ("seconds", "_expires_at", "_forced")

@@ -749,7 +749,6 @@ def _walk_fingerprint(g, config: RandomWalkConfig) -> dict:
 def _run_checkpointed(g, config, ctx, workers, bounds, walks, run) -> None:
     """Walk the chunks in ``bounds`` that no checkpoint holds yet, saving
     each chunk (with its rows) once its wave completes."""
-    from repro.resilience.guard import clamp_wave
     from repro.resilience.lifecycle import current_cancel_scope
 
     store = ctx.fingerprinted(
@@ -780,15 +779,13 @@ def _run_checkpointed(g, config, ctx, workers, bounds, walks, run) -> None:
         (i, lo, hi) for i, (lo, hi) in enumerate(bounds) if not done[lo:hi].all()
     ]
     # Compute in waves of `workers` chunks, checkpointing after each
-    # wave, so a kill mid-job loses at most one wave of work. Under
-    # memory pressure the guard ladder clamps the wave to one chunk —
-    # re-read per wave so a mid-run breach takes effect immediately.
+    # wave, so a kill mid-job loses at most one wave of work.
     first, wave_index = 0, 0
     while first < len(missing):
         # Completed waves are already durable; raising here (cancel or
         # deadline) loses at most the wave in flight.
         scope.check()
-        wave = missing[first : first + clamp_wave(max(workers, 1))]
+        wave = missing[first : first + max(workers, 1)]
         first += len(wave)
         wave_started = time.perf_counter()
         run([(lo, hi) for _, lo, hi in wave])

@@ -21,8 +21,13 @@ from repro.parallel.pool import (
     resolve_workers,
 )
 from repro.resilience.chaos import FaultInjector, InjectedFault
-from repro.resilience.guard import LEVEL_POOL, guard_state, reset_guard
-from repro.resilience.lifecycle import CancellationToken, RunInterrupted, cancel_scope
+from repro.resilience.lifecycle import (
+    CancellationToken,
+    Deadline,
+    RunInterrupted,
+    cancel_scope,
+    current_cancel_scope,
+)
 from repro.resilience.supervisor import SupervisorConfig
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="pool requires fork")
@@ -65,6 +70,16 @@ def _sleep_then_double(x):
 def _sleep_long(x):
     time.sleep(0.05 if x else 60.0)  # item 0 outlives any cancel grace
     return x
+
+
+def _check_scope(x):
+    current_cancel_scope().check()
+    return x
+
+
+def _degrade_fully(pool) -> None:
+    while pool.degrade():
+        pass
 
 
 def _pool_children() -> set:
@@ -240,16 +255,20 @@ class TestOnePool:
         assert (tmp_path / "fired").exists(), "fault never fired"
         assert recording.snapshot()["counters"]["supervisor.respawns"] == 1
 
-    def test_pool_rung_keeps_no_idle_workers(self):
-        reset_guard()
+    def test_pool_at_cap_one_keeps_no_idle_workers(self):
+        shutdown_pools()
         try:
-            guard_state().escalate("test", to_level=LEVEL_POOL)
+            parallel_map(square, list(range(8)), workers=2)
+            pool = get_pool()
+            assert pool.degrade()  # two slots → one: stop the idle now
+            assert all(worker is None for worker in pool._workers)
             before = _pool_children()
             out = parallel_map(square, list(range(8)), workers=2)
             assert out == [x * x for x in range(8)]
             assert _pool_children() <= before
+            assert not pool.degrade(), "nothing left to cut at cap 1"
         finally:
-            reset_guard()
+            shutdown_pools()
 
 
 @needs_fork
@@ -292,6 +311,37 @@ class TestLifecycle:
             assert out == [[2 * x for x in range(n)]]
             assert _pool_children() <= baseline, "worker outlived shutdown"
 
+    def test_degrade_from_another_thread_mid_map(self, recording):
+        """A degrade step fired from another thread at any moment of a map.
+
+        The pressure watchdog halves the slots from its own thread.
+        Wherever the steps land, the map must return the serial results,
+        recompute nothing, and keep no worker past the cap.
+        """
+        rng = random.Random(0)
+        items = list(range(24))
+        baseline = _pool_children()
+        for offset in [rng.uniform(0.0, 0.08) for _ in range(20)]:
+            p = PersistentPool()
+            out = []
+            runner = threading.Thread(
+                target=lambda: out.append(
+                    _map(p, _sleep_then_double, items, workers=4)
+                ),
+                daemon=True,
+            )
+            stepper = threading.Timer(offset, lambda: _degrade_fully(p))
+            stepper.start()
+            runner.start()
+            runner.join(timeout=5.0)
+            stepper.join()
+            assert not runner.is_alive(), f"map hung (step at {offset:.4f}s)"
+            assert out == [[2 * x for x in items]]
+            assert p.cap == 1
+            assert _pool_children() <= baseline, "worker outlived the cap"
+            p.shutdown()
+        assert "supervisor.items_reassigned" not in recording.snapshot()["counters"]
+
     def test_cancel_mid_map_kills_stragglers_and_raises(self, pool, recording):
         token = CancellationToken()
         killer = threading.Timer(0.2, token.cancel)
@@ -306,6 +356,14 @@ class TestLifecycle:
         assert time.monotonic() - start < 5.0
         assert recording.snapshot()["counters"]["supervisor.cancelled"] == 1
         assert _map(pool, _double, [1, 2]) == [2, 4]
+
+    def test_reused_worker_forgets_the_scope_it_was_forked_under(self, pool):
+        # Workers forked inside one run serve the maps of later runs; the
+        # earlier run's deadline must not expire inside them.
+        with cancel_scope(deadline=Deadline(0.2)):
+            assert _map(pool, _pid, [0, 1]) != [os.getpid()] * 2
+        time.sleep(0.3)
+        assert _map(pool, _check_scope, list(range(8))) == list(range(8))
 
     def test_workers_must_be_positive(self, pool):
         with pytest.raises(ValueError):

@@ -1,11 +1,14 @@
-"""Resource guard: budgets, preflight, degradation ladder, watchdog.
+"""Resource guard: budgets, preflight, watchdog, and the pressure path
+through the shared worker pool's slot cap.
 
-Everything here runs against the process-wide ladder singleton, so an
-autouse fixture resets it around every test — level 0 is the invariant
-state the rest of the suite relies on.
+A degrade step caps the process-wide pool, so an autouse fixture shuts
+the pool down after every test: an uncapped pool is the invariant state
+the rest of the suite relies on.
 """
 
 import io
+import multiprocessing
+import os
 import time
 import tracemalloc
 
@@ -14,36 +17,52 @@ import pytest
 from repro.obs.logging import parse_jsonl
 from repro.obs.manifest import load_manifest
 from repro.obs.recorder import ObsConfig, Recorder, session, use
+from repro.parallel.persistent import get_pool, shutdown_pools, slot_cap
+from repro.parallel.pool import parallel_map
 from repro.pipeline import ExecutionContext, Pipeline
 from repro.pipeline.stage import PipelineStage
+from repro.resilience import guard
 from repro.resilience.guard import (
     DEGRADE_FRACTION,
-    LEVEL_CANCEL,
-    LEVEL_POOL,
-    LEVEL_WAVE,
-    LEVEL_WORKERS,
     MIN_FREE_BYTES,
     BudgetExceeded,
     PressureWatchdog,
     ResourceBudget,
-    clamp_wave,
     effective_workers,
     estimate_footprint,
     format_size,
-    guard_state,
     parse_size,
-    pool_allowed,
     preflight,
-    reset_guard,
 )
+from repro.resilience.lifecycle import CancellationToken, RunInterrupted, cancel_scope
 from repro.walks.corpus import WALK_DTYPE
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="pool requires fork")
 
 
 @pytest.fixture(autouse=True)
-def clean_ladder():
-    reset_guard()
+def uncapped_pool():
     yield
-    reset_guard()
+    shutdown_pools()
+
+
+#: Memory budget of the soft-pressure tests; ``soft_rss`` pins every
+#: sample's RSS between the degrade threshold and the budget.
+SOFT_BUDGET = 1 << 30
+
+
+@pytest.fixture()
+def soft_rss(monkeypatch):
+    rss = int(SOFT_BUDGET * (DEGRADE_FRACTION + 1.0) / 2)
+    monkeypatch.setattr(guard, "_rss_bytes", lambda: rss)
+
+
+def _pid(_):
+    return os.getpid()
+
+
+def _children() -> set:
+    return {child.pid for child in multiprocessing.active_children()}
 
 
 class TestParseSize:
@@ -121,6 +140,10 @@ class _FakeTrainConfig:
     workers = 4
 
 
+class _FakeSerialTrainConfig(_FakeTrainConfig):
+    workers = 1
+
+
 class _Stage:
     def __init__(self, name, config):
         self.name = name
@@ -129,6 +152,7 @@ class _Stage:
 
 WALK_STAGE = _Stage("walk", _FakeWalkConfig())
 TRAIN_STAGE = _Stage("train", _FakeTrainConfig())
+SERIAL_TRAIN_STAGE = _Stage("train", _FakeSerialTrainConfig())
 
 
 class TestEstimateFootprint:
@@ -155,14 +179,24 @@ class TestEstimateFootprint:
         )
 
     def test_single_worker_training_needs_no_shm(self):
-        class SerialTrain(_FakeTrainConfig):
-            workers = 1
-
-        fp = estimate_footprint(
-            [WALK_STAGE, _Stage("train", SerialTrain())], _FakeGraph()
-        )
+        fp = estimate_footprint([WALK_STAGE, SERIAL_TRAIN_STAGE], _FakeGraph())
         assert fp.shm_bytes == 0
         assert "hogwild_shm" not in fp.breakdown
+
+    def test_pooled_walks_charge_only_the_walk_matrix(self):
+        # Two walk workers and a serial trainer: /dev/shm holds the walk
+        # matrix, never the trainer's slabs.
+        fp = estimate_footprint(
+            [WALK_STAGE, SERIAL_TRAIN_STAGE], _FakeGraph(), workers=2
+        )
+        walk_matrix = 1000 * 10 * 80 * WALK_DTYPE.itemsize
+        assert fp.shm_bytes == fp.breakdown["walk_shm"] == walk_matrix
+        assert "hogwild_shm" not in fp.breakdown
+
+    def test_serial_walks_charge_only_the_hogwild_slabs(self):
+        fp = estimate_footprint(STAGES, _FakeGraph(), workers=1)
+        assert fp.shm_bytes == fp.breakdown["hogwild_shm"]
+        assert "walk_shm" not in fp.breakdown
 
     def test_as_dict_is_json_shaped(self):
         d = estimate_footprint([WALK_STAGE], _FakeGraph()).as_dict()
@@ -200,6 +234,8 @@ def _ctx(workers=4, **budget_kwargs):
 
 
 STAGES = [WALK_STAGE, TRAIN_STAGE]
+#: Pooled walks and a serial trainer: one worker drops all of /dev/shm.
+DEGRADABLE = [WALK_STAGE, SERIAL_TRAIN_STAGE]
 
 
 def _session_events(tmp_path, action) -> list[dict]:
@@ -225,22 +261,46 @@ class TestPreflight:
         assert preflight(ctx, STAGES, _FakeGraph()) is ctx
 
     def test_tight_memory_degrades_workers_to_one(self):
-        # The full footprint (~155M with shm slabs) overruns 100M, but
-        # dropping the Hogwild slabs fits — preflight shrinks the run
-        # instead of refusing it.
-        fp = estimate_footprint(STAGES, _FakeGraph(), workers=4)
+        # Two walk workers put the walk matrix in /dev/shm; the full
+        # footprint overruns the budget, one worker fits — preflight
+        # shrinks the run instead of refusing it.
+        fp = estimate_footprint(DEGRADABLE, _FakeGraph(), workers=4)
         budget = fp.rss_bytes - fp.shm_bytes // 2
         assert fp.rss_bytes > budget > fp.rss_bytes - fp.shm_bytes
-        degraded = preflight(_ctx(memory_bytes=budget), STAGES, _FakeGraph())
+        degraded = preflight(_ctx(memory_bytes=budget), DEGRADABLE, _FakeGraph())
         assert degraded.workers == 1
+        one = estimate_footprint(DEGRADABLE, _FakeGraph(), workers=1)
+        assert one.rss_bytes <= budget
+
+    def test_hogwild_slabs_stay_charged_after_degrading(self):
+        # The context's workers do not size the Hogwild slabs — the
+        # trainer's own workers do. A budget that only the slab-free
+        # footprint fits must be refused, not degraded into an overrun.
+        from repro.core.trainer import TrainConfig
+        from repro.walks.engine import RandomWalkConfig
+
+        class Graph:
+            n = 20_000
+            num_edges = 100_000
+
+        stages = [
+            _Stage("walk", RandomWalkConfig(walks_per_vertex=10, walk_length=40)),
+            _Stage("train", TrainConfig(dim=50, workers=2)),
+        ]
+        fp = estimate_footprint(stages, Graph(), workers=2)
+        budget = fp.rss_bytes - fp.shm_bytes
+        assert estimate_footprint(stages, Graph(), workers=1).rss_bytes > budget
+        with pytest.raises(BudgetExceeded) as err:
+            preflight(_ctx(workers=2, memory_bytes=budget), stages, Graph())
+        assert err.value.needed == fp.rss_bytes
 
     def test_strict_budget_raises_instead_of_degrading(self):
-        fp = estimate_footprint(STAGES, _FakeGraph(), workers=4)
+        fp = estimate_footprint(DEGRADABLE, _FakeGraph(), workers=4)
         budget = fp.rss_bytes - fp.shm_bytes // 2
         with pytest.raises(BudgetExceeded) as err:
             preflight(
                 _ctx(memory_bytes=budget, auto_degrade=False),
-                STAGES,
+                DEGRADABLE,
                 _FakeGraph(),
             )
         assert err.value.resource == "memory"
@@ -256,18 +316,20 @@ class TestPreflight:
         assert err.value.resource == "disk"
 
     def test_degradation_is_counted(self):
-        fp = estimate_footprint(STAGES, _FakeGraph(), workers=4)
+        fp = estimate_footprint(DEGRADABLE, _FakeGraph(), workers=4)
         budget = fp.rss_bytes - fp.shm_bytes // 2
         with use(Recorder()) as rec:
-            preflight(_ctx(memory_bytes=budget), STAGES, _FakeGraph())
+            preflight(_ctx(memory_bytes=budget), DEGRADABLE, _FakeGraph())
             assert rec.registry.snapshot()["counters"]["guard.degradations"] == 1
 
     def test_degradation_is_logged_once(self, tmp_path):
-        fp = estimate_footprint(STAGES, _FakeGraph(), workers=4)
+        fp = estimate_footprint(DEGRADABLE, _FakeGraph(), workers=4)
         budget = fp.rss_bytes - fp.shm_bytes // 2
         events = _session_events(
             tmp_path,
-            lambda: preflight(_ctx(memory_bytes=budget), STAGES, _FakeGraph()),
+            lambda: preflight(
+                _ctx(memory_bytes=budget), DEGRADABLE, _FakeGraph()
+            ),
         )
         degradations = [
             e for e in events
@@ -279,58 +341,133 @@ class TestPreflight:
         assert degraded["workers_before"] == 4
 
 
+def _soft_dog(**kwargs) -> PressureWatchdog:
+    return PressureWatchdog(
+        ResourceBudget(memory_bytes=SOFT_BUDGET), cooldown=0.0, **kwargs
+    )
+
+
+@needs_fork
 class TestLadder:
+    """Soft pressure halves the shared pool's slots, then cancels."""
+
     def test_level_zero_is_transparent(self):
-        assert clamp_wave(8) == 8
-        assert pool_allowed()
+        assert slot_cap() is None
         assert effective_workers(4) == 4
 
-    def test_wave_rung_serializes_chunk_scheduling(self):
-        guard_state().escalate("test")
-        assert guard_state().level == LEVEL_WAVE
-        assert clamp_wave(8) == 1
-        # Pool and workers untouched at this rung.
-        assert pool_allowed()
-        assert effective_workers(4) == 4
+    def test_two_slots_then_in_process_then_cancel(self, soft_rss):
+        token = CancellationToken()
+        dog = _soft_dog(cancel=lambda: token.cancel("resource_pressure"))
+        with use(Recorder()) as rec, cancel_scope(token):
+            wide = set(parallel_map(_pid, list(range(8)), workers=2))
+            assert len(wide) == 2 and os.getpid() not in wide
+            first = dog.poll_once()
+            assert (first["action"], first["slot_cap"]) == ("halve_slots", 1)
+            # The idle workers stopped with the step, not at the next map.
+            assert _children().isdisjoint(wide)
+            assert effective_workers(2) == 1
+            assert parallel_map(_pid, list(range(8)), workers=2) == [
+                os.getpid()
+            ] * 8
+            assert not token.cancelled
+            second = dog.poll_once()
+            assert second["action"] == "cancel"
+            with pytest.raises(RunInterrupted) as err:
+                parallel_map(_pid, list(range(8)), workers=2)
+        assert err.value.reason == "resource_pressure"
+        snapshot = rec.registry.snapshot()
+        assert snapshot["counters"]["guard.breaches"] == 2
+        assert snapshot["counters"]["guard.degradations"] == 2
+        assert snapshot["gauges"]["guard.slot_cap"] == 1
+        assert _children().isdisjoint(wide)
 
-    def test_pool_rung_disables_persistent_pool(self):
-        guard_state().escalate("test", to_level=LEVEL_POOL)
-        assert not pool_allowed()
+    def test_worker_rung_halves_map_concurrency(self, soft_rss):
+        # Each step halves from the latest map's slot count.
+        parallel_map(_pid, list(range(8)), workers=4)
+        dog = _soft_dog()
+        with use(Recorder()):
+            assert dog.poll_once()["slot_cap"] == 2
+            assert effective_workers(4) == 2
+            assert effective_workers(1) == 1
+            assert dog.poll_once()["slot_cap"] == 1
+            assert effective_workers(4) == 1
 
-    def test_worker_rung_halves_map_concurrency(self):
-        guard_state().escalate("test", to_level=LEVEL_WORKERS)
-        assert effective_workers(4) == 2
-        assert effective_workers(2) == 1
-        # Serial maps cannot be halved further.
-        assert effective_workers(1) == 1
+    def test_hogwild_epoch_at_cap_one_forks_nothing(self, tmp_path):
+        from repro.core.trainer import TrainConfig, train_embeddings
+        from repro.graph.generators import planted_partition
+        from repro.parallel.hogwild import hogwild_supported
+        from repro.walks.engine import RandomWalkConfig, generate_walks
 
-    def test_cancel_rung_invokes_the_hook(self):
+        if not hogwild_supported():
+            pytest.skip("Hogwild needs shared memory")
+        g = planted_partition(n=60, groups=3, alpha=0.3, inter_edges=10, seed=0)
+        corpus = generate_walks(
+            g, RandomWalkConfig(walks_per_vertex=4, walk_length=20, seed=0)
+        )
+        pool = get_pool()
+        while pool.degrade():
+            pass
+        assert slot_cap() == 1
+        before = _children()
+        config = TrainConfig(dim=8, epochs=1, workers=2, seed=0)
+        events = _session_events(
+            tmp_path, lambda: train_embeddings(corpus, config)
+        )
+        rows = [e for e in events if e["event"] == "hogwild.worker"]
+        # Task structure still follows config.workers: two shards.
+        assert sorted(row["worker"] for row in rows) == [0, 1]
+        assert _children() <= before
+        assert all(worker is None for worker in pool._workers)
+
+    def test_cancel_rung_invokes_the_hook(self, soft_rss):
         fired = []
-        guard_state().reset(on_cancel=lambda: fired.append(True))
-        guard_state().escalate("test", to_level=LEVEL_CANCEL)
+        while get_pool().degrade():
+            pass
+        dog = _soft_dog(cancel=lambda: fired.append(True))
+        with use(Recorder()):
+            assert dog.poll_once()["action"] == "cancel"
         assert fired == [True]
 
-    def test_one_escalation_logs_one_degraded_event(self, tmp_path):
-        events = _session_events(tmp_path, lambda: guard_state().escalate("test"))
+    def test_one_escalation_logs_one_degraded_event(self, tmp_path, soft_rss):
+        from repro.parallel.pool import default_workers
+
+        events = _session_events(tmp_path, lambda: _soft_dog().poll_once())
         (degraded,) = [e for e in events if e["event"] == "guard.degraded"]
-        assert degraded["rung"] == LEVEL_WAVE
-        assert degraded["reason"] == "test"
+        assert degraded["action"] == "halve_slots"
+        # A pool that ran no map halves its default width.
+        assert degraded["slot_cap"] == max(default_workers() // 2, 1)
+        assert "85%" in degraded["reason"]
 
-    def test_escalation_never_goes_backwards(self):
-        guard_state().escalate("test", to_level=LEVEL_WORKERS)
-        guard_state().escalate("test", to_level=LEVEL_WAVE)
-        assert guard_state().level == LEVEL_WORKERS
+    def test_escalation_never_goes_backwards(self, soft_rss):
+        parallel_map(_pid, list(range(8)), workers=4)
+        with use(Recorder()):
+            _soft_dog().poll_once()
+        # A wide map runs under the cap and leaves it where it was.
+        assert len(set(parallel_map(_pid, list(range(8)), workers=4))) == 2
+        assert slot_cap() == 2
+        assert effective_workers(8) == 2
 
-    def test_escalation_clamps_at_cancel(self):
-        for _ in range(10):
-            guard_state().escalate("test")
-        assert guard_state().level == LEVEL_CANCEL
+    def test_escalation_clamps_at_cancel(self, soft_rss):
+        fired = []
+        dog = _soft_dog(cancel=lambda: fired.append(True))
+        with use(Recorder()):
+            actions = [dog.poll_once().get("action") for _ in range(10)]
+        # Halvings down to one slot, one cancel, then nothing more.
+        halvings = actions.index("cancel")
+        assert set(actions[:halvings]) == {"halve_slots"}
+        assert actions[halvings + 1 :] == [None] * (9 - halvings)
+        assert fired == [True]
 
-    def test_reset_returns_to_healthy(self):
-        guard_state().escalate("test", to_level=LEVEL_CANCEL)
-        reset_guard()
-        assert guard_state().level == 0
-        assert clamp_wave(8) == 8
+    def test_reset_returns_to_healthy(self, soft_rss):
+        dog = _soft_dog()
+        with use(Recorder()) as rec:
+            dog.poll_once()
+            assert slot_cap() is not None
+            dog.stop()
+            assert slot_cap() is None
+            pids = set(parallel_map(_pid, list(range(8)), workers=2))
+        assert len(pids) == 2 and os.getpid() not in pids
+        assert rec.registry.snapshot()["gauges"]["supervisor.workers"] == 2
 
 
 class TestWatchdog:
@@ -339,7 +476,7 @@ class TestWatchdog:
             ResourceBudget(memory_bytes=1), checkpoint_dir=tmp_path
         )
         record = dog.sample()
-        assert record["level"] == 0
+        assert record["slot_cap"] is None
         assert record["rss_bytes"] > 0
         assert record["shm_free_bytes"] > 0
         assert record["disk_free_bytes"] > 0
@@ -375,39 +512,38 @@ class TestWatchdog:
 
     def test_hard_rss_overrun_jumps_to_cancel(self):
         # A 1-byte memory budget: the very first sample is a hard breach,
-        # which must skip the gentle rungs and cancel outright.
+        # which must skip the pool's halving and cancel outright.
         fired = []
         dog = PressureWatchdog(
             ResourceBudget(memory_bytes=1), cancel=lambda: fired.append(True)
         )
-        guard_state().reset(on_cancel=dog._cancel)
         with use(Recorder()) as rec:
             record = dog.poll_once()
         assert record["breach"]
-        assert record["level"] == LEVEL_CANCEL
+        assert record["action"] == "cancel"
         assert fired == [True]
+        assert slot_cap() is None
         counters = rec.registry.snapshot()["counters"]
         assert counters["guard.breaches"] == 1
         assert counters["guard.degradations"] == 1
         assert rec.pressure_records == [record]
 
-    def test_cooldown_batches_escalations(self):
+    def test_cooldown_batches_escalations(self, soft_rss):
         dog = PressureWatchdog(
-            ResourceBudget(memory_bytes=1), cooldown=3600.0
+            ResourceBudget(memory_bytes=SOFT_BUDGET), cooldown=3600.0
         )
-        guard_state().reset(on_cancel=None)
         with use(Recorder()):
-            dog.poll_once()
-            level_after_first = guard_state().level
-            dog.poll_once()
-        assert guard_state().level == level_after_first
+            first = dog.poll_once()
+            second = dog.poll_once()
+        assert first["action"] == "halve_slots"
+        assert second["breach"] and "action" not in second
 
     def test_healthy_budget_records_without_escalating(self):
         dog = PressureWatchdog(ResourceBudget(memory_bytes=64 * 1024**4))
         with use(Recorder()) as rec:
             record = dog.poll_once()
-        assert "breach" not in record
-        assert guard_state().level == 0
+        assert "breach" not in record and "action" not in record
+        assert slot_cap() is None
         assert rec.pressure_records == [record]
 
     def test_thread_lifecycle_samples_and_detaches(self):
@@ -421,11 +557,12 @@ class TestWatchdog:
                 deadline = time.monotonic() + 2.0
                 while dog.samples == 0 and time.monotonic() < deadline:
                     time.sleep(0.01)
-        assert dog.samples > 0
-        assert dog._thread is None
-        # Stop detaches the cancel hook: a stale escalation must not be
-        # able to cancel a later run.
-        guard_state().escalate("after-stop", to_level=LEVEL_CANCEL)
+            assert dog.samples > 0
+            assert dog._thread is None
+            # Stop detaches the cancel hook: a stale poll must not be
+            # able to cancel a later run.
+            dog.budget = ResourceBudget(memory_bytes=1)
+            assert dog.poll_once()["action"] == "cancel"
         assert fired == []
 
 
@@ -454,7 +591,56 @@ class _NeverStage(PipelineStage):
         return value
 
 
+class _PressuredStage(PipelineStage):
+    """Maps on two slots, then polls the run's watchdog, a few times over."""
+
+    name = "pressured"
+
+    def __init__(self, dogs: list) -> None:
+        self.dogs = dogs
+        self.pids: list[list[int]] = []
+
+    def run(self, ctx, value):
+        for _ in range(3):
+            self.pids.append(parallel_map(_pid, list(range(4)), workers=2))
+            self.dogs[-1].poll_once()
+        return value
+
+
 class TestPipelineIntegration:
+    @needs_fork
+    def test_soft_pressure_cancels_once_maps_run_in_process(
+        self, tmp_path, monkeypatch, soft_rss
+    ):
+        dogs: list = []
+
+        def watchdog(budget, **kwargs):
+            dogs.append(PressureWatchdog(budget, cooldown=0.0, **kwargs))
+            return dogs[-1]
+
+        # The stage polls; the watchdog's own thread never does.
+        monkeypatch.setattr("repro.pipeline.runner.PressureWatchdog", watchdog)
+        stage = _PressuredStage(dogs)
+        ctx = ExecutionContext(
+            cancellation=CancellationToken(),
+            budget=ResourceBudget(memory_bytes=SOFT_BUDGET, interval=3600.0),
+        )
+        manifest_path = tmp_path / "manifest.json"
+        cfg = ObsConfig(log_level="error", metrics_out=str(manifest_path))
+        with pytest.raises(RunInterrupted):
+            with session(cfg, run_config={}, stream=io.StringIO()):
+                Pipeline([stage]).execute(None, ctx)
+        manifest = load_manifest(manifest_path)
+        assert manifest["status"] == "interrupted"
+        assert manifest["interrupt_reason"] == "resource_pressure"
+        pressure = manifest["pressure"]
+        assert [r["action"] for r in pressure] == ["halve_slots", "cancel"]
+        assert [r["slot_cap"] for r in pressure] == [1, 1]
+        pooled, in_process = stage.pids
+        assert os.getpid() not in pooled
+        assert in_process == [os.getpid()] * 4
+        assert slot_cap() is None, "the run's end must lift the cap"
+
     def test_guarded_run_lands_pressure_timeline_in_manifest(self, tmp_path):
         manifest_path = tmp_path / "manifest.json"
         pipeline = Pipeline([_WaitStage()])
