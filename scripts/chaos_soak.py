@@ -13,8 +13,12 @@ Subprocess scenarios (a real ``python -m repro embed`` per run):
   atexit). ``repro runs list`` must fold the dead run to ``orphaned``
   and sweep its debris; ``repro runs resume --latest`` must finish the
   job bitwise.
-- **signal** — SIGTERM mid-training → exit 130 + ``interrupted``
-  manifest; ``repro runs resume --latest`` finishes bitwise.
+- **signal** — SIGTERM at a seed-drawn fixed point: the start of one
+  of the epochs the reference run trained, or just after the command
+  returns (before the CLI seals the outcome) → exit 130 +
+  ``interrupted`` manifest; ``repro runs resume --latest`` finishes
+  bitwise. The run signals itself through a ``FaultInjector``, so the
+  fault never races the run's end.
 - **deadline** — ``--deadline 0`` → exit 124 with
   ``interrupt_reason: deadline``; an explicit ``--resume`` run (without
   the deadline) finishes bitwise.
@@ -46,7 +50,6 @@ import argparse
 import io
 import json
 import os
-import signal
 import subprocess
 import sys
 import tempfile
@@ -127,8 +130,8 @@ def _run(argv, **kwargs):
     )
 
 
-def _kill_when_checkpointed(proc, ckpt, signum, jitter):
-    """Deliver ``signum`` once the first trainer checkpoint is durable."""
+def _kill_when_checkpointed(proc, ckpt, jitter):
+    """SIGKILL ``proc`` once the first trainer checkpoint is durable."""
     trainer_ckpt = Path(ckpt) / "trainer.ckpt.npz"
     give_up = time.monotonic() + 120
     while (
@@ -141,12 +144,12 @@ def _kill_when_checkpointed(proc, ckpt, signum, jitter):
         return f"run finished (exit {proc.returncode}) before the fault landed"
     time.sleep(jitter)
     if proc.poll() is None:
-        proc.send_signal(signum)
+        proc.kill()
     try:
         proc.wait(timeout=120)
     except subprocess.TimeoutExpired:
         proc.kill()
-        return "run did not wind down after the signal"
+        return "run did not exit after SIGKILL"
     return None
 
 
@@ -190,9 +193,7 @@ def _kill_scenario(seed, edges, ref_out, scratch, out_dir, rng):
         + _embed_argv(edges, out, ckpt, seed),
         env=_env(),
     )
-    err = _kill_when_checkpointed(
-        proc, ckpt, signal.SIGKILL, jitter=float(rng.uniform(0, 0.05))
-    )
+    err = _kill_when_checkpointed(proc, ckpt, jitter=float(rng.uniform(0, 0.05)))
     if err:
         return [f"{label}: {err}"]
 
@@ -211,26 +212,53 @@ def _kill_scenario(seed, edges, ref_out, scratch, out_dir, rng):
     return failures
 
 
-def _signal_scenario(seed, edges, ref_out, scratch, out_dir, rng):
-    """SIGTERM → 130 + interrupted manifest → resume bitwise."""
+# Runs `repro <argv[2:]>` with a SIGTERM at point argv[1]: at the start
+# of epoch N's batches (N >= 1), or with 0 just after the command
+# returns. The injector signals its own process, so the point is exact.
+_SIGNAL_AT = """
+import sys
+
+from repro import cli
+from repro.core import trainer
+from repro.resilience.chaos import FaultInjector
+
+point = int(sys.argv[1])
+if point:
+    trainer.step_batches = FaultInjector(
+        trainer.step_batches, signal_on_calls={point}
+    )
+else:
+    command = cli.COMMANDS["embed"]
+    fire = FaultInjector(lambda: None, signal_on_calls={1})
+
+    def embed_then_signal(args):
+        rc = command(args)
+        fire()
+        return rc
+
+    cli.COMMANDS["embed"] = embed_then_signal
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def _signal_scenario(seed, edges, ref_out, scratch, out_dir, rng, epochs):
+    """SIGTERM at a fixed point → 130 + interrupted manifest → resume bitwise."""
     failures = []
     label = f"seed{seed}.signal"
     ckpt = scratch / f"signal{seed}"
     out = scratch / f"signal{seed}.npz"
     manifest = out_dir / f"seed{seed}.signal.manifest.json"
     shm_before = _shm_names()
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro"]
+    # Half the seeds signal at the start of an epoch the reference run
+    # trained (1..epochs), half just after the command returns (0).
+    point = int(rng.integers(1, epochs + 1)) if rng.random() < 0.5 else 0
+    rc = subprocess.run(
+        [sys.executable, "-c", _SIGNAL_AT, str(point)]
         + _embed_argv(edges, out, ckpt, seed, manifest=manifest),
         env=_env(),
-    )
-    err = _kill_when_checkpointed(
-        proc, ckpt, signal.SIGTERM, jitter=float(rng.uniform(0, 0.05))
-    )
-    if err:
-        return [f"{label}: {err}"]
-    if proc.returncode != 130:
-        failures.append(f"{label}: expected exit 130, got {proc.returncode}")
+    ).returncode
+    if rc != 130:
+        failures.append(f"{label}: expected exit 130, got {rc}")
     recorded = _read_manifest(manifest, label, failures)
     if recorded and recorded["status"] != "interrupted":
         failures.append(f"{label}: manifest status {recorded['status']!r}")
@@ -240,7 +268,11 @@ def _signal_scenario(seed, edges, ref_out, scratch, out_dir, rng):
     else:
         _assert_bitwise(ref_out, out, label, failures)
     _check_no_debris(label, ckpt, shm_before, failures)
-    print(f"[chaos-soak] {label}: exit=130 resumed={'ok' if not failures else 'FAIL'}")
+    where = f"epoch {point}" if point else "return"
+    print(
+        f"[chaos-soak] {label}: at={where} exit=130 "
+        f"resumed={'ok' if not failures else 'FAIL'}"
+    )
     return failures
 
 
@@ -432,18 +464,28 @@ def _soak_one_seed(seed, scratch, out_dir, baseline_rss):
     # One uninterrupted reference per seed; every subprocess scenario
     # must reproduce it bitwise after its fault + resume.
     ref_out = scratch / f"ref{seed}.npz"
+    ref_manifest = scratch / f"ref{seed}.manifest.json"
     rc = _run(
-        _embed_argv(edges, ref_out, scratch / f"ref{seed}", seed)
+        _embed_argv(
+            edges, ref_out, scratch / f"ref{seed}", seed, manifest=ref_manifest
+        )
     ).returncode
     if rc != 0:
         return [f"seed{seed}: reference run failed (exit {rc})"]
+    # Early stopping ends the run before --epochs; the signal scenario
+    # only picks epochs the same seeded run is sure to reach.
+    epochs = int(
+        load_manifest(ref_manifest)["metrics"]["counters"]["train.epochs_run"]
+    )
 
     corpus = generate_walks(
         graph, RandomWalkConfig(walks_per_vertex=4, walk_length=20, seed=seed)
     )
     failures = []
     failures += _kill_scenario(seed, edges, ref_out, scratch, out_dir, rng)
-    failures += _signal_scenario(seed, edges, ref_out, scratch, out_dir, rng)
+    failures += _signal_scenario(
+        seed, edges, ref_out, scratch, out_dir, rng, epochs
+    )
     failures += _deadline_scenario(seed, edges, ref_out, scratch, out_dir, rng)
     failures += _mem_pressure_scenario(
         seed, edges, ref_out, scratch, out_dir, rng, baseline_rss

@@ -40,8 +40,8 @@ One rule keeps the telemetry hub at the bottom of the stack:
 6. ``repro.obs`` imports no ``repro.resilience``, ``repro.pipeline``,
    ``repro.core`` or ``repro.walks`` at module level. Those layers all
    report through ``repro.obs``; the few upward calls the hub needs
-   (atomic writes of the manifest and the live status file, classifying
-   an interrupted run) import inside the function.
+   (atomic writes of the manifest and the live status file, asking
+   ``lifecycle.run_outcome`` how the run ended) import inside the function.
 
 Run from the repo root: ``python scripts/check_import_cycles.py``.
 Exits 1 with one line per violation.

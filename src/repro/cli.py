@@ -31,7 +31,9 @@ structured logs go to stderr (``--log-level``) and, machine-readably, to
 Lifecycle: SIGTERM/SIGINT request a cooperative shutdown that finishes
 the current checkpointable unit, writes a final checkpoint, and exits
 130; a second signal hard-exits immediately. ``--deadline SECONDS``
-bounds the run's wall clock the same way with exit code 124. See
+bounds the run's wall clock the same way with exit code 124. How a run
+ended is decided once, by :func:`repro.resilience.lifecycle.run_outcome`,
+for the manifest, the run journal and the exit code alike. See
 docs/resilience.md ("Run lifecycle") for the full exit-code table.
 """
 
@@ -545,10 +547,11 @@ def _v2v_config(args):
 def _check_store_mode(args) -> bool:
     """False (with a stderr message) for walk modes a store can't run."""
     if getattr(args, "graph_store", None) and args.mode == "node2vec":
+        from repro.walks.engine import NODE2VEC_ON_STORE
+
         print(
-            "error: node2vec walks are not supported with --graph-store "
-            "(the rejection sampler breaks shard determinism); drop "
-            "--graph-store or pick another --mode",
+            f"error: {NODE2VEC_ON_STORE}; drop --graph-store or pick "
+            "another --mode",
             file=sys.stderr,
         )
         return False
@@ -980,33 +983,14 @@ def _open_registry(args, raw_argv: list[str]):
     return registry
 
 
-def _failure_reason(exc: BaseException) -> str | None:
-    """The journal reason of a failure ``main`` reports as exit 2, else None.
-
-    Called only once a run has failed, so a run that succeeds never loads
-    the modules that define these errors (``repro report`` loads no numpy).
-    """
-    from repro.graph.store import StoreCorrupt
-    from repro.resilience.checkpoint import DiskFull
-    from repro.resilience.guard import BudgetExceeded
-
-    for kind, reason in (
-        (BudgetExceeded, "budget_exceeded"),
-        (DiskFull, "disk_full"),
-        (StoreCorrupt, "store_corrupt"),
-    ):
-        if isinstance(exc, kind):
-            return reason
-    return None
-
-
 def main(argv: list[str] | None = None) -> int:
     from repro.obs.recorder import session
     from repro.resilience.lifecycle import (
-        EXIT_INTERRUPTED,
         CancellationToken,
+        CancelScope,
+        CommandFailed,
         Deadline,
-        RunInterrupted,
+        run_outcome,
         signal_guard,
     )
 
@@ -1018,49 +1002,34 @@ def main(argv: list[str] | None = None) -> int:
     # runtime_from_args picks the pair up and puts it on the
     # ExecutionContext; engines then poll the ambient scope.
     args._lifecycle = (token, deadline)
-    registry = _open_registry(args, raw_argv)
-    try:
-        # signal_guard() nests inside session(): an escaping
-        # RunInterrupted restores default signal handling first, then
-        # session writes the manifest (status: interrupted) — so a
-        # signal during manifest writing terminates instead of looping.
-        with session(_obs_config(args), run_config=_run_config(args)):
-            with signal_guard(token, deadline=deadline):
+    # The guard spans the journal open, the session (and so the manifest
+    # write) and the journal close: a signal anywhere in there only
+    # flips the token, and run_outcome decides how the run ended once.
+    with signal_guard(token, deadline=deadline):
+        registry = _open_registry(args, raw_argv)
+        ended: BaseException | None = None
+        try:
+            with session(_obs_config(args), run_config=_run_config(args)):
                 rc = COMMANDS[args.command](args)
+                # The seal: a signal or deadline that landed before this
+                # check makes the run interrupted (and resumable); one
+                # that lands after it is ignored, the outcome being fixed.
+                CancelScope(token, deadline).check()
+                if rc != 0:
+                    raise CommandFailed(rc)
+        except BaseException as exc:
+            ended = exc
+        status, reason, code = run_outcome(ended)
         if registry is not None:
-            registry.close_run(
-                "completed" if rc == 0 else "failed",
-                reason=None if rc == 0 else f"exit_{rc}",
-            )
-        return rc
-    except RunInterrupted as exc:
-        if registry is not None:
-            registry.close_run("interrupted", reason=exc.reason)
-        _log.warning(
-            "run.interrupted", reason=exc.reason, exit_code=exc.exit_code
-        )
-        return exc.exit_code
-    except KeyboardInterrupt:
-        # A Ctrl-C that beat the cooperative checks (or arrived outside
-        # the guard): same contract as RunInterrupted, one structured
-        # line instead of a traceback.
-        if registry is not None:
-            registry.close_run("interrupted", reason="keyboard_interrupt")
-        _log.warning(
-            "run.interrupted",
-            reason="keyboard_interrupt",
-            exit_code=EXIT_INTERRUPTED,
-        )
-        return EXIT_INTERRUPTED
-    except BaseException as exc:
-        reason = _failure_reason(exc)
-        if registry is not None:
-            registry.close_run("failed", reason=reason or "exception")
-        if reason is None:
-            raise
-        _log.error(f"run.{reason}", error=str(exc))
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+            registry.close_run(status, reason=reason)
+        if code is None:
+            raise ended
+        if status == "interrupted":
+            _log.warning("run.interrupted", reason=reason, exit_code=code)
+        elif status == "failed" and not isinstance(ended, CommandFailed):
+            _log.error(f"run.{reason}", error=str(ended))
+            print(f"error: {ended}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":  # pragma: no cover

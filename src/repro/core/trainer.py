@@ -241,18 +241,15 @@ class _TrainState:
 class _TrainerSnapshots:
     """Per-epoch atomic snapshots of a training run.
 
-    A thin policy layer (what to store, how often) over the shared
+    A thin policy layer (what to store) over the shared
     fingerprinted-slot machinery in
     :class:`repro.pipeline.checkpointing.FingerprintedCheckpoints` —
     the fingerprint stamping/verification itself lives there now,
     shared with the walk engine.
     """
 
-    def __init__(self, store, every: int) -> None:
-        if every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
+    def __init__(self, store) -> None:
         self.store = store  # a FingerprintedCheckpoints
-        self.every = every
 
     def restore(
         self, objective, rng: np.random.Generator
@@ -272,11 +269,7 @@ class _TrainerSnapshots:
         rng.bit_generator.state = ckpt.meta["rng_state"]
         return _TrainState(**{f.name: ckpt.meta[f.name] for f in fields(_TrainState)})
 
-    def save(
-        self, objective, rng: np.random.Generator, state: _TrainState, *, final: bool
-    ) -> None:
-        if not final and state.epoch % self.every != 0:
-            return
+    def save(self, objective, rng: np.random.Generator, state: _TrainState) -> None:
         self.store.save(
             TRAINER_CHECKPOINT,
             {"w_in": objective.w_in, "w_out": objective.w_out},
@@ -310,7 +303,6 @@ def train_embeddings(
     *,
     context=None,
     init_vectors: np.ndarray | None = None,
-    checkpoint_every: int = 1,
     epoch_callback: Callable[[int, float], None] | None = None,
 ) -> EmbeddingResult:
     """Train vertex embeddings on a walk corpus.
@@ -327,7 +319,7 @@ def train_embeddings(
     Runtime concerns travel in ``context``
     (:class:`repro.pipeline.ExecutionContext`): with
     ``context.checkpoint_dir`` set the trainer snapshots atomically
-    every ``checkpoint_every`` epochs, and with ``context.resume`` an
+    after every epoch, and with ``context.resume`` an
     existing snapshot (written by the same config and corpus — anything
     else raises ``ValueError``) is restored and training continues from
     the epoch after it, replaying the exact RNG stream of an
@@ -385,9 +377,7 @@ def train_embeddings(
             what="trainer checkpoint",
             described="configuration or corpus",
         )
-        checkpointer = (
-            None if store is None else _TrainerSnapshots(store, checkpoint_every)
-        )
+        checkpointer = None if store is None else _TrainerSnapshots(store)
 
         # Examples are positions into the window-padded walk matrix;
         # every batch source gathers their windows one block at a time.
@@ -652,7 +642,7 @@ def _run_epochs(
 
     ``run_epoch(epoch)`` trains one epoch and returns ``(loss_sum,
     batches)``; it raises, before anything is recorded, when the epoch
-    was cut short. ``save(final=...)`` snapshots the run. This loop owns
+    was cut short. ``save()`` snapshots the run. This loop owns
     everything at the epoch boundary: the cancel check and its snapshot,
     the ``train.epoch`` span, early-stop bookkeeping, telemetry, the
     checkpoint and the callback.
@@ -668,7 +658,7 @@ def _run_epochs(
             # Clean epoch boundary: weights/RNG match the last completed
             # epoch exactly, so this final snapshot is resume-safe.
             if save is not None:
-                save(final=True)
+                save()
             scope.check()
         with rec.span("train.epoch", epoch=epoch) as span:
             epoch_start = time.perf_counter()
@@ -700,7 +690,7 @@ def _run_epochs(
                         stall=state.stall,
                     )
         if save is not None:
-            save(final=state.converged or state.epoch == config.epochs)
+            save()
         if epoch_callback is not None:
             epoch_callback(state.epoch - 1, mean_loss)
     return time.perf_counter() - start

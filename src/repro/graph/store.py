@@ -77,6 +77,8 @@ class StoreCorrupt(RuntimeError):
     first-run state); *corrupt* means quarantine-and-rebuild.
     """
 
+    run_reason = "store_corrupt"  # see lifecycle.run_outcome
+
     def __init__(self, path: str | Path, reason: str) -> None:
         super().__init__(f"corrupt graph store {path}: {reason}")
         self.path = Path(path)

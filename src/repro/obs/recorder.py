@@ -298,23 +298,6 @@ class NullRecorder:
         return {}
 
 
-def _classify_exit(exc: BaseException) -> tuple[str, str]:
-    """Map the exception escaping a session to a manifest status.
-
-    Cooperative shutdown (``RunInterrupted``) and a raw Ctrl-C are both
-    ``interrupted`` — the run wound down on purpose; anything else is a
-    genuine ``failed``. Lazy import: resilience imports obs, so the
-    reverse edge must stay function-local.
-    """
-    from repro.resilience.lifecycle import RunInterrupted
-
-    if isinstance(exc, RunInterrupted):
-        return "interrupted", exc.reason
-    if isinstance(exc, KeyboardInterrupt):
-        return "interrupted", "keyboard_interrupt"
-    return "failed", type(exc).__name__
-
-
 NULL_RECORDER = NullRecorder()
 
 _current: Recorder | NullRecorder = NULL_RECORDER
@@ -395,13 +378,18 @@ def session(
                 metrics_out=config.metrics_out,
                 profile=config.profile,
             )
-            status, reason = "completed", None
+            # Lazy import: resilience imports obs, so the reverse edge
+            # stays function-local.
+            from repro.resilience.lifecycle import run_outcome
+
+            ended: BaseException | None = None
             try:
                 yield recorder
             except BaseException as exc:
-                status, reason = _classify_exit(exc)
+                ended = exc
                 raise
             finally:
+                status, reason, _ = run_outcome(ended)
                 if recorder.live is not None:
                     recorder.live.update(status=status, interrupt_reason=reason)
                 recorder.event(

@@ -83,6 +83,7 @@ import threading
 import time
 import traceback
 from collections import deque
+from multiprocessing import resource_tracker
 from multiprocessing.connection import wait as _connection_wait
 from multiprocessing.reduction import ForkingPickler
 from typing import Callable, Sequence
@@ -228,6 +229,13 @@ class PersistentPool:
 
     def __init__(self) -> None:
         self._mp_ctx = multiprocessing.get_context("fork")
+        # Start the resource tracker before the first fork, so workers
+        # share the parent's: a worker that starts its own registers
+        # every segment it attaches and warns at exit of "leaked" names
+        # the owner has long unlinked. A sandbox that refuses the spawn
+        # only costs those warnings; the workers meet it on their own.
+        with contextlib.suppress(OSError):
+            resource_tracker.ensure_running()
         self._parent_pid = os.getpid()
         # One entry per slab row; None is a slot with no live process.
         self._workers: list[_Worker | None] = []

@@ -19,8 +19,8 @@ codebase never touches raw segments:
 Worker processes that die hard (SIGKILL / ``os._exit``) cannot corrupt
 the lifecycle: their mapping disappears with the process, and the owner
 still unlinks the name. Python's ``resource_tracker`` is shared between
-a pool's parent and its workers, so an attach in a worker does not
-schedule a duplicate unlink.
+a pool's parent and its workers (the pool starts it before its first
+fork), so an attach in a worker does not schedule a duplicate unlink.
 
 Segments are named ``repro-<pid>-<hex>`` — the creating process's pid is
 embedded in the name so a *later* run can attribute every leftover

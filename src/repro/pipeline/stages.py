@@ -105,14 +105,12 @@ class TrainStage(PipelineStage):
         config: TrainConfig | None = None,
         *,
         init_vectors: np.ndarray | None = None,
-        checkpoint_every: int = 1,
         epoch_callback=None,
     ) -> None:
         from repro.core.trainer import TrainConfig
 
         self.config = config or TrainConfig()
         self.init_vectors = init_vectors
-        self.checkpoint_every = checkpoint_every
         self.epoch_callback = epoch_callback
 
     def run(self, ctx: ExecutionContext, corpus: WalkCorpus):
@@ -123,7 +121,6 @@ class TrainStage(PipelineStage):
             self.config,
             context=ctx,
             init_vectors=self.init_vectors,
-            checkpoint_every=self.checkpoint_every,
             epoch_callback=self.epoch_callback,
         )
 

@@ -21,8 +21,8 @@ above uses to survive partial failure:
   :class:`CancellationToken` + :class:`Deadline` carried on the
   :class:`repro.pipeline.ExecutionContext`, the ambient
   :class:`CancelScope` hot loops poll, :func:`signal_guard` for
-  SIGTERM/SIGINT, and :class:`RunInterrupted` with conventional exit
-  codes (130 interrupt, 124 deadline).
+  SIGTERM/SIGINT, :class:`RunInterrupted`, and :func:`run_outcome`,
+  the one exit policy (130 interrupt, 124 deadline, 2 typed failure).
 - :mod:`repro.resilience.guard` — resource-pressure guardrails:
   :class:`ResourceBudget` (``--memory-budget`` / ``--disk-budget``),
   preflight footprint estimation with typed :class:`BudgetExceeded`,

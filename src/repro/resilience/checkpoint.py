@@ -89,6 +89,8 @@ class DiskFull(OSError):
     match it specifically and report *which* path filled up.
     """
 
+    run_reason = "disk_full"  # see lifecycle.run_outcome
+
     def __init__(self, path: str | Path, detail: str = "") -> None:
         msg = f"disk full writing {path}"
         if detail:

@@ -105,6 +105,8 @@ class BudgetExceeded(RuntimeError):
     killer twenty minutes in.
     """
 
+    run_reason = "budget_exceeded"  # see lifecycle.run_outcome
+
     def __init__(
         self, resource: str, needed: int, budget: int, detail: str = ""
     ) -> None:

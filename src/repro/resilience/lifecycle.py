@@ -15,9 +15,10 @@ last checkpoint. Lifecycle control turns all of those endings into one
 - the owners of durable state (trainer, chunked walk engine) write a
   final integrity-covered checkpoint *before* raising, so ``--resume``
   replays from the boundary and produces bitwise-identical output;
-- the CLI maps the exception to conventional exit codes — **130** for
-  an interrupt (128+SIGINT), **124** for a deadline (``timeout(1)``'s
-  convention).
+- :func:`run_outcome` maps whatever ended a run to its status, reason
+  and exit code — **130** for an interrupt (128+SIGINT), **124** for a
+  deadline (``timeout(1)``'s convention), **2** for a typed failure —
+  once, for the manifest, the run journal and the process status alike.
 
 The ambient-scope pattern mirrors ``current_heartbeat`` in
 :mod:`repro.resilience.supervisor`: entry points activate a scope via
@@ -35,7 +36,10 @@ Signal semantics (:func:`signal_guard`): the *first* SIGTERM/SIGINT
 requests cancellation; a *second* signal hard-exits with ``128+signum``
 immediately — the escape hatch when cooperative shutdown is stuck. The
 handler body only flips the token; it never logs or allocates, keeping
-it safe at any interruption point.
+it safe at any interruption point. The CLI holds the guard from the
+journal open to the journal close and seals the outcome with one
+:meth:`CancelScope.check` right after the command returns: a signal
+before the seal makes the run ``interrupted``, one after it is ignored.
 """
 
 from __future__ import annotations
@@ -52,6 +56,8 @@ __all__ = [
     "Deadline",
     "CancelScope",
     "RunInterrupted",
+    "CommandFailed",
+    "run_outcome",
     "NULL_SCOPE",
     "cancel_scope",
     "current_cancel_scope",
@@ -59,12 +65,14 @@ __all__ = [
     "signal_guard",
     "EXIT_INTERRUPTED",
     "EXIT_DEADLINE",
+    "EXIT_FAILED",
 ]
 
 # Conventional exit codes: 128+SIGINT for interrupts, timeout(1)'s 124
-# for an expired wall-clock budget.
+# for an expired wall-clock budget, 2 for a typed failure.
 EXIT_INTERRUPTED = 130
 EXIT_DEADLINE = 124
+EXIT_FAILED = 2
 
 
 class RunInterrupted(RuntimeError):
@@ -88,6 +96,47 @@ class RunInterrupted(RuntimeError):
     @property
     def exit_code(self) -> int:
         return EXIT_DEADLINE if self.reason == "deadline" else EXIT_INTERRUPTED
+
+
+class CommandFailed(Exception):
+    """A command returned a nonzero status.
+
+    Raised inside the run's observability session, so the manifest
+    records the same ``failed``/``exit_<code>`` outcome as the journal.
+    """
+
+    def __init__(self, exit_code: int) -> None:
+        super().__init__(f"command exited {exit_code}")
+        self.exit_code = exit_code
+
+
+def run_outcome(exc: BaseException | None) -> tuple[str, str | None, int | None]:
+    """How a run ended, as ``(status, reason, exit_code)``.
+
+    The one exit policy of a run: the session's manifest and live status,
+    the run journal and the CLI's exit code all come from here.
+
+    - ``None`` (the command returned 0): ``completed``, exit 0.
+    - :class:`RunInterrupted`: ``interrupted``, its reason, 124 or 130.
+    - ``KeyboardInterrupt``: ``interrupted``, ``keyboard_interrupt``, 130.
+    - :class:`CommandFailed`: ``failed``, ``exit_<code>``, the code.
+    - An error whose class names a ``run_reason`` (``BudgetExceeded``,
+      ``DiskFull``, ``StoreCorrupt``): ``failed``, that reason, exit 2.
+    - Anything else: ``failed``, the exception's type name, and exit code
+      ``None`` — the caller re-raises it.
+    """
+    if exc is None:
+        return "completed", None, 0
+    if isinstance(exc, RunInterrupted):
+        return "interrupted", exc.reason, exc.exit_code
+    if isinstance(exc, KeyboardInterrupt):
+        return "interrupted", "keyboard_interrupt", EXIT_INTERRUPTED
+    if isinstance(exc, CommandFailed):
+        return "failed", f"exit_{exc.exit_code}", exc.exit_code
+    reason = getattr(exc, "run_reason", None)
+    if reason is not None:
+        return "failed", reason, EXIT_FAILED
+    return "failed", type(exc).__name__, None
 
 
 class CancellationToken:

@@ -71,6 +71,11 @@ _STEP_MULT = np.uint64(0xBF58476D1CE4E5B9)
 _CHUNK = 1 << 15
 #: node2vec rejection candidates per step before the exact row draw.
 _N2V_LANES = 8
+#: Why node2vec cannot walk a graph store; the CLI's refusal says the same.
+NODE2VEC_ON_STORE = (
+    "node2vec walks are not supported on a graph store: its rows are not "
+    "sorted by target, which the second-order adjacency test needs"
+)
 
 
 class WalkMode(str, enum.Enum):
@@ -818,9 +823,8 @@ def _resolve_starts(config: RandomWalkConfig, n: int) -> np.ndarray:
 def _validate_mode(g, mode: WalkMode, store: bool) -> None:
     if mode is WalkMode.NODE2VEC and store:
         raise ValueError(
-            "node2vec walks are not supported on a graph store: its rows "
-            "are not sorted by target, which the second-order adjacency "
-            "test needs — walk the in-memory graph (GraphStore.to_graph())"
+            f"{NODE2VEC_ON_STORE} — walk the in-memory graph "
+            "(GraphStore.to_graph())"
         )
     if mode is WalkMode.WEIGHTED and g.edge_weights is None:
         raise ValueError("WEIGHTED walk requires edge weights")

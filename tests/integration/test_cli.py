@@ -128,6 +128,23 @@ class TestEmbed:
         )
         assert rc == 0
 
+    @pytest.mark.parametrize("command", ["embed", "detect"])
+    def test_node2vec_on_a_store_is_refused_with_the_engines_reason(
+        self, small_edge_list, tmp_path, capsys, command
+    ):
+        from repro.walks.engine import NODE2VEC_ON_STORE
+
+        graph_path, _ = small_edge_list
+        extra = ["-k", "3"] if command == "detect" else []
+        rc = main(
+            [
+                command, str(graph_path), "-o", str(tmp_path / "out"), *extra,
+                "--graph-store", str(tmp_path / "store"), "--mode", "node2vec",
+            ]
+        )
+        assert rc == 2
+        assert f"error: {NODE2VEC_ON_STORE}" in capsys.readouterr().err
+
 
 class TestSupervisionFlags:
     @pytest.mark.parametrize(

@@ -1,6 +1,9 @@
 """SharedArray lifecycle: create/attach/cleanup, and no leaked segments."""
 
+import os
 import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -133,3 +136,29 @@ class TestCrossProcess:
                 _pool_write, [(shared.spec, i) for i in range(4)], workers=2
             )
             np.testing.assert_array_equal(shared.array, [0, 10, 20, 30])
+
+    # The pool forks before the parent ever creates a segment (so before
+    # Python's resource tracker would otherwise start); the walks then
+    # attach segments in the workers.
+    FORK_BEFORE_SHM = """
+from repro.graph.generators import planted_partition
+from repro.parallel.pool import parallel_map
+from repro.walks.engine import RandomWalkConfig, generate_walks
+
+parallel_map(abs, [-1, -2, -3, -4], workers=2)
+graph = planted_partition(200, 4, 0.5, seed=0)
+config = RandomWalkConfig(walks_per_vertex=2, walk_length=10, seed=0)
+generate_walks(graph, config, workers=2)
+"""
+
+    def test_workers_share_the_parents_resource_tracker(self, no_leaks):
+        root = Path(__file__).resolve().parents[2]
+        proc = subprocess.run(
+            [sys.executable, "-c", self.FORK_BEFORE_SHM],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+            cwd=root,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "resource_tracker" not in proc.stderr, proc.stderr

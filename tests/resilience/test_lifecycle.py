@@ -25,9 +25,11 @@ import pytest
 
 from repro.core.trainer import TrainConfig, train_embeddings
 from repro.graph.generators import planted_partition
+from repro.graph.store import StoreCorrupt
 from repro.pipeline import ExecutionContext
 from repro.resilience.chaos import FaultInjector
-from repro.resilience.checkpoint import CheckpointManager
+from repro.resilience.checkpoint import CheckpointManager, DiskFull
+from repro.resilience.guard import BudgetExceeded
 from repro.resilience.lifecycle import (
     EXIT_DEADLINE,
     EXIT_INTERRUPTED,
@@ -539,6 +541,127 @@ class TestCliExitCodes:
         )
         with np.load(ref) as a, np.load(out) as b:
             np.testing.assert_array_equal(a["vectors"], b["vectors"])
+
+
+class TestRunOutcome:
+    """One exit policy: the manifest, the journal and the exit code of a
+    CLI run agree on how it ended (``lifecycle.run_outcome``)."""
+
+    @staticmethod
+    def argv(tmp_path, *extra):
+        return [
+            "embed", "unused.edges", "-o", str(tmp_path / "v.npz"),
+            "--checkpoint-dir", str(tmp_path / "ckpt"),
+            "--metrics-out", str(tmp_path / "manifest.json"),
+            "--log-level", "error", *extra,
+        ]
+
+    @staticmethod
+    def outcomes(tmp_path):
+        """The manifest's and the journal's ``(status, reason)``."""
+        from repro.resilience.registry import RunRegistry
+
+        recorded = json.loads((tmp_path / "manifest.json").read_text())
+        (journaled,) = RunRegistry(tmp_path / "ckpt").runs()
+        return (
+            (recorded["status"], recorded["interrupt_reason"]),
+            (journaled.status, journaled.reason),
+        )
+
+    @pytest.fixture()
+    def run_embed(self, tmp_path, monkeypatch):
+        """Run ``repro embed`` with ``command`` in place of the real one;
+        returns the exit code, the manifest's and the journal's outcome."""
+        import repro.cli as cli
+
+        def run(command, *extra):
+            monkeypatch.setitem(cli.COMMANDS, "embed", command)
+            code = cli.main(self.argv(tmp_path, *extra))
+            return (code, *self.outcomes(tmp_path))
+
+        return run
+
+    def test_signal_just_before_a_clean_return_interrupts(self, run_embed):
+        def command(args):
+            token, _ = args._lifecycle
+            os.kill(os.getpid(), signal.SIGTERM)
+            give_up = time.monotonic() + 10
+            while not token.cancelled and time.monotonic() < give_up:
+                time.sleep(0.001)
+            return 0
+
+        code, manifest, journal = run_embed(command)
+        assert code == EXIT_INTERRUPTED
+        assert manifest == journal == ("interrupted", "signal")
+
+    def test_deadline_expired_by_the_return_interrupts(self, run_embed):
+        def command(args):
+            _, deadline = args._lifecycle
+            deadline.force_expire()
+            return 0
+
+        code, manifest, journal = run_embed(command, "--deadline", "3600")
+        assert code == EXIT_DEADLINE
+        assert manifest == journal == ("interrupted", "deadline")
+
+    def test_nonzero_return_fails_the_run(self, run_embed):
+        code, manifest, journal = run_embed(lambda args: 2)
+        assert code == 2
+        assert manifest == journal == ("failed", "exit_2")
+
+    @pytest.mark.parametrize(
+        "error, reason",
+        [
+            (lambda tmp: BudgetExceeded("memory", 2 << 20, 1 << 20), "budget_exceeded"),
+            (lambda tmp: DiskFull(tmp / "x"), "disk_full"),
+            (lambda tmp: StoreCorrupt(tmp / "store", "torn shard"), "store_corrupt"),
+        ],
+        ids=["budget", "disk", "store"],
+    )
+    def test_typed_failure_exits_2(self, run_embed, tmp_path, error, reason):
+        def command(args):
+            raise error(tmp_path)
+
+        code, manifest, journal = run_embed(command)
+        assert code == 2
+        assert manifest == journal == ("failed", reason)
+
+    def test_other_errors_reraise_under_their_type_name(self, run_embed, tmp_path):
+        def command(args):
+            raise LookupError("boom")
+
+        with pytest.raises(LookupError, match="boom"):
+            run_embed(command)
+        manifest, journal = self.outcomes(tmp_path)
+        assert manifest == journal == ("failed", "LookupError")
+
+    # A SIGTERM while the manifest is written: the run already ended
+    # cleanly, so the handler only flips the token and nothing reads it.
+    SIGNAL_IN_MANIFEST_WRITE = """
+import sys
+
+import repro.cli as cli
+import repro.obs.manifest as manifest
+from repro.resilience.chaos import FaultInjector
+
+manifest.write_manifest = FaultInjector(manifest.write_manifest, signal_on_calls={1})
+cli.COMMANDS["embed"] = lambda args: 0
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+    def test_signal_during_the_manifest_write_still_completes(self, tmp_path):
+        root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SIGNAL_IN_MANIFEST_WRITE]
+            + self.argv(tmp_path),
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.path.join(root, "src")},
+            cwd=root,
+        )
+        assert proc.returncode == 0, proc.stderr
+        manifest, journal = self.outcomes(tmp_path)
+        assert manifest == journal == ("completed", None)
 
 
 # ---------------------------------------------------------------------------
