@@ -375,6 +375,8 @@ class PressureWatchdog:
     shared worker pool to halve its slot cap
     (:meth:`repro.parallel.persistent.PersistentPool.degrade`); once maps
     already run in-process, or on a hard breach, it calls ``cancel``.
+    The first breach steps at once; ``cooldown`` seconds must then pass
+    before the next step, so a burst of breaches is one step.
     :meth:`stop` lifts the cap and detaches ``cancel``. Samples publish
     ``guard.rss_bytes`` / ``guard.shm_free_bytes`` /
     ``guard.disk_free_bytes`` gauges and append ``pressure`` records to
@@ -397,7 +399,9 @@ class PressureWatchdog:
         self.cooldown = float(cooldown)
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
-        self._last_step = 0.0
+        # ``time.monotonic()`` has no defined zero, so "no step yet" is
+        # None, never a clock reading the first breach must wait out.
+        self._last_step: float | None = None
         self._cancelled = False
         self.samples = 0
 
@@ -479,9 +483,11 @@ class PressureWatchdog:
     def poll_once(self) -> dict[str, Any]:
         """Sample, record, and take one step if breached (honoring cooldown).
 
-        A soft breach halves the pool's slot cap; a hard one (RSS at or
-        past the budget), or a soft one with maps already in-process,
-        cancels the run.
+        The first breach steps at once; a later one steps only once
+        ``cooldown`` seconds have passed since the last step. A soft
+        breach halves the pool's slot cap; a hard one (RSS at or past the
+        budget), or a soft one with maps already in-process, cancels the
+        run.
         """
         record = self.sample()
         reason = self.evaluate(record)
@@ -491,7 +497,9 @@ class PressureWatchdog:
             rec.event("guard.pressure", level="warning", reason=reason, **record)
             record["breach"] = reason
             now = time.monotonic()
-            if not self._cancelled and now - self._last_step >= self.cooldown:
+            if not self._cancelled and (
+                self._last_step is None or now - self._last_step >= self.cooldown
+            ):
                 self._last_step = now
                 self._step(record, reason)
         rec.add_pressure_record(record)

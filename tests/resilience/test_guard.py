@@ -11,6 +11,7 @@ import multiprocessing
 import os
 import time
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
@@ -537,6 +538,28 @@ class TestWatchdog:
             second = dog.poll_once()
         assert first["action"] == "halve_slots"
         assert second["breach"] and "action" not in second
+
+    def test_first_breach_steps_just_after_boot(self, monkeypatch, soft_rss):
+        # ``time.monotonic()`` counts from boot on Linux; a clock reading
+        # less than the cooldown must not hold back the first step.
+        monkeypatch.setattr(guard, "time", SimpleNamespace(monotonic=lambda: 1.0))
+        dog = PressureWatchdog(
+            ResourceBudget(memory_bytes=SOFT_BUDGET), cooldown=3600.0
+        )
+        with use(Recorder()):
+            first = dog.poll_once()
+            second = dog.poll_once()
+        assert first["action"] == "halve_slots"
+        assert second["breach"] and "action" not in second
+
+        fired = []
+        dog = PressureWatchdog(
+            ResourceBudget(memory_bytes=1), cancel=lambda: fired.append(True)
+        )
+        with use(Recorder()):
+            record = dog.poll_once()
+        assert record["action"] == "cancel"
+        assert fired == [True]
 
     def test_healthy_budget_records_without_escalating(self):
         dog = PressureWatchdog(ResourceBudget(memory_bytes=64 * 1024**4))
