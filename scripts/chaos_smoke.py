@@ -11,8 +11,10 @@ loudly (non-zero exit) if any recovery path did not actually fire:
 3. **corrupt** — a completed trainer checkpoint is torn on disk; a
    resuming run must quarantine it (``*.corrupt.<ts>``) and restart the
    phase cleanly, reproducing the uncorrupted result bitwise.
-4. **interrupt** — a real ``python -m repro embed`` subprocess is
-   SIGTERMed mid-training; it must exit 130 with a valid
+4. **interrupt** — a real ``repro embed`` subprocess is SIGTERMed at
+   the start of its second epoch, through the ``FaultInjector``
+   bootstrap of ``chaos_soak.py`` (``SIGNAL_AT``), so the signal never
+   races the run's end; it must exit 130 with a valid
    ``status: interrupted`` manifest (checked via ``repro report``), leak
    no ``/dev/shm`` segments, and a ``--resume`` run must finish with
    embeddings bitwise-identical to an uninterrupted reference run.
@@ -30,11 +32,9 @@ import argparse
 import io
 import json
 import os
-import signal
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +48,8 @@ from repro.pipeline import ExecutionContext
 from repro.resilience.chaos import FaultInjector
 from repro.resilience.supervisor import SupervisorConfig
 from repro.walks.engine import RandomWalkConfig, generate_walks
+
+from chaos_soak import SIGNAL_AT
 
 SUPERVISED = SupervisorConfig(
     worker_deadline=2.0, max_respawns=5, poll_interval=0.05
@@ -149,15 +151,17 @@ def _interrupt_resume_scenario(graph, out_dir, scratch):
     env = _cli_env()
     edges = scratch / "graph.edges"
     write_edge_list(graph, edges)
+    repro = [sys.executable, "-m", "repro"]
     common = [
-        sys.executable, "-m", "repro", "embed", str(edges),
+        "embed", str(edges),
         "--dim", "12", "--walks", "4", "--length", "20",
         "--epochs", "12", "--seed", "3", "--log-level", "error",
     ]
 
     ref_out = scratch / "ref.npz"
     rc = subprocess.run(
-        common + ["-o", str(ref_out), "--checkpoint-dir", str(scratch / "ref")],
+        repro + common
+        + ["-o", str(ref_out), "--checkpoint-dir", str(scratch / "ref")],
         env=env,
     ).returncode
     if rc != 0:
@@ -167,41 +171,26 @@ def _interrupt_resume_scenario(graph, out_dir, scratch):
     ckpt = scratch / "interrupted"
     manifest = out_dir / "interrupt.manifest.json"
     events = out_dir / "interrupt.events.jsonl"
-    proc = subprocess.Popen(
-        common
-        + [
-            "-o", str(scratch / "interrupted.npz"),
-            "--checkpoint-dir", str(ckpt),
-            "--metrics-out", str(manifest),
-            "--log-json", str(events),
-        ],
-        env=env,
-    )
-    # SIGTERM once the first epoch snapshot is durable: the run is then
-    # provably mid-training, and resume has a real boundary to restart
-    # from. Escalate to kill only if something wedges (test bug).
-    trainer_ckpt = ckpt / "trainer.ckpt.npz"
-    give_up = time.monotonic() + 120
-    while (
-        not trainer_ckpt.exists()
-        and proc.poll() is None
-        and time.monotonic() < give_up
-    ):
-        time.sleep(0.02)
-    if proc.poll() is not None:
-        failures.append(
-            f"interrupt: run finished (exit {proc.returncode}) before "
-            "SIGTERM could be delivered mid-training"
-        )
-    else:
-        proc.send_signal(signal.SIGTERM)
-        try:
-            rc = proc.wait(timeout=120)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            return ["interrupt: run did not wind down after SIGTERM"]
-        if rc != 130:
-            failures.append(f"interrupt: expected exit 130, got {rc}")
+    # SIGTERM at the start of epoch 2's batches: epoch 1's snapshot is
+    # durable, so the run is provably mid-training and resume has a real
+    # boundary to restart from.
+    try:
+        rc = subprocess.run(
+            [sys.executable, "-c", SIGNAL_AT, "2"]
+            + common
+            + [
+                "-o", str(scratch / "interrupted.npz"),
+                "--checkpoint-dir", str(ckpt),
+                "--metrics-out", str(manifest),
+                "--log-json", str(events),
+            ],
+            env=env,
+            timeout=120,
+        ).returncode
+    except subprocess.TimeoutExpired:
+        return ["interrupt: run did not wind down after SIGTERM"]
+    if rc != 130:
+        failures.append(f"interrupt: expected exit 130, got {rc}")
     leaked = _shm_names() - before
     if leaked:
         failures.append(f"interrupt: leaked /dev/shm segments: {sorted(leaked)}")
@@ -217,7 +206,8 @@ def _interrupt_resume_scenario(graph, out_dir, scratch):
 
     resumed_out = scratch / "resumed.npz"
     rc = subprocess.run(
-        common + ["-o", str(resumed_out), "--checkpoint-dir", str(ckpt), "--resume"],
+        repro + common
+        + ["-o", str(resumed_out), "--checkpoint-dir", str(ckpt), "--resume"],
         env=env,
     ).returncode
     if rc != 0:
@@ -233,7 +223,7 @@ def _interrupt_resume_scenario(graph, out_dir, scratch):
 
     dl_manifest = out_dir / "deadline.manifest.json"
     rc = subprocess.run(
-        common
+        repro + common
         + [
             "-o", str(scratch / "deadline.npz"),
             "--checkpoint-dir", str(scratch / "deadline"),

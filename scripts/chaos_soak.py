@@ -215,7 +215,8 @@ def _kill_scenario(seed, edges, ref_out, scratch, out_dir, rng):
 # Runs `repro <argv[2:]>` with a SIGTERM at point argv[1]: at the start
 # of epoch N's batches (N >= 1), or with 0 just after the command
 # returns. The injector signals its own process, so the point is exact.
-_SIGNAL_AT = """
+# scripts/chaos_smoke.py imports it for its interrupt scenario.
+SIGNAL_AT = """
 import sys
 
 from repro import cli
@@ -253,7 +254,7 @@ def _signal_scenario(seed, edges, ref_out, scratch, out_dir, rng, epochs):
     # trained (1..epochs), half just after the command returns (0).
     point = int(rng.integers(1, epochs + 1)) if rng.random() < 0.5 else 0
     rc = subprocess.run(
-        [sys.executable, "-c", _SIGNAL_AT, str(point)]
+        [sys.executable, "-c", SIGNAL_AT, str(point)]
         + _embed_argv(edges, out, ckpt, seed, manifest=manifest),
         env=_env(),
     ).returncode

@@ -1024,10 +1024,8 @@ def main(argv: list[str] | None = None) -> int:
             registry.close_run(status, reason=reason)
         if code is None:
             raise ended
-        if status == "interrupted":
-            _log.warning("run.interrupted", reason=reason, exit_code=code)
-        elif status == "failed" and not isinstance(ended, CommandFailed):
-            _log.error(f"run.{reason}", error=str(ended))
+        # The session's run.end event already recorded status and reason.
+        if status == "failed" and not isinstance(ended, CommandFailed):
             print(f"error: {ended}", file=sys.stderr)
         return code
 

@@ -649,19 +649,60 @@ cli.COMMANDS["embed"] = lambda args: 0
 sys.exit(cli.main(sys.argv[1:]))
 """
 
-    def test_signal_during_the_manifest_write_still_completes(self, tmp_path):
+    @staticmethod
+    def run_script(script, argv):
         root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
-        proc = subprocess.run(
-            [sys.executable, "-c", self.SIGNAL_IN_MANIFEST_WRITE]
-            + self.argv(tmp_path),
+        return subprocess.run(
+            [sys.executable, "-c", script] + argv,
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": os.path.join(root, "src")},
             cwd=root,
         )
+
+    def test_signal_during_the_manifest_write_still_completes(self, tmp_path):
+        proc = self.run_script(self.SIGNAL_IN_MANIFEST_WRITE, self.argv(tmp_path))
         assert proc.returncode == 0, proc.stderr
         manifest, journal = self.outcomes(tmp_path)
         assert manifest == journal == ("completed", None)
+
+    # A SIGTERM the command waits out, then a clean return: interrupted.
+    SIGNAL_BEFORE_RETURN = """
+import os
+import signal
+import sys
+import time
+
+import repro.cli as cli
+
+
+def command(args):
+    token, _ = args._lifecycle
+    os.kill(os.getpid(), signal.SIGTERM)
+    give_up = time.monotonic() + 10
+    while not token.cancelled and time.monotonic() < give_up:
+        time.sleep(0.001)
+    return 0
+
+
+cli.COMMANDS["embed"] = command
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+    def test_interrupted_run_ends_in_the_event_stream_only(self, tmp_path):
+        """``run.end`` in the ``--log-json`` stream records the outcome; no
+        record is logged after the session has closed its sinks."""
+        events = tmp_path / "events.jsonl"
+        proc = self.run_script(
+            self.SIGNAL_BEFORE_RETURN,
+            self.argv(tmp_path, "--log-json", str(events)),
+        )
+        assert proc.returncode == EXIT_INTERRUPTED, proc.stderr
+        assert "run.interrupted" not in proc.stderr
+        records = [json.loads(line) for line in events.read_text().splitlines()]
+        (end,) = [r for r in records if r.get("event") == "run.end"]
+        assert (end["status"], end["reason"]) == ("interrupted", "signal")
+        assert records[-1] is end
 
 
 # ---------------------------------------------------------------------------
