@@ -35,11 +35,12 @@ from repro.walks.engine import RandomWalkConfig, WalkMode, generate_walks
 
 __all__ = ["V2V", "V2VConfig"]
 
-#: Supervision fields that model files saved by earlier versions still
-#: carry in their embedded config. Supervision is runtime policy (it
-#: lives on :class:`~repro.pipeline.ExecutionContext`), so loading drops
-#: them.
-_RETIRED_KEYS = ("worker_deadline", "max_respawns")
+#: Fields that model files saved by earlier versions still carry in
+#: their embedded config; loading drops them. Supervision is runtime
+#: policy (it lives on :class:`~repro.pipeline.ExecutionContext`), and
+#: the streaming batch source is gone: the saved vectors stand as
+#: trained.
+_RETIRED_KEYS = ("worker_deadline", "max_respawns", "streaming", "stream_rows")
 
 
 @dataclass(frozen=True)
@@ -80,8 +81,6 @@ class V2VConfig:
     tol: float = 1e-3
     patience: int = 2
     early_stop: bool = True
-    streaming: bool = False
-    stream_rows: int = 1024
     train_workers: int = 1
     seed: int | None = None
 
@@ -117,8 +116,6 @@ class V2VConfig:
             tol=self.tol,
             patience=self.patience,
             early_stop=self.early_stop,
-            streaming=self.streaming,
-            stream_rows=self.stream_rows,
             workers=self.train_workers,
             seed=self.seed,
         )
@@ -145,7 +142,8 @@ class V2VConfig:
     def from_dict(cls, data: dict) -> "V2VConfig":
         """Inverse of :meth:`to_dict`; unknown keys raise ``ValueError``.
 
-        The retired supervision keys of older model files are dropped.
+        The retired keys of older model files (:data:`_RETIRED_KEYS`) are
+        dropped.
         """
         data = {k: v for k, v in data.items() if k not in _RETIRED_KEYS}
         known = {f.name for f in fields(cls)}

@@ -18,7 +18,6 @@ with the same seed (see docs/resilience.md).
 from __future__ import annotations
 
 import contextlib
-import itertools
 import time
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -70,8 +69,6 @@ class TrainConfig:
     tol: float = 1e-3
     patience: int = 2
     early_stop: bool = True
-    streaming: bool = False
-    stream_rows: int = 1024
     workers: int = 1
     seed: int | None = None
     # Which batch kernel to run: "fused" is the sparse-matrix float32
@@ -108,17 +105,10 @@ class TrainConfig:
             raise ValueError("tol must be non-negative")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
-        if self.stream_rows < 1:
-            raise ValueError("stream_rows must be >= 1")
         if self.workers < 1:
             raise ValueError(
                 "workers must be >= 1 (resolve 'auto' before building the "
                 "config, e.g. with repro.parallel.pool.resolve_workers)"
-            )
-        if self.workers > 1 and self.streaming:
-            raise ValueError(
-                "the streaming trainer is single-process; use workers=1 or "
-                "the in-memory (non-streaming) Hogwild path"
             )
         if self.kernel not in KERNELS:
             raise ValueError(f"kernel must be one of {KERNELS}")
@@ -328,12 +318,11 @@ def train_embeddings(
     the callback is itself resumable).
 
     One setup and one epoch loop serve every run; only the epoch body
-    differs. ``workers=1`` steps in-process through a batch source (the
-    permuted example set, or with ``config.streaming`` one walk chunk at
-    a time) and is bitwise reproducible. ``workers > 1`` is Hogwild over
-    shared memory (:func:`repro.parallel.hogwild.hogwild_epochs`); where
-    shared memory is missing it falls back to ``workers=1`` with a
-    ``RuntimeWarning``.
+    differs. ``workers=1`` steps in-process through every example
+    position, shuffled in place each epoch, and is bitwise reproducible.
+    ``workers > 1`` is Hogwild over shared memory
+    (:func:`repro.parallel.hogwild.hogwild_epochs`); where shared memory
+    is missing it falls back to ``workers=1`` with a ``RuntimeWarning``.
     """
     from repro.pipeline.context import ExecutionContext
 
@@ -360,7 +349,6 @@ def train_embeddings(
         output_layer=config.output_layer,
         dim=config.dim,
         epochs=config.epochs,
-        streaming=config.streaming,
         workers=config.workers,
     ) as span:
         # One setup for every epoch body, in one RNG call order: rng,
@@ -380,21 +368,16 @@ def train_embeddings(
         checkpointer = None if store is None else _TrainerSnapshots(store)
 
         # Examples are positions into the window-padded walk matrix;
-        # every batch source gathers their windows one block at a time.
+        # every epoch body gathers their windows one block at a time.
         walks = corpus.padded_walks(config.window)
-        if config.streaming:
-            # Positions are listed per walk chunk inside each epoch (see
-            # _stream_runs); only their count is needed up front.
-            num_examples = corpus.num_examples(config.window)
-        else:
-            positions = corpus.example_positions(config.window)
-            if config.subsample > 0:
-                keep_p = vocab.keep_probabilities(config.subsample)
-                centers = walks.reshape(-1)[positions]
-                keep = rng.random(positions.shape[0]) < keep_p[centers]
-                if np.any(keep):  # never subsample away the whole corpus
-                    positions = positions[keep]
-            num_examples = positions.shape[0]
+        positions = corpus.example_positions(config.window)
+        if config.subsample > 0:
+            keep_p = vocab.keep_probabilities(config.subsample)
+            centers = walks.reshape(-1)[positions]
+            keep = rng.random(positions.shape[0]) < keep_p[centers]
+            if np.any(keep):  # never subsample away the whole corpus
+                positions = positions[keep]
+        num_examples = positions.shape[0]
         if num_examples == 0:
             raise ValueError("corpus has no (center, context) examples")
 
@@ -413,13 +396,8 @@ def train_embeddings(
                 objective, walks, positions, vocab, config, ctx, state
             )
         else:
-            runs = (
-                partial(_stream_runs, corpus, walks, config, vocab, rng)
-                if config.streaming
-                else partial(_dense_runs, positions, config, rng)
-            )
             body = _in_process_epochs(
-                objective, walks, runs, config, rng, state, num_examples
+                objective, walks, positions, config, rng, state
             )
 
         with body as (run_epoch, total_batches):
@@ -433,7 +411,7 @@ def train_embeddings(
                 epoch_callback=epoch_callback,
             )
             # Copy out while a pooled body's shared segments still exist.
-            vectors = objective.vectors.copy()
+            vectors = objective.w_in.astype(np.float64)
 
         if rec.enabled:
             span.annotate(
@@ -463,7 +441,7 @@ def scheduled_lr(config: TrainConfig, index: int, total_batches: int) -> float:
 def step_batches(
     objective,
     walks: np.ndarray,
-    runs: Iterable[np.ndarray],
+    positions: np.ndarray,
     config: TrainConfig,
     rng: np.random.Generator,
     index: int,
@@ -472,40 +450,35 @@ def step_batches(
     cancelled: Callable[[], object] | None = None,
     on_batch: Callable[[float, int], None] | None = None,
 ) -> tuple[float, int]:
-    """SGD over runs of example positions into ``walks`` (a window-padded
-    walk matrix): the one batch step of every epoch body, in-process and
-    in the Hogwild workers.
+    """SGD over example ``positions`` into ``walks`` (a window-padded
+    walk matrix), in the order given: the one batch step of every epoch
+    body, in-process and in the Hogwild workers.
 
-    Each run is stepped ``batch_size`` positions at a time. Windows are
-    gathered :data:`BLOCK_BATCHES` batches at a time, and the objective
-    plans each block once (:func:`_plan_block`) before its batches step.
-    Returns ``(loss_sum, steps)``; each run's loss is summed on its own,
-    then added (a streaming epoch is one run per buffer drain).
-    ``cancelled()`` is polled before each batch: it raises, or returns
-    true to stop early with a partial count (a pool worker).
-    ``on_batch(loss, examples)`` runs after each batch.
+    Steps ``batch_size`` positions at a time. Windows are gathered
+    :data:`BLOCK_BATCHES` batches at a time, and the objective plans each
+    block once (:func:`_plan_block`) before its batches step. Returns
+    ``(loss_sum, steps)``. ``cancelled()`` is polled before each batch:
+    it raises, or returns true to stop early with a partial count (a
+    pool worker). ``on_batch(loss, examples)`` runs after each batch.
     """
     batch_size = config.batch_size
     span = BLOCK_BATCHES * batch_size
     loss_sum = 0.0
     steps = 0
-    for run in runs:
-        run_loss = 0.0
-        for lo in range(0, run.shape[0], span):
-            centers, contexts = gather_windows(
-                walks, run[lo : lo + span], config.window
-            )
-            for examples, step in _plan_block(
-                objective, centers, contexts, batch_size, rng
-            ):
-                if cancelled is not None and cancelled():
-                    return loss_sum + run_loss, steps
-                loss = step(scheduled_lr(config, index + steps, total_batches))
-                run_loss += loss
-                steps += 1
-                if on_batch is not None:
-                    on_batch(loss, examples)
-        loss_sum += run_loss
+    for lo in range(0, positions.shape[0], span):
+        centers, contexts = gather_windows(
+            walks, positions[lo : lo + span], config.window
+        )
+        for examples, step in _plan_block(
+            objective, centers, contexts, batch_size, rng
+        ):
+            if cancelled is not None and cancelled():
+                return loss_sum, steps
+            loss = step(scheduled_lr(config, index + steps, total_batches))
+            loss_sum += loss
+            steps += 1
+            if on_batch is not None:
+                on_batch(loss, examples)
     return loss_sum, steps
 
 
@@ -528,102 +501,45 @@ def _plan_block(
     return steps
 
 
-def _dense_runs(
-    positions: np.ndarray, config: TrainConfig, rng: np.random.Generator
-) -> Iterator[np.ndarray]:
-    """In-memory batch source: every example position, one run per epoch."""
-    yield rng.permutation(positions) if config.shuffle else positions
-
-
-def _stream_runs(
-    corpus: WalkCorpus,
-    walks: np.ndarray,
-    config: TrainConfig,
-    vocab: VertexVocab,
-    rng: np.random.Generator,
-) -> Iterator[np.ndarray]:
-    """Memory-bounded batch source: example positions are listed one walk
-    chunk at a time instead of for the whole corpus.
-
-    Beyond the padded walk copy, memory is O(stream_rows × walk_length
-    + buffer): the whole-corpus position array and its shuffled copy
-    are never held. Shuffling is hierarchical: walk rows are permuted globally, then
-    examples pass through a shuffle buffer of several batches before
-    being consumed — without the buffer, a small chunk feeds whole
-    batches from a handful of walks, whose heavily repeated vertices
-    over-step the SGD update.
-
-    Yields one run of positions per buffer drain. A generator, so its
-    RNG draws (row order, subsample, buffer permutation) interleave with
-    the consumer's batch draws in one fixed order.
-    """
-    keep_p = (
-        vocab.keep_probabilities(config.subsample)
-        if config.subsample > 0
-        else None
-    )
-    num_walks = corpus.num_walks
-    rows = rng.permutation(num_walks) if config.shuffle else np.arange(num_walks)
-    row_starts = range(0, num_walks, config.stream_rows)
-    chunks = (
-        corpus.example_positions(config.window, rows[lo : lo + config.stream_rows])
-        for lo in row_starts
-    )
-    buffer: list[np.ndarray] = []
-    # A trailing None marks the end of the epoch: the final drain.
-    for chunk in itertools.chain(chunks, [None]):
-        final = chunk is None
-        if not final:
-            if keep_p is not None:
-                centers = walks.reshape(-1)[chunk]
-                keep = rng.random(chunk.shape[0]) < keep_p[centers]
-                if np.any(keep):
-                    chunk = chunk[keep]
-            buffer.append(chunk)
-        buffered = sum(c.shape[0] for c in buffer)
-        if buffered == 0 or (not final and buffered < 8 * config.batch_size):
-            continue
-        pending = np.concatenate(buffer)
-        if config.shuffle:
-            pending = rng.permutation(pending)
-        # Keep a partial batch in the buffer unless this is the final
-        # drain of the epoch.
-        full = buffered - (0 if final else buffered % config.batch_size)
-        buffer = [pending[full:]]
-        yield pending[:full]
-
-
 @contextlib.contextmanager
 def _in_process_epochs(
     objective,
     walks: np.ndarray,
-    runs: Callable[[], Iterator[np.ndarray]],
+    positions: np.ndarray,
     config: TrainConfig,
     rng: np.random.Generator,
     state: _TrainState,
-    num_examples: int,
 ) -> Iterator[tuple[Callable[[int], tuple[float, int]], int]]:
-    """The ``workers=1`` epoch body: :func:`step_batches` over the runs
-    of example positions ``runs()`` yields for one epoch. Yields
+    """The ``workers=1`` epoch body: :func:`step_batches` over every
+    example position. With ``config.shuffle`` an epoch shuffles
+    ``positions`` in place and sorts them back after it (they start out
+    strictly increasing), so each epoch draws the order
+    ``rng.permutation(positions)`` would, without a second array. Yields
     ``(run_epoch, total_batches)`` like the pooled body."""
-    batches_per_epoch = max(1, int(np.ceil(num_examples / config.batch_size)))
+    batches_per_epoch = max(1, int(np.ceil(positions.shape[0] / config.batch_size)))
     total_batches = batches_per_epoch * config.epochs
     scope = current_cancel_scope()
 
     def run_epoch(epoch: int) -> tuple[float, int]:
         # Mid-epoch cancel raises *without* saving: the weights already
         # hold partial-epoch updates, so only the last epoch-boundary
-        # snapshot is a valid resume point.
-        return step_batches(
+        # snapshot is a valid resume point. The raise ends the run, so
+        # the positions it leaves shuffled are never stepped again.
+        if config.shuffle:
+            rng.shuffle(positions)
+        result = step_batches(
             objective,
             walks,
-            runs(),
+            positions,
             config,
             rng,
             state.batch_index,
             total_batches,
             cancelled=scope.check,
         )
+        if config.shuffle:
+            positions.sort()
+        return result
 
     yield run_epoch, total_batches
 

@@ -167,7 +167,7 @@ def hogwild_epoch_task(task: _EpochTask) -> tuple[float, int]:
         return step_batches(
             objective,
             walks,
-            [run],
+            run,
             task.config,
             rng,
             task.batch_offset,

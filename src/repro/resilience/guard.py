@@ -208,7 +208,7 @@ def estimate_footprint(
         disk_extra = graph_bytes
     else:
         breakdown["graph"] = graph_bytes
-    from repro.walks.corpus import WALK_DTYPE
+    from repro.walks.corpus import WALK_DTYPE, position_dtype
 
     token_bytes = WALK_DTYPE.itemsize
     tokens = 0
@@ -245,20 +245,21 @@ def estimate_footprint(
             matrices = 2 * n * dim * 8  # input + output, float64
             # Plus the float64 copy of the vectors a run returns.
             weights = matrices + n * dim * 8
-            # Examples are int64 positions into a window-padded copy of
-            # the walk matrix: the positions and one epoch's shuffled
-            # copy, the padded copy (walk tokens), and one block of
-            # batches. At its peak a block's plan holds about four int64
-            # copies of its gathered windows and a dozen of its
-            # negative-sampling targets (center + negatives); a batch
-            # step adds its gathered output rows, context means and
+            # Examples are positions into a window-padded copy of the
+            # walk matrix: one position array, shuffled in place (int32
+            # below 2**31 padded cells), the padded copy (walk tokens),
+            # and one block of batches. At its peak a block's plan holds
+            # about four int64 copies of its gathered windows and a dozen
+            # of its negative-sampling targets (center + negatives); a
+            # batch step adds its gathered output rows, context means and
             # gradients.
             rows = batch * BLOCK_BATCHES
             block = rows * 8 * (4 * (1 + 2 * window) + 12 * (1 + negatives))
             step = batch * (3 + negatives) * dim * 8
+            padded_cells = num_walks * (walk_length + 2 * window)
             examples = (
-                2 * tokens * 8
-                + num_walks * (walk_length + 2 * window) * token_bytes
+                tokens * position_dtype(padded_cells).itemsize
+                + padded_cells * token_bytes
                 + block
                 + step
             )

@@ -2,11 +2,11 @@
 
 A corpus is a dense int32 matrix (walks × walk_length) padded with ``-1``
 after a walk terminates. It is the largest array a run holds, and int32
-tokens take half the bytes of int64 ones. Training examples are int64
-positions into a window-padded copy of that matrix; :func:`gather_windows`
-turns a block of positions into the (center, padded contexts) rows the
-vectorized trainers consume, without ever materializing Python lists of
-tokens.
+tokens take half the bytes of int64 ones. Training examples are int32
+positions into a window-padded copy of that matrix (int64 once it has
+2**31 cells or more); :func:`gather_windows` turns a block of positions
+into the (center, padded contexts) rows the vectorized trainers consume,
+without ever materializing Python lists of tokens.
 
 A corpus built from a caller's array is validated (tokens in range,
 padding only as a row suffix) and narrowed to int32. The walk engine's
@@ -20,12 +20,21 @@ from typing import Iterator
 
 import numpy as np
 
-__all__ = ["WalkCorpus", "gather_windows"]
+__all__ = ["WalkCorpus", "gather_windows", "position_dtype"]
 
 PAD = -1
 #: The dtype of every walk matrix: vertex ids and ``PAD``.
 WALK_DTYPE = np.dtype(np.int32)
 _TOKEN_RANGE = np.iinfo(WALK_DTYPE)
+#: About how many tokens :meth:`WalkCorpus.token_counts` counts at once.
+_COUNT_BLOCK_TOKENS = 1 << 18
+
+
+def position_dtype(cells: int) -> np.dtype:
+    """The dtype of example positions into a matrix of ``cells`` cells:
+    int32 while every flat index fits (fewer than 2**31 cells), else
+    int64."""
+    return np.dtype(np.int32 if cells <= _TOKEN_RANGE.max else np.int64)
 
 
 def gather_windows(
@@ -152,9 +161,17 @@ class WalkCorpus:
             yield row[: int(ln)]
 
     def token_counts(self) -> np.ndarray:
-        """Occurrence count of each vertex across the corpus."""
-        flat = self._walks[self._walks != PAD]
-        return np.bincount(flat, minlength=self._num_vertices).astype(np.int64)
+        """Occurrence count of each vertex across the corpus.
+
+        Counted in blocks of rows of about 2**18 tokens, so the transient
+        is one block's tokens, not a compacted copy of the corpus.
+        """
+        counts = np.zeros(self._num_vertices, dtype=np.int64)
+        rows = max(1, _COUNT_BLOCK_TOKENS // max(self.max_length, 1))
+        for lo in range(0, self.num_walks, rows):
+            block = self._walks[lo : lo + rows]
+            counts += np.bincount(block[block != PAD], minlength=self._num_vertices)
+        return counts
 
     def coverage(self) -> float:
         """Fraction of vertices that appear at least once."""
@@ -179,28 +196,34 @@ class WalkCorpus:
         padded[:, window : window + max_len] = self._walks
         return padded
 
-    def example_positions(
-        self, window: int, rows: np.ndarray | None = None
-    ) -> np.ndarray:
+    def example_positions(self, window: int) -> np.ndarray:
         """Flat indices into :meth:`padded_walks` of the training examples.
 
-        One int64 position per example: every token of a walk with at
-        least two tokens (a window >= 1 then always holds a real
-        context). Ordered walk by walk — all walks, or the walk ``rows``
-        in the order given — and left to right within a walk.
+        One position per example: every token of a walk with at least
+        two tokens (a window >= 1 then always holds a real context),
+        walk by walk and left to right within a walk, so the positions
+        are strictly increasing and sorting a shuffled copy restores
+        them. In :func:`position_dtype` of the padded matrix: int32
+        below 2**31 cells.
         """
         if window < 1:
             raise ValueError("window must be >= 1")
-        if rows is None:
-            rows = np.arange(self.num_walks)
-        lengths = self._lengths[rows]
-        counts = np.where(lengths >= 2, lengths, 0)
-        # Example k of the output sits at offset k - first(walk) along
-        # its walk's row, which starts at row * width + window.
-        first = np.cumsum(counts) - counts
         width = self.max_length + 2 * window
-        positions = np.repeat(rows * width + window - first, counts)
-        positions += np.arange(positions.shape[0])
+        rows = np.flatnonzero(self._lengths >= 2)
+        counts = self._lengths[rows]
+        positions = np.ones(
+            int(counts.sum()), dtype=position_dtype(self.num_walks * width)
+        )
+        if rows.size:
+            # Examples of one walk are one cell apart, and walk k's first
+            # sits at rows[k] * width + window. Write each walk's jump from
+            # the previous walk's last example at its first example, then
+            # sum up in place: no second full-size array.
+            starts = rows * width + window
+            jumps = starts.copy()
+            jumps[1:] -= starts[:-1] + counts[:-1] - 1
+            positions[np.cumsum(counts) - counts] = jumps
+            np.cumsum(positions, dtype=positions.dtype, out=positions)
         return positions
 
     def context_arrays(self, window: int) -> tuple[np.ndarray, np.ndarray]:

@@ -18,7 +18,7 @@ from scipy import sparse
 
 from repro.core._math import MAX_EXP
 from repro.core.fused import FusedCBOWNegativeSampling
-from repro.core.trainer import TrainConfig, _dense_runs, scheduled_lr, step_batches
+from repro.core.trainer import TrainConfig, scheduled_lr, step_batches
 from repro.walks.corpus import WalkCorpus, gather_windows
 
 VOCAB, DIM, NEGATIVES, WINDOW = 23, 6, 3, 2
@@ -153,10 +153,13 @@ def test_step_batches_matches_batch_by_batch(walks, length, batch_size, shuffle,
 
     planned, rng_p = _model(seed), np.random.default_rng(seed)
     losses_p: list[float] = []
+    run = positions.copy()
+    if shuffle:
+        rng_p.shuffle(run)  # the in-process epoch's in-place shuffle
     step_batches(
         planned,
         padded,
-        _dense_runs(positions, config, rng_p),
+        run,
         config,
         rng_p,
         0,

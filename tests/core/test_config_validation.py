@@ -25,7 +25,6 @@ class TestV2VConfigValidation:
             {"p": 2.0},  # p/q without node2vec mode
             {"time_window": 5.0},  # window without temporal mode
             {"time_window": -1.0, "walk_mode": WalkMode.TEMPORAL},
-            {"stream_rows": 0},
             {"patience": 0},
             {"tol": -0.1},
         ],

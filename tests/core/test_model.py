@@ -167,8 +167,9 @@ class TestPersistence:
 
     def test_load_file_with_supervision_keys(self, fitted, tmp_path):
         """Model files saved while V2VConfig still carried the worker
-        supervision fields embed them in ``config_json``; they load, and
-        the two retired keys are dropped."""
+        supervision fields, or the streaming batch source's, embed them
+        in ``config_json``; they load, and the retired keys are
+        dropped."""
         import io
         import json
 
@@ -176,32 +177,34 @@ class TestPersistence:
 
         _g, model = fitted
         result = model.result
-        config = {
-            **model.config.to_dict(),
-            "worker_deadline": 7.0,
-            "max_respawns": 1,
-        }
-        arrays = {
-            "vectors": np.asarray(result.vectors),
-            "loss_history": np.asarray(result.loss_history),
-            "epochs_run": np.asarray(result.epochs_run),
-            "converged": np.asarray(int(result.converged)),
-            "config_json": np.frombuffer(
-                json.dumps(config, sort_keys=True).encode(), np.uint8
-            ),
-        }
-        record = integrity_record(arrays)
-        buf = io.BytesIO()
-        np.savez_compressed(
-            buf,
-            **arrays,
-            __integrity__=np.frombuffer(json.dumps(record).encode(), np.uint8),
-        )
-        p = tmp_path / "supervised.npz"
-        p.write_bytes(buf.getvalue())
-        loaded = V2V.load(p)
-        np.testing.assert_array_equal(loaded.vectors, model.vectors)
-        assert loaded.config == model.config
+        for name, retired in [
+            ("supervised", {"worker_deadline": 7.0, "max_respawns": 1}),
+            ("streaming", {"streaming": True, "stream_rows": 64}),
+        ]:
+            config = {**model.config.to_dict(), **retired}
+            arrays = {
+                "vectors": np.asarray(result.vectors),
+                "loss_history": np.asarray(result.loss_history),
+                "epochs_run": np.asarray(result.epochs_run),
+                "converged": np.asarray(int(result.converged)),
+                "config_json": np.frombuffer(
+                    json.dumps(config, sort_keys=True).encode(), np.uint8
+                ),
+            }
+            record = integrity_record(arrays)
+            buf = io.BytesIO()
+            np.savez_compressed(
+                buf,
+                **arrays,
+                __integrity__=np.frombuffer(
+                    json.dumps(record).encode(), np.uint8
+                ),
+            )
+            p = tmp_path / f"{name}.npz"
+            p.write_bytes(buf.getvalue())
+            loaded = V2V.load(p)
+            np.testing.assert_array_equal(loaded.vectors, model.vectors)
+            assert loaded.config == model.config
 
 
 class TestConfigSerialization:

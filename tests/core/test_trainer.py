@@ -216,7 +216,10 @@ class TestMemory:
             tracemalloc.stop()
         # The walk matrix's bytes at 8 bytes per token; the int32 corpus
         # takes half that, but the limit stays the same absolute figure.
+        # One int32 position array, shuffled in place, keeps the peak
+        # near 1.4x; int64 positions with a shuffled copy per epoch
+        # reach 2.9x.
         walk_bytes = 8 * corpus.walks.size
-        assert peak <= 4 * walk_bytes, (
+        assert peak <= 2 * walk_bytes, (
             f"peak {peak / walk_bytes:.2f}x the walk matrix's int64 bytes"
         )

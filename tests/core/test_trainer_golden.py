@@ -3,7 +3,7 @@
 ``tests/pipeline/test_golden.py`` pins fused CBOW through ``V2V.fit``.
 This table pins ``train_embeddings`` itself on one fixed corpus, once
 per training path: each kernel and output layer, subsampling, no
-shuffle, early stop, the streaming source and warm start. A digest covers the trained
+shuffle, early stop and warm start. A digest covers the trained
 vectors and the per-epoch loss history, so any change to the RNG call
 order, the batch order, the LR schedule or the float ops fails here.
 
@@ -42,19 +42,6 @@ CASES = {
         {"epochs": 30, "early_stop": True, "tol": 0.2, "patience": 1},
         False,
     ),
-    "streaming": ({"streaming": True, "stream_rows": 16}, False),
-    "streaming_subsample": (
-        {"streaming": True, "stream_rows": 16, "subsample": 1e-2},
-        False,
-    ),
-    "streaming_no_shuffle": (
-        {"streaming": True, "stream_rows": 16, "shuffle": False},
-        False,
-    ),
-    "streaming_reference": (
-        {"streaming": True, "stream_rows": 7, "kernel": "reference"},
-        False,
-    ),
     "warm_start": ({}, True),
 }
 
@@ -79,18 +66,6 @@ GOLDEN = {
     ),
     "early_stop": (
         "955ae1bb38a802af8690f8fde7dfb2c541352f677de6cdb58767518e4778998f"
-    ),
-    "streaming": (
-        "a949b63bdbbe5257f72fa96205cf8b0fe969486d92f5d8d645a4da9c9e9e2c1f"
-    ),
-    "streaming_subsample": (
-        "cfc81d99099a787173e70ac91dfd304f4d8ad468d42c5eed0ae1923ec0c2c038"
-    ),
-    "streaming_no_shuffle": (
-        "23aee3bda601a4ee72117b1f40aefcf4672a1897922bcb8d0d63f2948b26ef23"
-    ),
-    "streaming_reference": (
-        "917361c29bc262c019051f1d7da0c2594470ea56775d53742d20059e05dfe503"
     ),
     "warm_start": (
         "17da090ec1d5688e4f65b9ca35b38dd7965781f2e96023b08ea4bb5ae3e2a388"
@@ -140,12 +115,3 @@ def test_early_stop_case_stops_early(corpus):
     assert result.converged
     assert result.epochs_run < CASES["early_stop"][0]["epochs"]
 
-
-def test_streaming_without_shuffle_equals_dense_without_shuffle(corpus):
-    config = TrainConfig(**BASE, shuffle=False)
-    dense = train_embeddings(corpus, config)
-    streamed = train_embeddings(
-        corpus, TrainConfig(**BASE, shuffle=False, streaming=True, stream_rows=5)
-    )
-    np.testing.assert_array_equal(dense.vectors, streamed.vectors)
-    assert dense.loss_history == streamed.loss_history

@@ -89,6 +89,32 @@ class TestBatching:
         expected, _ = corpus.context_arrays(cfg.window)
         np.testing.assert_array_equal(obj.calls[0][0], expected)
 
+    def test_one_position_array_shuffled_in_place(self, monkeypatch, corpus):
+        """Every epoch steps the same int32 array, shuffled in place, and
+        leaves it sorted back for the next."""
+        import repro.core.trainer as trainer_mod
+
+        step = trainer_mod.step_batches
+        epochs = []
+
+        def recording(objective, walks, positions, *args, **kwargs):
+            epochs.append((positions, positions.copy()))
+            return step(objective, walks, positions, *args, **kwargs)
+
+        monkeypatch.setattr(trainer_mod, "step_batches", recording)
+        cfg = TrainConfig(dim=4, epochs=3, batch_size=16, seed=0, early_stop=False)
+        train_embeddings(corpus, cfg)
+        ordered = corpus.example_positions(cfg.window)
+        held = epochs[0][0]
+        assert len(epochs) == 3
+        assert all(array is held for array, _ in epochs)
+        assert held.dtype == np.int32
+        np.testing.assert_array_equal(held, ordered)
+        orders = [order for _, order in epochs]
+        for order in orders:
+            np.testing.assert_array_equal(np.sort(order), ordered)
+        assert not np.array_equal(orders[0], orders[1])
+
     def test_constant_loss_triggers_early_stop(self, monkeypatch, corpus):
         cfg = TrainConfig(dim=4, epochs=50, seed=0, tol=1e-6, patience=2)
         res, _obj = patched_train(monkeypatch, corpus, cfg)

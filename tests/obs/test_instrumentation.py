@@ -213,13 +213,13 @@ def _train_telemetry(corpus, config, tmp_path):
 
 
 class TestTrainingPathParity:
-    """Serial, streaming and pooled training share one epoch loop, so they
-    report the same spans, attributes and metrics."""
+    """Serial and pooled training share one epoch loop, so they report
+    the same spans, attributes and metrics."""
 
     SPAN_KEYS = {
         "train.run": {
-            "objective", "output_layer", "dim", "epochs", "streaming",
-            "workers", "epochs_run", "converged",
+            "objective", "output_layer", "dim", "epochs", "workers",
+            "epochs_run", "converged",
         },
         "train.epoch": {"epoch", "loss", "lr", "examples", "words_per_sec"},
     }
@@ -230,8 +230,8 @@ class TestTrainingPathParity:
 
     @pytest.mark.parametrize(
         "overrides",
-        [{}, {"streaming": True, "stream_rows": 8}, {"workers": 2}],
-        ids=["serial", "streaming", "workers2"],
+        [{}, {"workers": 2}],
+        ids=["serial", "workers2"],
     )
     def test_same_spans_metrics_and_final_lr(self, graph, tmp_path, overrides):
         from repro.core.trainer import TrainConfig

@@ -115,8 +115,6 @@ class TestMultiWorker:
         assert recall >= 0.9
 
     def test_objective_validation_still_applies(self):
-        with pytest.raises(ValueError, match="streaming"):
-            TrainConfig(streaming=True, workers=2)
         with pytest.raises(ValueError, match="workers"):
             TrainConfig(workers=0)
 

@@ -280,15 +280,6 @@ def _train_serial(corpus, ctx, callback=None):
     )
 
 
-def _train_streaming(corpus, ctx, callback=None):
-    return train_embeddings(
-        corpus,
-        TrainConfig(**TRAIN_CFG, streaming=True, stream_rows=8),
-        context=ctx,
-        epoch_callback=callback,
-    )
-
-
 def _train_hogwild1(corpus, ctx, callback=None):
     return train_embeddings(
         corpus,
@@ -303,8 +294,8 @@ class TestInterruptResumeIdentity:
 
     @pytest.mark.parametrize(
         "train",
-        [_train_serial, _train_streaming, _train_hogwild1],
-        ids=["serial", "streaming", "hogwild1"],
+        [_train_serial, _train_hogwild1],
+        ids=["serial", "hogwild1"],
     )
     def test_trainer_interrupt_resume_matches_uninterrupted(
         self, corpus, tmp_path, train

@@ -223,24 +223,6 @@ class TestTrainerResume:
         assert resumed.loss_history == baseline.loss_history
         assert resumed.epochs_run == baseline.epochs_run
 
-    def test_streaming_kill_and_resume(self, corpus, tmp_path):
-        config = TrainConfig(**{**TRAIN_CFG, "streaming": True, "stream_rows": 16})
-        baseline = train_embeddings(corpus, config)
-        with pytest.raises(InjectedFault):
-            train_embeddings(
-                corpus,
-                config,
-                context=ExecutionContext(checkpoint_dir=tmp_path),
-                epoch_callback=_CrashAfterEpoch(1),
-            )
-        resumed = train_embeddings(
-            corpus,
-            config,
-            context=ExecutionContext(checkpoint_dir=tmp_path, resume=True),
-        )
-        np.testing.assert_array_equal(baseline.vectors, resumed.vectors)
-        assert resumed.loss_history == baseline.loss_history
-
     def test_resume_of_finished_run_returns_final_state(self, corpus, tmp_path):
         config = TrainConfig(**TRAIN_CFG)
         done = train_embeddings(

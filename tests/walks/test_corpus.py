@@ -1,9 +1,12 @@
 """Tests for the walk corpus and context extraction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro.walks.corpus import PAD, WALK_DTYPE, WalkCorpus
+import repro.walks.corpus as corpus_mod
+from repro.walks.corpus import PAD, WALK_DTYPE, WalkCorpus, position_dtype
 
 
 def corpus_of(rows, num_vertices=10):
@@ -73,6 +76,106 @@ class TestTokenCounts:
     def test_coverage(self):
         c = corpus_of([[0, 1, 0]], num_vertices=4)
         assert c.coverage() == 0.5
+
+    @pytest.mark.parametrize("block_tokens", [1, 20, 1 << 18])
+    def test_blocks_sum_to_one_bincount(self, monkeypatch, block_tokens):
+        walks = ragged_walks(np.random.default_rng(3), 50, 9, 12)
+        monkeypatch.setattr(corpus_mod, "_COUNT_BLOCK_TOKENS", block_tokens)
+        counts = WalkCorpus(walks, num_vertices=12).token_counts()
+        expected = np.bincount(walks[walks != PAD], minlength=12)
+        assert counts.dtype == np.int64
+        np.testing.assert_array_equal(counts, expected)
+
+    def test_peak_heap_is_a_block_not_the_corpus(self):
+        # 4M int32 tokens (16 MB). One compacted int32 copy plus its
+        # int64 cast would be 48 MB; a 2**18-token block is about 3 MB.
+        walks = np.random.default_rng(0).integers(
+            0, 1000, (100_000, 40), dtype=np.int32
+        )
+        c = WalkCorpus(walks, num_vertices=1000)
+        tracemalloc.start()
+        try:
+            c.token_counts()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= walks.nbytes // 4, f"peak {peak} B"
+
+
+def ragged_walks(rng, num_walks, max_len, num_vertices):
+    """Random walks of lengths 0..max_len, padded with PAD."""
+    walks = rng.integers(0, num_vertices, (num_walks, max_len))
+    lengths = rng.integers(0, max_len + 1, num_walks)
+    walks[np.arange(max_len) >= lengths[:, None]] = PAD
+    return walks
+
+
+def positions_by_formula(c, window):
+    """The int64 positions, one walk's arange at a time."""
+    width = c.max_length + 2 * window
+    runs = [
+        r * width + window + np.arange(n)
+        for r, n in enumerate(c.lengths)
+        if n >= 2
+    ]
+    return np.concatenate(runs) if runs else np.empty(0, dtype=np.int64)
+
+
+class TestExamplePositions:
+    @pytest.mark.parametrize("seed", range(20))
+    @pytest.mark.parametrize("window", [1, 2, 5])
+    def test_int32_increasing_and_equal_to_formula(self, seed, window):
+        rng = np.random.default_rng(seed)
+        walks = ragged_walks(rng, int(rng.integers(0, 40)), 9, 7)
+        c = WalkCorpus(walks, num_vertices=7)
+        positions = c.example_positions(window)
+        assert positions.dtype == np.int32
+        assert np.all(np.diff(positions) > 0)
+        np.testing.assert_array_equal(positions, positions_by_formula(c, window))
+
+    def test_int64_from_two_to_the_31_cells(self):
+        # Three rows 2**30 tokens wide, broadcast from one cell: the
+        # padded matrix would have over 2**31 cells, and no such matrix
+        # is allocated.
+        walks = np.broadcast_to(np.zeros(1, dtype=WALK_DTYPE), (3, 1 << 30))
+        c = WalkCorpus._trusted(
+            walks, num_vertices=1, lengths=np.array([2, 0, 3])
+        )
+        positions = c.example_positions(2)
+        assert positions.dtype == np.int64
+        width = (1 << 30) + 4
+        expected = [2, 3, 2 * width + 2, 2 * width + 3, 2 * width + 4]
+        assert positions.tolist() == expected
+        assert positions[-1] > np.iinfo(np.int32).max
+
+    def test_dtype_switches_at_two_to_the_31(self):
+        assert position_dtype(2**31 - 1) == np.int32
+        assert position_dtype(2**31) == np.int64
+
+
+@pytest.fixture(scope="module")
+def walked():
+    from repro.graph.generators import planted_partition
+    from repro.walks.engine import RandomWalkConfig, generate_walks
+
+    g = planted_partition(n=90, groups=3, alpha=0.6, inter_edges=12, seed=0)
+    return generate_walks(
+        g, RandomWalkConfig(walks_per_vertex=6, walk_length=20, seed=0)
+    )
+
+
+class TestNumExamples:
+    def test_num_examples_exact(self, walked):
+        assert walked.num_examples(5) == walked.context_arrays(5)[0].shape[0]
+
+    def test_num_examples_excludes_singletons(self):
+        walks = np.asarray([[0, 1, 2], [3, -1, -1]], dtype=np.int64)
+        c = WalkCorpus(walks, num_vertices=5)
+        assert c.num_examples(2) == 3  # the singleton walk contributes 0
+
+    def test_num_examples_validation(self, walked):
+        with pytest.raises(ValueError):
+            walked.num_examples(0)
 
 
 class TestContextArrays:
