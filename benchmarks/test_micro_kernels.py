@@ -67,7 +67,7 @@ def test_scatter_add_rows(benchmark):
 
 def test_scatter_add_rows_unique_fast_path(benchmark):
     # Duplicate-free index batch: PR 2's bincount check short-circuits to
-    # plain fancy-index addition instead of building the CSR selector.
+    # plain fancy-index addition instead of the sparse selector product.
     # Compare against test_scatter_add_rows to see the fast-path margin,
     # and against test_scatter_add_rows_add_at for the np.add.at baseline.
     rng = np.random.default_rng(0)
@@ -86,7 +86,7 @@ def test_scatter_add_rows_unique_fast_path(benchmark):
 
 
 def test_scatter_add_rows_add_at(benchmark):
-    # The np.add.at reference the CSR formulation replaced — kept as a
+    # The np.add.at reference the selector product replaced — kept as a
     # baseline so the selector's advantage stays visible in bench output.
     rng = np.random.default_rng(0)
     target = np.zeros((V, D))

@@ -30,10 +30,12 @@ Two rules keep start-up lean (see "Start-up" in docs/PERFORMANCE.md):
 4. A package ``__init__.py`` imports no ``repro.*`` module except the
    lazy-export helper ``repro._lazy``. Its public names load on first
    access, so ``import repro`` loads neither numpy nor scipy.
-5. Only ``repro.core._math``, ``repro.core.fused`` and
-   ``repro.ml.spectral`` import ``scipy`` at module level; anything else
-   that needs it imports it inside the function. A walk-only run then
-   never loads scipy.
+5. Only ``repro.ml.spectral`` imports ``scipy`` at module level;
+   anything else that needs it imports it inside the function. The
+   trainer's and k-means' sparse products call scipy's compiled kernels,
+   which ``repro.core._math`` loads by file path (falling back to a
+   function-local ``scipy.sparse`` import), so walks, training and
+   k-means never load a ``scipy`` module.
 
 One rule keeps the telemetry hub at the bottom of the stack:
 
@@ -171,7 +173,7 @@ EXEMPT = {"repro.__main__"}
 LAZY_HELPER = "repro._lazy"
 
 #: The modules that may import scipy at module level (rule 5).
-SCIPY_MODULES = {"repro.core._math", "repro.core.fused", "repro.ml.spectral"}
+SCIPY_MODULES = {"repro.ml.spectral"}
 
 
 def violation(path: Path, mod: str, imported: str) -> str | None:

@@ -3,29 +3,34 @@
 The CBOW + negative-sampling kernel every worker count runs (the
 reference :class:`repro.core.cbow.CBOWNegativeSampling` kernel stays
 selectable with ``kernel="reference"``). A minibatch is two sparse
-(B × V) matrices over CSR arrays, so scipy never converts from COO:
+(B × V) matrices, each held as the three flat arrays of a compressed
+sparse matrix and multiplied by scipy's compiled kernels
+(:data:`repro.core._math.sparsetools`) called directly on plain arrays:
 
-- **A**, the context-mean matrix: row ``b`` holds ``1/count_b`` at each
-  real context slot of example ``b``. ``h = A @ w_in`` is the context
-  mean and ``w_in += A.T @ grad_h`` its exact adjoint; pad slots simply
-  have no entry.
+- **A**, the context-mean matrix, over a fixed stride of one entry per
+  context slot (2·window): row ``b`` holds ``1/count_b`` at each real
+  context of example ``b``, and a pad slot holds weight 0 at vertex 0,
+  which adds an exact zero to every sum it joins (the weights are
+  finite). ``h = A @ w_in`` (``csr_matvecs``) is the context mean, and
+  ``A.T @ grad_h`` (``csc_matvecs`` over the same arrays) its exact
+  adjoint.
 - **G**, the gradient matrix: row ``b`` holds the ``1+K`` scaled
   gradients at the center and its negatives, over a fixed stride-(1+K)
-  ``indptr``. ``w_out += G.T @ h`` is the output update.
+  ``indptr``. ``G.T @ h`` (``csc_matvecs``) is the output update.
 
-scipy's CSR products sum duplicate indices, so a vertex repeated in one
-context row, a target shared by several rows, or a negative equal to its
-center all accumulate exactly.
+Both strides are fixed, so each ``indptr`` is an ``arange`` cached per
+batch size. The kernels sum in the order the entries are stored, as
+scipy's ``M @ dense`` does (it is ``np.zeros`` plus the same call), so a
+vertex repeated in one context row, a target shared by several rows, or
+a negative equal to its center all accumulate exactly.
 
 **Block plan.** The trainer hands the kernel a block of consecutive
 batches (:meth:`FusedCBOWNegativeSampling.plan_block`). Everything that
 does not read the weights is done once per block: the context mask and
-counts, A's CSR arrays, and the alias negatives of every batch — one
-``rng.random`` call laid out as the per-batch draws were (each batch's
-``u`` uniforms, then its ``accept`` uniforms), so the plan consumes the
-generator exactly as one step per batch did. Each batch then steps on
-sparse shells kept per batch size: A, A's CSC adjoint and G.T are
-built once and only have their arrays swapped per batch.
+counts, A's data and indices, and the alias negatives of every batch —
+one ``rng.random`` call laid out as the per-batch draws were (each
+batch's ``u`` uniforms, then its ``accept`` uniforms), so the plan
+consumes the generator exactly as one step per batch did.
 :meth:`~FusedCBOWNegativeSampling.batch_step` is the one-batch plan.
 
 The remaining fusions:
@@ -37,10 +42,13 @@ The remaining fusions:
 - **matmul scoring** — ``(B, 1+K, d) @ (B, d, 1)`` batched matmul, a
   one-pass loss ``Σ log1p(exp(sign · s))``, and in-place clip/sigmoid/
   gradient arithmetic on one ``(B, 1+K)`` buffer.
+- **reused buffers** — ``h`` goes to a (B, d) buffer kept per batch
+  size, and each update accumulates into one private (V, d) buffer,
+  zeroed before each of the two products.
 
-The updates are dense in-place ``+=`` over the whole matrices, so
-Hogwild workers running this kernel on shared memory race only per
-element. The public surface matches the reference kernel —
+Each update is then a dense in-place ``+=`` of that buffer over the
+whole matrix, so Hogwild workers running this kernel on shared memory
+race only per element. The public surface matches the reference kernel —
 ``batch_step(centers, contexts, lr, rng)``, ``w_in``/``w_out``, and a
 ``vectors`` property that returns float64.
 """
@@ -51,9 +59,8 @@ from functools import partial
 from typing import Callable, Iterator
 
 import numpy as np
-from scipy import sparse
 
-from repro.core._math import MAX_EXP
+from repro.core._math import MAX_EXP, sparsetools
 from repro.walks.alias import AliasTable, build_alias
 
 __all__ = ["FusedCBOWNegativeSampling"]
@@ -94,20 +101,20 @@ class FusedCBOWNegativeSampling:
             ((rng.random((vocab_size, dim)) - 0.5) / dim).astype(np.float32)
         )
         self.w_out = np.zeros((vocab_size, dim), dtype=np.float32)
-        # Handing scipy indices already in its own index dtype spares
-        # every product a content scan and a cast.
-        self._index_dtype = sparse.get_index_dtype(maxval=vocab_size)
-        self._shells: dict[int, _Shells] = {}
+        # One index dtype for every index array, so no product casts one.
+        self._index_dtype = np.dtype(np.int32 if vocab_size < 2**31 else np.int64)
+        self._acc = np.zeros((vocab_size, dim), dtype=np.float32)
+        self._buffers: dict[tuple[int, int], _Buffers] = {}
 
-    def _shells_for(self, batch: int) -> "_Shells":
-        shells = self._shells.get(batch)
-        if shells is None:
-            if len(self._shells) >= 4:  # full size plus recent partials
-                self._shells.clear()
-            shells = self._shells[batch] = _Shells(
-                batch, self.vocab_size, self.negatives, self._index_dtype
+    def _buffers_for(self, batch: int, stride: int) -> "_Buffers":
+        buffers = self._buffers.get((batch, stride))
+        if buffers is None:
+            if len(self._buffers) >= 4:  # full size plus recent partials
+                self._buffers.clear()
+            buffers = self._buffers[batch, stride] = _Buffers(
+                batch, stride, self.dim, self.negatives, self._index_dtype
             )
-        return shells
+        return buffers
 
     @property
     def vectors(self) -> np.ndarray:
@@ -140,10 +147,11 @@ class FusedCBOWNegativeSampling:
         returns its mean example loss.
 
         Everything that does not read the weights is done here, once for
-        the block: the context mask and counts, A's CSR arrays, and the
-        alias negatives of every batch. The negatives consume ``rng``
-        exactly as one :meth:`batch_step` per batch would, so stepping a
-        plan batch by batch is bitwise the per-batch loop.
+        the block: the context mask and counts, A's data and indices (pad
+        slots as weight 0 at vertex 0), and the alias negatives of every
+        batch. The negatives consume ``rng`` exactly as one
+        :meth:`batch_step` per batch would, so stepping a plan batch by
+        batch is bitwise the per-batch loop.
         """
         n = centers.shape[0]
         mask = contexts >= 0
@@ -152,24 +160,21 @@ class FusedCBOWNegativeSampling:
         if np.any(counts == 0):
             raise ValueError("every example must have at least one context token")
         inv = np.float32(1.0) / counts.astype(np.float32)
-        a_data = np.repeat(inv, counts)
-        a_indices = contexts[mask].astype(self._index_dtype)
-        ends = np.zeros(n + 1, dtype=self._index_dtype)
-        np.cumsum(counts, out=ends[1:])
+        a_data = np.multiply(mask, inv[:, None], dtype=np.float32)
+        a_indices = contexts.astype(self._index_dtype)
+        np.maximum(a_indices, 0, out=a_indices)  # pads (-1) read vertex 0
         targets = np.empty((n, 1 + self.negatives), dtype=np.int64)
         targets[:, 0] = centers
         targets[:, 1:] = self._negatives(n, batch_size, rng)
         t_indices = targets.astype(self._index_dtype)
         for lo in range(0, n, batch_size):
             hi = min(lo + batch_size, n)
-            a, b = ends[lo], ends[hi]
             step = partial(
                 self._step,
-                a_data[a:b],
-                a_indices[a:b],
-                ends[lo : hi + 1] - a,
+                a_data[lo:hi],
+                a_indices[lo:hi],
                 targets[lo:hi],
-                t_indices[lo:hi].reshape(-1),
+                t_indices[lo:hi],
             )
             yield hi - lo, step
 
@@ -197,66 +202,64 @@ class FusedCBOWNegativeSampling:
         self,
         a_data: np.ndarray,
         a_indices: np.ndarray,
-        a_indptr: np.ndarray,
         targets: np.ndarray,
         t_indices: np.ndarray,
         lr: float,
     ) -> float:
         """One planned batch's SGD step: the only part that reads weights."""
-        batch = targets.shape[0]
-        shells = self._shells_for(batch)
-        A, A_T, G_T = shells.A, shells.A_T, shells.G_T
-        A.data = A_T.data = a_data
-        A.indices = A_T.indices = a_indices
-        A.indptr = A_T.indptr = a_indptr
-        h = A @ self.w_in  # (B, d) context means
+        (batch, stride), vocab, dim = a_data.shape, self.vocab_size, self.dim
+        buffers = self._buffers_for(batch, stride)
+        a_data, a_indices = a_data.reshape(-1), a_indices.reshape(-1)
+        h = buffers.h
+        h.fill(0.0)
+        sparsetools.csr_matvecs(
+            batch, vocab, dim, buffers.a_indptr, a_indices, a_data,
+            self.w_in.reshape(-1), h.reshape(-1),
+        )  # (B, d) context means
 
         out_vecs = np.take(self.w_out, targets, axis=0)  # (B, 1+K, d)
         scores = (out_vecs @ h[:, :, None])[:, :, 0]  # (B, 1+K)
         np.clip(scores, -MAX_EXP, MAX_EXP, out=scores)
         # loss = -log σ(s⁺) - Σ log σ(-s⁻) = Σ log1p(exp(sign · s)), read
         # off before `scores` turns into predictions and then gradients.
-        loss = float(np.log1p(np.exp(shells.sign * scores)).sum())
+        loss = float(np.log1p(np.exp(buffers.sign * scores)).sum())
         np.negative(scores, out=scores)
         np.exp(scores, out=scores)
         scores += np.float32(1.0)
         np.reciprocal(scores, out=scores)  # scores := σ(scores)
-        np.subtract(shells.labels, scores, out=scores)
+        np.subtract(buffers.labels, scores, out=scores)
         scores *= np.float32(lr)  # scores := (labels - preds) * lr
         g = scores
 
         grad_h = (g[:, None, :] @ out_vecs)[:, 0, :]  # before w_out update
-        G_T.data = g.reshape(-1)
-        G_T.indices = t_indices
-        self.w_out += G_T @ h
-        self.w_in += A_T @ grad_h
+        acc = self._acc
+        acc.fill(0.0)
+        sparsetools.csc_matvecs(
+            vocab, batch, dim, buffers.g_indptr, t_indices.reshape(-1),
+            g.reshape(-1), h.reshape(-1), acc.reshape(-1),
+        )  # G.T @ h
+        self.w_out += acc
+        acc.fill(0.0)
+        sparsetools.csc_matvecs(
+            vocab, batch, dim, buffers.a_indptr, a_indices, a_data,
+            grad_h.reshape(-1), acc.reshape(-1),
+        )  # A.T @ grad_h
+        self.w_in += acc
         return loss / batch
 
 
-class _Shells:
-    """Per-batch-size sparse shells and constant buffers of the kernel.
+class _Buffers:
+    """Per-(batch size, context stride) constants and buffers of a step:
+    A's and G's fixed-stride ``indptr``, the labels and loss signs, and
+    the (B, d) context-mean buffer ``h``."""
 
-    ``A`` (CSR, B × V) and ``A_T`` (CSC, V × B) read the same three
-    arrays, so ``A_T`` is A's exact adjoint; ``G_T`` is G read as CSC,
-    over a fixed stride-(1+K) ``indptr``. A step assigns its batch's
-    arrays to the shells instead of building three scipy matrices.
-    """
-
-    def __init__(self, batch: int, vocab_size: int, negatives: int, index_dtype):
+    def __init__(
+        self, batch: int, stride: int, dim: int, negatives: int, index_dtype
+    ) -> None:
         width = 1 + negatives
-        empty_ptr = np.zeros(batch + 1, dtype=index_dtype)
-        none = (np.empty(0, np.float32), np.empty(0, index_dtype), empty_ptr)
-        self.A = sparse.csr_matrix(none, shape=(batch, vocab_size))
-        self.A_T = sparse.csc_matrix(none, shape=(vocab_size, batch))
-        g_indptr = np.arange(0, batch * width + 1, width, dtype=index_dtype)
-        self.G_T = sparse.csc_matrix(
-            (
-                np.zeros(batch * width, np.float32),
-                np.zeros(batch * width, index_dtype),
-                g_indptr,
-            ),
-            shape=(vocab_size, batch),
-        )
+        self.a_indptr = np.arange(0, batch * stride + 1, stride, dtype=index_dtype)
+        self.g_indptr = np.arange(0, batch * width + 1, width, dtype=index_dtype)
+        self.h = np.empty((batch, dim), dtype=np.float32)
         self.labels = np.zeros((batch, width), dtype=np.float32)
         self.labels[:, 0] = 1.0
         self.sign = 1.0 - 2.0 * self.labels  # -1 at the center, +1 at negatives

@@ -13,7 +13,8 @@ iteration costs the same dozen numpy calls whatever ``b`` is:
 - one stacked matmul for the ``(b, n, k)`` squared distances, through
   ||x - c||² = ||x||² - 2 x·c + ||c||², clipped at 0;
 - one argmin over the k centers (the first minimum wins);
-- the center sums as one sparse ``(b·k × n)`` assignment matrix times x,
+- the center sums as one sparse ``(b·k × n)`` assignment matrix times x
+  (scipy's compiled ``csc_matvecs``, :data:`repro.core._math.sparsetools`),
   and the counts as one ``bincount``;
 - the farthest-point reseed, on the restarts that emptied a cluster;
 - the relative center-shift test, per restart.
@@ -36,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core._math import sparsetools
 from repro.obs.recorder import current_recorder
 
 __all__ = ["KMeans", "KMeansResult"]
@@ -123,8 +125,6 @@ def _lloyd(
     restart's final centers (b, k, d), iteration count (b,), labels (b, n)
     and inertia (b,).
     """
-    from scipy import sparse
-
     b, k, d = centers.shape
     n = x.shape[0]
     final = np.empty_like(centers)
@@ -140,11 +140,11 @@ def _lloyd(
         counts = np.bincount(rows.ravel(), minlength=a * k).astype(np.float64)
         # Column j holds point j's center in each restart, and the product
         # visits columns in order: every center sums its points in order.
-        assign = sparse.csc_array(
-            (ones[: a * n], rows.T.ravel(), np.arange(0, a * n + 1, a)),
-            shape=(a * k, n),
+        new = np.zeros((a, k, d))
+        sparsetools.csc_matvecs(
+            a * k, n, d, np.arange(0, a * n + 1, a), rows.T.ravel(),
+            ones[: a * n], x.reshape(-1), new.reshape(-1),
         )
-        new = (assign @ x).reshape(a, k, d)
         counts = counts.reshape(a, k)
         for r in np.flatnonzero((counts == 0).any(axis=1)):
             # Re-seed the restart's empty clusters at the points farthest

@@ -28,6 +28,9 @@ WALK_DTYPE = np.dtype(np.int32)
 _TOKEN_RANGE = np.iinfo(WALK_DTYPE)
 #: About how many tokens :meth:`WalkCorpus.token_counts` counts at once.
 _COUNT_BLOCK_TOKENS = 1 << 18
+#: Walks whose first example :meth:`WalkCorpus.example_positions` places
+#: at once.
+_POSITION_BLOCK_WALKS = 1 << 14
 
 
 def position_dtype(cells: int) -> np.dtype:
@@ -209,21 +212,30 @@ class WalkCorpus:
         if window < 1:
             raise ValueError("window must be >= 1")
         width = self.max_length + 2 * window
-        rows = np.flatnonzero(self._lengths >= 2)
-        counts = self._lengths[rows]
         positions = np.ones(
-            int(counts.sum()), dtype=position_dtype(self.num_walks * width)
+            self.num_examples(window), dtype=position_dtype(self.num_walks * width)
         )
-        if rows.size:
-            # Examples of one walk are one cell apart, and walk k's first
-            # sits at rows[k] * width + window. Write each walk's jump from
-            # the previous walk's last example at its first example, then
-            # sum up in place: no second full-size array.
-            starts = rows * width + window
+        # Examples of one walk are one cell apart, and walk k's first sits
+        # at k * width + window. Write each walk's jump from the previous
+        # walk's last example at its first example, then sum up in place:
+        # no second full-size array. The jumps are written a block of
+        # walks at a time, so no array per walk is held either.
+        first, last = 0, 0  # next first-example index, last position so far
+        for lo in range(0, self.num_walks, _POSITION_BLOCK_WALKS):
+            lengths = self._lengths[lo : lo + _POSITION_BLOCK_WALKS]
+            rows = np.flatnonzero(lengths >= 2)
+            if not rows.size:
+                continue
+            counts = lengths[rows]
+            starts = (rows + lo) * width + window
             jumps = starts.copy()
+            jumps[0] -= last
             jumps[1:] -= starts[:-1] + counts[:-1] - 1
-            positions[np.cumsum(counts) - counts] = jumps
-            np.cumsum(positions, dtype=positions.dtype, out=positions)
+            ends = np.cumsum(counts)
+            positions[ends - counts + first] = jumps
+            first += int(ends[-1])
+            last = int(starts[-1] + counts[-1] - 1)
+        np.cumsum(positions, dtype=positions.dtype, out=positions)
         return positions
 
     def context_arrays(self, window: int) -> tuple[np.ndarray, np.ndarray]:
@@ -253,8 +265,7 @@ class WalkCorpus:
         is one example."""
         if window < 1:
             raise ValueError("window must be >= 1")
-        multi = self._lengths >= 2
-        return int(self._lengths[multi].sum())
+        return int(np.sum(self._lengths, where=self._lengths >= 2))
 
     def merge(self, other: "WalkCorpus") -> "WalkCorpus":
         """Concatenate two corpora over the same vertex universe."""

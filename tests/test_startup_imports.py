@@ -6,7 +6,10 @@ Each check starts a fresh interpreter with ``PYTHONPATH=src`` and reads
 - ``import repro`` and ``import repro.<package>`` load no numpy or scipy;
 - the walk-only set-up (what ``WalkStage`` over a ``GraphStore`` needs)
   loads no scipy module;
-- the trainer loads ``scipy.sparse`` but not the linear-algebra layers;
+- the trainer, a fused training run (serial and Hogwild), ``KMeans.fit``
+  and ``repro embed`` load no scipy module either: their sparse products
+  call scipy's compiled kernels loaded by file path
+  (``repro.core._math.sparsetools``);
 - ``repro --help`` and ``repro report <manifest>`` load no numpy.
 """
 
@@ -106,9 +109,55 @@ def test_walk_only_setup_loads_no_scipy():
 
 def test_trainer_loads_no_linear_algebra():
     loaded = loaded_after("import repro.core.trainer")
-    assert "scipy.sparse" in loaded
-    assert not _under(loaded, "scipy.sparse.linalg")
-    assert not _under(loaded, "scipy.linalg")
+    assert not _under(loaded, "scipy")
+
+
+TRAIN = """
+from repro.core.trainer import TrainConfig, train_embeddings
+from repro.graph.generators import planted_partition
+from repro.walks.engine import RandomWalkConfig, generate_walks
+
+g = planted_partition(n=60, groups=3, alpha=0.5, inter_edges=10, seed=0)
+corpus = generate_walks(g, RandomWalkConfig(walks_per_vertex=4, walk_length=12, seed=0))
+result = train_embeddings(
+    corpus, TrainConfig(dim=8, epochs=2, kernel="fused", workers={workers}, seed=0)
+)
+assert result.vectors.shape == (60, 8)
+"""
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_fused_training_loads_no_scipy(workers):
+    loaded = loaded_after(TRAIN.format(workers=workers))
+    assert "repro.core.fused" in loaded
+    assert not _under(loaded, "scipy")
+
+
+def test_kmeans_fit_loads_no_scipy():
+    loaded = loaded_after(
+        "import numpy as np\n"
+        "from repro.ml.kmeans import KMeans\n"
+        "x = np.random.default_rng(0).random((50, 3))\n"
+        "assert KMeans(3, n_init=4, seed=0).fit(x).labels.shape == (50,)"
+    )
+    assert not _under(loaded, "scipy")
+
+
+def test_cli_embed_loads_no_scipy(tmp_path):
+    graph = tmp_path / "g.txt"
+    code, _ = cli_modules(
+        "generate", "-o", str(graph), "--kind", "communities", "--n", "60",
+        "--groups", "3", "--alpha", "0.6", "--inter-edges", "10", "--seed", "0",
+    )
+    assert code == 0
+    vectors = tmp_path / "v.npz"
+    code, loaded = cli_modules(
+        "embed", str(graph), "-o", str(vectors), "--dim", "8", "--walks", "4",
+        "--length", "12", "--epochs", "2", "--seed", "0",
+    )
+    assert code == 0 and vectors.exists()
+    assert "repro.core.fused" in loaded
+    assert not _under(loaded, "scipy")
 
 
 def test_cli_help_loads_no_numpy():

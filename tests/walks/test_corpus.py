@@ -133,6 +133,40 @@ class TestExamplePositions:
         assert np.all(np.diff(positions) > 0)
         np.testing.assert_array_equal(positions, positions_by_formula(c, window))
 
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_any_walk_block_gives_the_same_positions(self, monkeypatch, block, seed):
+        # Blocks that start or end on walks too short to train on, or
+        # hold nothing but such walks, must not shift the positions.
+        rng = np.random.default_rng(seed)
+        walks = ragged_walks(rng, 30, 6, 5)
+        walks[rng.integers(0, 30, 10), 1:] = PAD
+        c = WalkCorpus(walks, num_vertices=5)
+        monkeypatch.setattr(corpus_mod, "_POSITION_BLOCK_WALKS", block)
+        np.testing.assert_array_equal(
+            c.example_positions(2), positions_by_formula(c, 2)
+        )
+
+    def test_peak_is_the_result_plus_one_per_walk_array(self):
+        # 200 000 walks of 40 tokens, broadcast from one cell, a few of
+        # them too short to train on.
+        num_walks = 200_000
+        lengths = np.full(num_walks, 40, dtype=np.int64)
+        lengths[::97] = np.arange(lengths[::97].size) % 3
+        walks = np.broadcast_to(np.zeros(1, dtype=WALK_DTYPE), (num_walks, 40))
+        c = WalkCorpus._trusted(walks, num_vertices=1, lengths=lengths)
+        tracemalloc.start()
+        try:
+            positions = c.example_positions(5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert positions.dtype == np.int32
+        assert peak <= positions.nbytes + lengths.nbytes, f"peak {peak} B"
+        assert positions.shape[0] == c.num_examples(5)
+        assert np.all(np.diff(positions) > 0)
+        assert positions[-1] == (num_walks - 1) * 50 + 5 + 39
+
     def test_int64_from_two_to_the_31_cells(self):
         # Three rows 2**30 tokens wide, broadcast from one cell: the
         # padded matrix would have over 2**31 cells, and no such matrix
